@@ -218,8 +218,21 @@ pub fn cache_key(
     spec: &DelaySpec,
     opts: &SizingOptions,
 ) -> CacheKey {
+    cache_key_for_structure(circuit.structural_hash(), lib, boundary, spec, opts)
+}
+
+/// [`cache_key`] for a circuit known only by its
+/// [`Circuit::structural_hash`], so a lazy sizing call can look up without
+/// elaborating the netlist.
+pub(crate) fn cache_key_for_structure(
+    structure: u64,
+    lib: &ModelLibrary,
+    boundary: &Boundary,
+    spec: &DelaySpec,
+    opts: &SizingOptions,
+) -> CacheKey {
     CacheKey {
-        structure: circuit.structural_hash(),
+        structure,
         process: lib.process().fingerprint(),
         spec_data: quantize_ps(spec.data),
         spec_precharge: spec.precharge.map_or(u64::MAX, quantize_ps),

@@ -87,8 +87,8 @@ pub use noise::{analyze_noise, DynamicNodeNoise, NoiseReport};
 pub use pool::{run_indexed, EnvFallback, ParallelOptions};
 pub use report::{exploration_report, sizing_report};
 pub use sizing::{
-    compaction_stats, measure_phase_delays, minimize_delay, size_circuit, CornerDelay,
-    SizingOutcome,
+    compaction_stats, measure_phase_delays, minimize_delay, size_circuit, size_lazily,
+    CornerDelay, SizingOutcome,
 };
 pub use sizing::audit_circuit;
 pub use spec::{AuditGate, CostMetric, DelaySpec, FlowBudget, LintGate, SizingOptions};

@@ -13,6 +13,8 @@
 //! * every stage observes the [`crate::FlowBudget`] (wall clock checked
 //!   between outer iterations and cooperatively inside the GP solver).
 
+use std::borrow::Cow;
+
 use smart_chaos::{ClockInstant, FaultSite};
 use smart_gp::{GpError, GpProblem, GpSolution, SolverOptions};
 use smart_models::ModelLibrary;
@@ -349,6 +351,35 @@ pub fn size_circuit(
     spec: &DelaySpec,
     opts: &SizingOptions,
 ) -> Result<SizingOutcome, FlowError> {
+    size_lazily(
+        || circuit.structural_hash(),
+        || Cow::Borrowed(circuit),
+        lib,
+        boundary,
+        spec,
+        opts,
+    )
+}
+
+/// [`size_circuit`] for a caller that can name the circuit's
+/// [`Circuit::structural_hash`] without elaborating it (a daemon memoising
+/// one hash per macro spec): `structure` runs only when
+/// [`SizingOptions::cache`] is set, and `elaborate` only when the cache
+/// cannot answer, so a hit never builds the netlist. `structure` must
+/// return `elaborate()`'s structural hash, or the cache replays another
+/// circuit's outcome.
+///
+/// # Errors
+///
+/// As [`size_circuit`].
+pub fn size_lazily<'c>(
+    structure: impl FnOnce() -> u64,
+    elaborate: impl FnOnce() -> Cow<'c, Circuit>,
+    lib: &ModelLibrary,
+    boundary: &Boundary,
+    spec: &DelaySpec,
+    opts: &SizingOptions,
+) -> Result<SizingOutcome, FlowError> {
     let deadline = opts.budget.wall_clock.map(|d| opts.budget.clock.deadline_after(d));
     validate_spec(spec)?;
     check_cancelled(opts, "sizing entry")?;
@@ -358,10 +389,10 @@ pub fn size_circuit(
     // inputs produce identical outcomes — the flow is deterministic — so a
     // hit replays the stored result without touching GP or STA. Only
     // successful outcomes are cached (failures can be budget-dependent).
-    let memo = opts
-        .cache
-        .as_ref()
-        .map(|cache| (cache, crate::cache::cache_key(circuit, lib, boundary, spec, opts)));
+    let memo = opts.cache.as_ref().map(|cache| {
+        let key = crate::cache::cache_key_for_structure(structure(), lib, boundary, spec, opts);
+        (cache, key)
+    });
     if let Some((cache, key)) = &memo {
         // Chaos resilience seams: the plan may vaporize or corrupt this
         // candidate's cache entry just before the lookup. Both must be
@@ -392,6 +423,8 @@ pub fn size_circuit(
         }
     }
 
+    let circuit = elaborate();
+    let circuit = circuit.as_ref();
     let prepared = prepare(circuit, lib, boundary, opts)?;
 
     let mut last_err = None;

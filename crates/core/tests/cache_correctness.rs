@@ -4,11 +4,13 @@
 //! threads of a parallel sweep must leave the exploration table
 //! byte-identical to the cache-free serial run.
 
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use smart_core::{
-    cache_key, explore_with_parallel, size_circuit, variation_sweep, DelaySpec, ParallelOptions,
-    SizingCache, SizingOptions, SizingOutcome, VariationOptions,
+    cache_key, explore_with_parallel, size_circuit, size_lazily, variation_sweep, DelaySpec,
+    ParallelOptions, SizingCache, SizingOptions, SizingOutcome, VariationOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology};
 use smart_models::ModelLibrary;
@@ -110,6 +112,71 @@ fn memoized_outcome_is_bitwise_identical_to_cold_solve() {
     assert_bitwise_equal(&cold, &second, "cold vs memoized run");
     assert_eq!(cache.stats(), (1, 1), "one miss then one hit");
     assert_eq!(cache.len(), 1);
+}
+
+#[test]
+fn lazy_sizing_elaborates_only_on_a_miss() {
+    let circuit = mux(MuxTopology::StronglyMutexedPass).generate();
+    let lib = ModelLibrary::reference();
+    let b = boundary(15.0);
+    let spec = DelaySpec::uniform(400.0);
+    let cold = size_circuit(&circuit, &lib, &b, &spec, &SizingOptions::default())
+        .expect("cold solve");
+
+    let cache = Arc::new(SizingCache::new());
+    let opts = with_cache(&cache);
+    let (hashed, elaborated) = (Cell::new(0), Cell::new(0));
+    let size = || {
+        size_lazily(
+            || {
+                hashed.set(hashed.get() + 1);
+                circuit.structural_hash()
+            },
+            || {
+                elaborated.set(elaborated.get() + 1);
+                Cow::Owned(mux(MuxTopology::StronglyMutexedPass).generate())
+            },
+            &lib,
+            &b,
+            &spec,
+            &opts,
+        )
+    };
+    let miss = size().expect("miss + solve");
+    assert_eq!((hashed.get(), elaborated.get()), (1, 1), "a miss elaborates once");
+    let hit = size().expect("hit");
+    assert_eq!((hashed.get(), elaborated.get()), (2, 1), "a hit never elaborates");
+    assert_bitwise_equal(&cold, &miss, "cold vs lazy miss");
+    assert_bitwise_equal(&cold, &hit, "cold vs lazy hit");
+    assert_eq!(cache.stats(), (1, 1));
+}
+
+#[test]
+fn lazy_sizing_without_a_cache_never_hashes() {
+    let circuit = mux(MuxTopology::Tristate).generate();
+    let lib = ModelLibrary::reference();
+    let b = boundary(15.0);
+    let spec = DelaySpec::uniform(400.0);
+    let opts = SizingOptions::default();
+    let cold = size_circuit(&circuit, &lib, &b, &spec, &opts).expect("cold solve");
+    let (hashed, elaborated) = (Cell::new(0), Cell::new(0));
+    let lazy = size_lazily(
+        || {
+            hashed.set(hashed.get() + 1);
+            circuit.structural_hash()
+        },
+        || {
+            elaborated.set(elaborated.get() + 1);
+            Cow::Borrowed(&circuit)
+        },
+        &lib,
+        &b,
+        &spec,
+        &opts,
+    )
+    .expect("lazy solve");
+    assert_eq!((hashed.get(), elaborated.get()), (0, 1));
+    assert_bitwise_equal(&cold, &lazy, "cold vs lazy without a cache");
 }
 
 #[test]

@@ -457,12 +457,22 @@ impl Circuit {
     /// for memoization because generators are deterministic — equal specs
     /// produce byte-equal build sequences.
     pub fn structural_hash(&self) -> u64 {
+        use std::fmt::Write as _;
         let mut h = crate::StableHasher::new();
+        // One scratch buffer carries every `Debug` form below, so the
+        // byte stream (and hence every persisted cache key) is the one a
+        // per-item `format!` would produce, without an allocation each.
+        let mut buf = String::with_capacity(64);
+        let mut write_debug = |h: &mut crate::StableHasher, v: &dyn std::fmt::Debug| {
+            buf.clear();
+            let _ = write!(buf, "{v:?}");
+            h.write_str(&buf);
+        };
         h.write_str(&self.name);
         h.write_usize(self.nets.len());
         for net in &self.nets {
             h.write_str(&net.name);
-            h.write_str(&format!("{:?}", net.kind));
+            write_debug(&mut h, &net.kind);
             h.write_f64_bits(net.wire_cap);
         }
         h.write_usize(self.labels.len());
@@ -474,7 +484,7 @@ impl Circuit {
             h.write_str(&c.path);
             // The Debug form of a kind covers every parameter (skew,
             // fan-in, network shape, ...) unambiguously.
-            h.write_str(&format!("{:?}", c.kind));
+            write_debug(&mut h, &c.kind);
             h.write_usize(c.conns.len());
             for n in &c.conns {
                 h.write_u32(n.0);
@@ -482,7 +492,7 @@ impl Circuit {
             let bindings = c.label_bindings();
             h.write_usize(bindings.len());
             for (role, label) in bindings {
-                h.write_str(&format!("{role:?}"));
+                write_debug(&mut h, role);
                 h.write_u32(label.0);
             }
         }

@@ -16,19 +16,31 @@
 //! comparison (global hit counters, timings) live in the `stats` op, not
 //! in work responses. The CI smoke byte-compares full response streams
 //! across `SMART_WORKERS=1/4` and across cold/warm restarts.
+//!
+//! # Hit path
+//!
+//! A `size` request (and each `batch` item) is answered without
+//! elaborating its macro whenever the cache can: the advisor memoises, per
+//! [`MacroSpec`], the circuit's structural hash and output port names —
+//! everything the cache key and the boundary need — and hands the flow a
+//! closure that generates the circuit only on a cache miss. The memo
+//! holds no circuits, so it costs a few bytes per spec; it is bounded by
+//! [`MEMO_CAP`].
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use smart_core::{
-    explore_parallel, size_circuit, DelaySpec, FlowError, ParallelOptions, SizingCache,
+    explore_parallel, size_lazily, DelaySpec, FlowError, ParallelOptions, SizingCache,
     SizingOptions, SizingOutcome,
 };
 use smart_gp::CancelToken;
 use smart_macros::MacroSpec;
 use smart_models::{CornerSet, ModelLibrary};
+use smart_netlist::Circuit;
 use smart_sta::Boundary;
 use smart_trace::Trace;
 
@@ -87,11 +99,26 @@ pub struct Reply {
     pub control: Control,
 }
 
+/// Distinct macro specs whose [`Elaboration`] the advisor memoises; past
+/// it, a new spec displaces an arbitrary one (which re-elaborates once if
+/// it comes back).
+pub const MEMO_CAP: usize = 256;
+
+/// What answering a request from the cache needs of an elaborated macro.
+struct Elaboration {
+    /// [`Circuit::structural_hash`]: the cache key's `structure`.
+    structure: u64,
+    /// Output port names, in port order: the boundary's loads.
+    outputs: Vec<String>,
+}
+
 /// The resident advisor: macro database + model library loaded once, one
 /// sharded sizing cache shared by every client and request.
 pub struct Advisor {
     lib: ModelLibrary,
     cache: Arc<SizingCache>,
+    /// Per-spec structure memo, at most [`MEMO_CAP`] entries.
+    memo: Mutex<HashMap<MacroSpec, Arc<Elaboration>>>,
     par: ParallelOptions,
     budget_ms: Option<u64>,
     max_inflight: usize,
@@ -128,6 +155,7 @@ impl Advisor {
         Advisor {
             lib: ModelLibrary::reference(),
             cache: Arc::new(SizingCache::bounded(opts.shards, opts.capacity)),
+            memo: Mutex::new(HashMap::new()),
             par: opts.parallel.unwrap_or_else(ParallelOptions::from_env),
             budget_ms: opts.budget_ms,
             max_inflight: opts.max_inflight.max(1),
@@ -333,12 +361,54 @@ impl Advisor {
         Ok((spec, name.to_owned(), load, delay))
     }
 
-    fn boundary(&self, circuit: &smart_netlist::Circuit, load: f64) -> Boundary {
+    /// The memoised elaboration of `spec`, plus the circuit when this call
+    /// had to generate it (so a cache miss right after does not generate
+    /// it again).
+    fn elaboration(&self, spec: &MacroSpec) -> (Arc<Elaboration>, Option<Circuit>) {
+        if let Some(e) = lock(&self.memo).get(spec) {
+            return (Arc::clone(e), None);
+        }
+        let circuit = spec.generate();
+        let e = Arc::new(Elaboration {
+            structure: circuit.structural_hash(),
+            outputs: circuit.output_ports().map(|p| p.name.clone()).collect(),
+        });
+        let mut memo = lock(&self.memo);
+        if memo.len() >= MEMO_CAP && !memo.contains_key(spec) {
+            if let Some(victim) = memo.keys().next().cloned() {
+                memo.remove(&victim);
+            }
+        }
+        memo.insert(spec.clone(), Arc::clone(&e));
+        (e, Some(circuit))
+    }
+
+    fn boundary(outputs: &[String], load: f64) -> Boundary {
         let mut b = Boundary::default();
-        for p in circuit.output_ports() {
-            b.output_loads.insert(p.name.clone(), load);
+        for name in outputs {
+            b.output_loads.insert(name.clone(), load);
         }
         b
+    }
+
+    /// Sizes one macro, elaborating it only if neither the memo nor the
+    /// cache can answer.
+    fn size_spec(
+        &self,
+        spec: &MacroSpec,
+        load: f64,
+        delay: f64,
+        opts: &SizingOptions,
+    ) -> Result<SizingOutcome, FlowError> {
+        let (elab, circuit) = self.elaboration(spec);
+        size_lazily(
+            || elab.structure,
+            || Cow::Owned(circuit.unwrap_or_else(|| spec.generate())),
+            &self.lib,
+            &Self::boundary(&elab.outputs, load),
+            &DelaySpec::uniform(delay),
+            opts,
+        )
     }
 
     fn size(&self, id: &str, req: &Json, opts: &SizingOptions) -> String {
@@ -346,9 +416,7 @@ impl Advisor {
             Ok(t) => t,
             Err(detail) => return error_line("size", id, "invalid-request", &detail),
         };
-        let circuit = spec.generate();
-        let boundary = self.boundary(&circuit, load);
-        match size_circuit(&circuit, &self.lib, &boundary, &DelaySpec::uniform(delay), opts) {
+        match self.size_spec(&spec, load, delay, opts) {
             Ok(out) => {
                 let mut s = ok_head("size", id);
                 s.push_str(",\"macro\":");
@@ -366,8 +434,7 @@ impl Advisor {
             Ok(t) => t,
             Err(detail) => return error_line("explore", id, "invalid-request", &detail),
         };
-        let circuit = spec.generate();
-        let boundary = self.boundary(&circuit, load);
+        let boundary = Self::boundary(&self.elaboration(&spec).0.outputs, load);
         let table = explore_parallel(
             &spec,
             &self.lib,
@@ -428,20 +495,10 @@ impl Advisor {
                     .unwrap_or("");
                 batch_row(name, Err(("invalid-request", detail.clone())))
             }
-            Ok((spec, name, load, delay)) => {
-                let circuit = spec.generate();
-                let boundary = self.boundary(&circuit, *load);
-                match size_circuit(
-                    &circuit,
-                    &self.lib,
-                    &boundary,
-                    &DelaySpec::uniform(*delay),
-                    opts,
-                ) {
-                    Ok(out) => batch_row(name, Ok(&out)),
-                    Err(e) => batch_row(name, Err((e.taxonomy(), e.to_string()))),
-                }
-            }
+            Ok((spec, name, load, delay)) => match self.size_spec(spec, *load, *delay, opts) {
+                Ok(out) => batch_row(name, Ok(&out)),
+                Err(e) => batch_row(name, Err((e.taxonomy(), e.to_string()))),
+            },
         });
         let mut s = ok_head("batch", id);
         s.push_str(",\"rows\":[");
@@ -483,6 +540,11 @@ impl Advisor {
             }
             None => s.push_str(",\"budget\":null"),
         }
+        let _ = write!(
+            s,
+            ",\"memo_entries\":{},\"memo_cap\":{MEMO_CAP}",
+            lock(&self.memo).len()
+        );
         s.push('}');
         s
     }

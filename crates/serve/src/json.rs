@@ -12,6 +12,11 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting a line may use. The parser recurses once
+/// per level, so without a cap one line of `[`s overflows the stack and
+/// aborts the daemon; requests nest three levels deep.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value. Object fields keep their textual order; the
 /// protocol layer looks keys up by name, duplicates resolve to the first.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +42,7 @@ impl Json {
         let mut p = JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -94,6 +100,8 @@ impl Json {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -108,8 +116,8 @@ impl JsonParser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.lit("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.lit("false").map(|_| Json::Bool(false)),
@@ -118,6 +126,21 @@ impl JsonParser<'_> {
             Some(c) => Err(format!("unexpected byte 0x{c:02x} at offset {}", self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses a container one level deeper, rejecting nesting past
+    /// [`MAX_DEPTH`] before it can recurse.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn lit(&mut self, word: &str) -> Result<(), String> {
@@ -325,6 +348,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap: rejected without recursing into it.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

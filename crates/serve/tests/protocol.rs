@@ -192,6 +192,25 @@ fn malformed_lines_become_typed_rows_never_panics() {
 }
 
 #[test]
+fn nesting_bomb_is_a_typed_row_and_the_advisor_keeps_serving() {
+    let advisor = advisor_with_workers(1);
+    // Unbounded recursive descent would overflow the stack on this line
+    // and abort the whole daemon.
+    let bomb = "[".repeat(1_000_000);
+    let reply = advisor.handle_line(&bomb);
+    assert!(
+        reply.text.starts_with("{\"ok\":false")
+            && reply.text.contains("\"error\":\"invalid-request\"")
+            && reply.text.contains("nesting deeper than"),
+        "{}",
+        reply.text
+    );
+    assert_eq!(reply.control, Control::Continue);
+    let ping = advisor.handle_line(r#"{"op":"ping","id":"after"}"#);
+    assert_eq!(ping.text, r#"{"ok":true,"op":"ping","id":"after"}"#);
+}
+
+#[test]
 fn shutdown_stops_the_script_early() {
     let advisor = advisor_with_workers(1);
     let script = "{\"op\":\"ping\",\"id\":\"1\"}\n{\"op\":\"shutdown\",\"id\":\"2\"}\n{\"op\":\"ping\",\"id\":\"3\"}\n";
