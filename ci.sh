@@ -12,6 +12,12 @@ cd "$(dirname "$0")"
 echo "== build (release, offline) =="
 cargo build --workspace --release --offline
 
+# The benchmark is its own Cargo workspace built on the public APIs of
+# smart-core, smart-netlist and smart-serve; building it here catches a
+# removed or renamed public name before the benchmark does.
+echo "== build smartbench (release, offline) =="
+cargo build --release --offline --manifest-path smartbench/Cargo.toml
+
 # The whole suite runs twice: once serial, once with the exploration
 # sweep fanned across 4 workers (explore/explore_with read SMART_WORKERS
 # from the environment). Any test that diverges between the two runs is a
@@ -62,14 +68,15 @@ cmp target/ci/chaos-w1.txt target/ci/chaos-w4.txt || {
   exit 1
 }
 
-# Interrupt/resume: a sweep killed by a budget and resumed from its
-# checkpoint must be byte-identical to an uninterrupted sweep, and the
-# smoke-sized robustness bench replays the survival/salvage study
-# (writes to target/ci so the committed full-run BENCH_robustness.json
-# is never clobbered).
-echo "== chaos interrupt/resume byte-identity =="
+# Interrupt/resume: a sweep killed by a budget, whose sizing cache is
+# snapshotted and loaded into a fresh cache for the restart, must be
+# byte-identical to an uninterrupted sweep, and the smoke-sized
+# robustness bench replays the survival/salvage study (writes to
+# target/ci so the committed full-run BENCH_robustness.json is never
+# clobbered).
+echo "== chaos interrupt/resume byte-identity (snapshot resume) =="
 cargo test -q --offline -p smart-core --test chaos_invariants \
-  interrupted_then_resumed_sweep_is_byte_identical_to_uninterrupted
+  interrupted_sweep_resumed_from_snapshot_is_byte_identical_to_uninterrupted
 
 echo "== robustness smoke (chaos survival/salvage + corner/yield sweep) =="
 cargo run -q --offline --release -p smart-bench --bin robustness -- \

@@ -17,7 +17,7 @@ use smart_bench::protocol_61;
 use smart_chaos::FaultPlan;
 use smart_core::{
     explore_parallel, explore_with, explore_with_parallel, size_circuit, variation_sweep,
-    Checkpointer, DelaySpec, ParallelOptions, SizingCache, SizingOptions, VariationOptions,
+    DelaySpec, ParallelOptions, SizingCache, SizingOptions, VariationOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::{CornerSet, ModelLibrary, Process};
@@ -367,10 +367,11 @@ struct ChaosRow {
 /// Graceful-degradation study: the same healthy mux sweep under a
 /// seeded [`FaultPlan`] at increasing fault rates. *Survival* is the
 /// fraction of candidates that still size; *salvage* is the fraction of
-/// the sweep a rerun recovers from the crashed run's checkpoint instead
-/// of recomputing (the transient faults having cleared). Both runs of a
-/// pair share one checkpoint file, exactly like a killed-and-restarted
-/// process.
+/// the sweep a rerun recovers from the crashed run's sizing-cache
+/// snapshot instead of recomputing (the transient faults having
+/// cleared): the restart loads the snapshot into a fresh cache, exactly
+/// like a killed-and-restarted process, and its cache hits are the
+/// salvaged rows.
 fn chaos_section(smoke: bool) -> Vec<ChaosRow> {
     println!("\n# Chaos: survival and salvage under seeded fault injection\n");
     let widths: &[usize] = if smoke { &[4] } else { &[4, 8] };
@@ -404,10 +405,12 @@ fn chaos_section(smoke: bool) -> Vec<ChaosRow> {
         path.push(format!("smart-bench-chaos-{}-{i}.json", std::process::id()));
         std::fs::remove_file(&path).ok();
 
-        // The "crashed" run: faults injected, checkpoint recording.
+        // The "crashed" run: faults injected, sizings memoised, the
+        // cache snapshotted when the sweep returns.
+        let crashed_cache = Arc::new(SizingCache::new());
         let chaotic = SizingOptions {
             chaos: Some(Arc::new(FaultPlan::uniform(seed, rate))),
-            checkpoint: Some(Arc::new(Checkpointer::new(&path))),
+            cache: Some(crashed_cache.clone()),
             ..Default::default()
         };
         let table = explore_with_parallel(
@@ -420,9 +423,15 @@ fn chaos_section(smoke: bool) -> Vec<ChaosRow> {
             &workers,
         );
 
-        // The restart: no faults, same checkpoint file.
+        crashed_cache
+            .save_snapshot(&path)
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+
+        // The restart: no faults, a fresh cache warmed from the snapshot.
+        let restart_cache = Arc::new(SizingCache::new());
+        restart_cache.load_snapshot(&path);
         let restart = SizingOptions {
-            checkpoint: Some(Arc::new(Checkpointer::new(&path))),
+            cache: Some(restart_cache),
             ..Default::default()
         };
         let resumed = explore_with_parallel(
@@ -446,7 +455,7 @@ fn chaos_section(smoke: bool) -> Vec<ChaosRow> {
             seed,
             total: table.candidates.len(),
             survived: table.feasible_count(),
-            salvaged: resumed.resumed,
+            salvaged: resumed.cache_hits,
             taxonomy: table.failure_taxonomy().into_iter().collect(),
         };
         println!(
@@ -463,8 +472,9 @@ fn chaos_section(smoke: bool) -> Vec<ChaosRow> {
     }
     println!(
         "\n(every fault is seeded and classified — survival degrades smoothly\n\
-         with the injected rate, and the checkpoint salvages the surviving\n\
-         rows on restart instead of recomputing the sweep; DESIGN.md \u{a7}13.)"
+         with the injected rate, and the cache snapshot salvages every row\n\
+         whose sizing finished on restart instead of recomputing the sweep;\n\
+         DESIGN.md \u{a7}13.)"
     );
     rows
 }

@@ -39,9 +39,11 @@
 //! per shard rather than on one global mutex. [`SizingCache::bounded`]
 //! adds an entry budget with least-recently-used eviction (per-shard
 //! recency stamps), and [`SizingCache::snapshot`] / [`SizingCache::restore`]
-//! persist the entries byte-stably (the checkpoint float-bit-pattern
-//! encoding, entries sorted by key) so a warm restart replays exactly the
-//! outcomes the previous process computed. Per-sweep hit/miss attribution
+//! persist the entries byte-stably (floats as bit patterns, entries
+//! sorted by key) so a warm restart replays exactly the outcomes the
+//! previous process computed. The same snapshot is how an interrupted
+//! exploration sweep resumes: restore it and re-run the sweep, and the
+//! rows it holds come back as cache hits. Per-sweep hit/miss attribution
 //! is the caller's job via [`CacheStats`] — the cache's own counters are
 //! process-lifetime aggregates over *all* clients.
 
@@ -196,8 +198,6 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
     // faults and budget expiry abort candidates (aborts are never
     // cached), and backoff/clock choice only move *when* a solve runs,
     // never what it computes.
-    // opts.checkpoint likewise: persistence replays rows, it never
-    // changes how they are computed.
     // opts.cache_stats likewise: a statistics sink records what the flow
     // did, it never changes what the flow computes — keying on it would
     // split every sweep (each gets a fresh sink) into its own disjoint
@@ -593,10 +593,9 @@ impl SizingCache {
     /// layout and recency stamps are *not* serialized — they are
     /// runtime-configuration, and a snapshot restored into a cache with a
     /// different shard count must still replay identically), every float
-    /// as its 16-hex-digit `f64::to_bits` pattern (the checkpoint
-    /// encoding), each entry carrying the content checksum that
-    /// [`SizingCache::restore`] re-verifies. Snapshot → restore →
-    /// snapshot is the identity on the bytes.
+    /// as its 16-hex-digit `f64::to_bits` pattern, each entry carrying
+    /// the content checksum that [`SizingCache::restore`] re-verifies.
+    /// Snapshot → restore → snapshot is the identity on the bytes.
     pub fn snapshot(&self) -> String {
         let mut entries: Vec<(CacheKey, u64, SizingOutcome)> = Vec::new();
         for i in 0..self.shards.len() {
@@ -646,9 +645,8 @@ impl SizingCache {
     /// cache, returning how many were loaded. All-or-nothing: any
     /// deviation from the canonical form — truncation, a hand edit, an
     /// entry whose stored checksum does not match its re-hashed content —
-    /// rejects the whole snapshot as `None` ("no snapshot"), mirroring
-    /// the checkpoint loader's policy, so damage can only ever cost warm
-    /// starts, never correctness. Restored entries go through the normal
+    /// rejects the whole snapshot as `None` ("no snapshot"), so damage
+    /// can only ever cost warm starts, never correctness. Restored entries go through the normal
     /// insert path (budget eviction applies); counters are not touched.
     pub fn restore(&self, text: &str) -> Option<usize> {
         let mut p = crate::persist::Parser::new(text);
@@ -700,7 +698,7 @@ impl SizingCache {
     }
 
     /// Writes a snapshot to `path` atomically (uniquely named temp file +
-    /// rename, like the checkpointer).
+    /// rename, so concurrent writers never publish a torn file).
     pub fn save_snapshot(&self, path: &Path) -> std::io::Result<()> {
         crate::persist::atomic_write(path, &self.snapshot())
     }
@@ -917,10 +915,19 @@ mod tests {
         let cache = SizingCache::new();
         cache.insert(key(1), outcome(1.0));
         let snap = cache.snapshot();
+        // Replaces the one field value that follows `field` (up to its
+        // closing `"`/`]`) — a hand edit the loader must refuse.
+        let edit = |field: &str, end: char, value: &str| {
+            let i = snap.find(field).expect("field present") + field.len();
+            let j = i + snap[i..].find(end).expect("field end");
+            format!("{}{value}{}", &snap[..i], &snap[j..])
+        };
         let cases: Vec<String> = vec![
             String::new(),
             "not a snapshot".to_owned(),
             snap[..snap.len() / 2].to_owned(),
+            // A foreign format version.
+            snap.replacen("\"version\":1", "\"version\":2", 1),
             // Flip one hex digit of the checksum field: the content no
             // longer matches, the whole file must be rejected.
             {
@@ -929,6 +936,12 @@ mod tests {
                 bytes[i] = if bytes[i] == b'0' { b'1' } else { b'0' };
                 String::from_utf8(bytes).expect("ascii")
             },
+            // Non-finite width bits (all-ones exponent): rejected before
+            // they reach `Sizing::from_widths`.
+            edit("\"sizing\":[\"", '"', "7ff0000000000000"),
+            // An empty corner list or a blank binding name is not ours.
+            edit("\"corners\":[", ']', ""),
+            edit("\"binding\":\"", '"', ""),
         ];
         for text in cases {
             let fresh = SizingCache::new();
@@ -938,6 +951,93 @@ mod tests {
             );
             assert!(fresh.is_empty(), "rejected snapshot must load nothing");
         }
+        let missing = std::env::temp_dir().join("smart-cache-test-no-such-snapshot.json");
+        assert!(SizingCache::new().load_snapshot(&missing).is_none());
+    }
+
+    fn tmp_path(name: &str) -> std::path::PathBuf {
+        let mut p = std::env::temp_dir();
+        p.push(format!("smart-cache-test-{}-{name}.json", std::process::id()));
+        p
+    }
+
+    /// Regression: the temp file used for the atomic replace must be
+    /// unique per save attempt. A fixed `*.tmp` name let two writers (two
+    /// processes, or two serve requests sharing a target path) truncate
+    /// each other's partial file between its write and its rename —
+    /// publishing a torn file. With pid + counter in the name, concurrent
+    /// saves each own their temp file.
+    #[test]
+    fn tmp_names_are_unique_per_save_attempt() {
+        use crate::persist::unique_tmp;
+        let target = Path::new("/some/dir/cache.snapshot");
+        let a = unique_tmp(target);
+        let b = unique_tmp(target);
+        assert_ne!(a, b, "two save attempts must never share a temp file");
+        let pid = std::process::id().to_string();
+        for t in [&a, &b] {
+            let name = t.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            assert!(
+                name.contains(&pid),
+                "temp name '{name}' must embed the pid so concurrent \
+                 processes cannot collide"
+            );
+            assert_eq!(t.parent(), target.parent(), "rename must stay on one filesystem");
+        }
+    }
+
+    /// Regression: two caches saving snapshots to the same path
+    /// concurrently. Every save is an atomic whole-file replace, so after
+    /// any interleaving the file on disk must be one writer's *complete*
+    /// snapshot — a torn or truncated file reads back as "no snapshot"
+    /// and fails this test.
+    #[test]
+    fn two_writers_never_publish_a_torn_file() {
+        let path = tmp_path("two-writers");
+        std::fs::remove_file(&path).ok();
+        let rounds = 40;
+        // Distinct entry sets per writer, so a torn mix of the two files
+        // cannot pass for either.
+        let writers: Vec<SizingCache> = (0..2u64)
+            .map(|w| {
+                let cache = SizingCache::new();
+                for n in 0..rounds {
+                    cache.insert(key(1000 * w + n), outcome(w as f64 + 1.5));
+                }
+                cache
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for cache in &writers {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..rounds {
+                        cache.save_snapshot(path).expect("save");
+                    }
+                });
+            }
+        });
+        let loaded = SizingCache::new();
+        let n = loaded.load_snapshot(&path);
+        assert_eq!(n, Some(rounds as usize), "the surviving file must be a complete snapshot");
+        let snap = loaded.snapshot();
+        assert!(
+            writers.iter().any(|w| w.snapshot() == snap),
+            "the published file must hold exactly one writer's full entry set"
+        );
+        // No temp debris left behind (`with_extension` strips `.json`, so
+        // match on the extension-less stem).
+        let dir = path.parent().expect("temp dir");
+        let stem = path.file_stem().and_then(|n| n.to_str()).expect("file stem");
+        let published = path.file_name().and_then(|n| n.to_str()).expect("file name");
+        let debris: Vec<String> = std::fs::read_dir(dir)
+            .expect("read temp dir")
+            .filter_map(|e| e.ok())
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|n| n.starts_with(stem) && n != published)
+            .collect();
+        assert!(debris.is_empty(), "leftover temp files: {debris:?}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

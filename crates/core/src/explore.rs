@@ -18,10 +18,17 @@
 //! suite (`tests/parallel_equivalence.rs`) enforces. The plain [`explore`]
 //! / [`explore_with`] entry points read [`ParallelOptions::from_env`], so
 //! `SMART_WORKERS=4` parallelizes every existing caller unchanged.
+//!
+//! An interrupted sweep resumes through the sizing cache: run it with
+//! [`SizingOptions::cache`] set, [`crate::SizingCache::save_snapshot`]
+//! when it stops, and on restart [`crate::SizingCache::load_snapshot`]
+//! into a fresh cache and re-run the same sweep. Every row the snapshot
+//! holds comes back as an ordinary cache hit, counted by
+//! [`Exploration::cache_hits`]; the table is byte-identical to an
+//! uninterrupted sweep because the flow is deterministic.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smart_chaos::FaultSite;
 use smart_models::ModelLibrary;
@@ -86,10 +93,6 @@ pub struct Exploration {
     /// cache). Same exact per-sweep attribution as
     /// [`Exploration::cache_hits`].
     pub cache_misses: usize,
-    /// Rows replayed from a sweep checkpoint
-    /// ([`crate::SizingOptions::checkpoint`]) instead of recomputed —
-    /// `0` without a checkpoint or when the fingerprint did not match.
-    pub resumed: usize,
 }
 
 impl Exploration {
@@ -123,16 +126,14 @@ impl Exploration {
     }
 
     /// The explicit account of how degraded this sweep was: what
-    /// survived, what was lost to which failure class, what was salvaged
-    /// from a checkpoint. A sweep that lost candidates *salvages* the
-    /// survivors instead of returning nothing — this report is the honest
-    /// label on that partial result.
+    /// survived and what was lost to which failure class. A sweep that
+    /// lost candidates *salvages* the survivors instead of returning
+    /// nothing — this report is the honest label on that partial result.
     pub fn degradation(&self) -> DegradationReport {
         DegradationReport {
             total: self.candidates.len(),
             feasible: self.feasible_count(),
             failed: self.candidates.len() - self.feasible_count(),
-            resumed: self.resumed,
             taxonomy: self.failure_taxonomy(),
         }
     }
@@ -148,8 +149,6 @@ pub struct DegradationReport {
     pub feasible: usize,
     /// Rows disqualified by a classified failure.
     pub failed: usize,
-    /// Rows replayed from a checkpoint instead of recomputed.
-    pub resumed: usize,
     /// `(taxonomy tag, count)` of the failed rows, sorted by tag.
     pub taxonomy: Vec<(&'static str, usize)>,
 }
@@ -163,11 +162,7 @@ impl DegradationReport {
 
 impl std::fmt::Display for DegradationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} of {} candidates survived ({} resumed from checkpoint)",
-            self.feasible, self.total, self.resumed
-        )?;
+        write!(f, "{} of {} candidates survived", self.feasible, self.total)?;
         if self.failed > 0 {
             write!(f, "; lost {}:", self.failed)?;
             for (tag, n) in &self.taxonomy {
@@ -267,18 +262,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Whether the chaos plan kills the pool worker *after* it computed
-/// candidate `idx` but *before* it could report the row (or record it to
-/// the checkpoint — a dead worker persists nothing). Consulted both here
-/// and at slot assembly; the decision is pure, so both sites agree.
-fn chaos_worker_death(opts: &SizingOptions, idx: usize) -> bool {
-    opts.chaos
-        .as_deref()
-        .is_some_and(|plan| plan.fires(FaultSite::WorkerDeath, idx as u64))
-}
-
 /// The complete, self-contained evaluation of candidate `idx`: budget
-/// gates, checkpoint replay, elaboration boundary, sizing boundary.
+/// gates, elaboration boundary, sizing boundary.
 /// Everything a row depends on is in the arguments — no sweep-global
 /// mutable state — which is what lets the parallel sweep run candidates
 /// on any worker and still match the serial table byte for byte.
@@ -292,8 +277,6 @@ fn run_candidate<F>(
     boundary: &Boundary,
     spec: &DelaySpec,
     opts: &SizingOptions,
-    resumed: Option<&BTreeMap<usize, SizingOutcome>>,
-    replayed: &AtomicUsize,
 ) -> Candidate
 where
     F: Fn(&MacroSpec) -> Circuit,
@@ -315,16 +298,7 @@ where
             &[("index", idx.into()), ("spec", alt.to_string().into())],
         );
     }
-    let row = run_candidate_inner(idx, alt, generate, lib, boundary, spec, opts, resumed, replayed);
-    // Persist the completed row (successful rows only — failures may be
-    // budget-dependent and are recomputed on resume). A chaos-killed
-    // worker dies before reporting, so it must also die before
-    // persisting.
-    if let (Some(ckpt), Ok(m)) = (opts.checkpoint.as_deref(), &row.result) {
-        if !chaos_worker_death(opts, idx) {
-            ckpt.record(idx, &m.outcome);
-        }
-    }
+    let row = run_candidate_inner(idx, alt, generate, lib, boundary, spec, opts);
     drop(guard);
     if scope.is_enabled() {
         let fields: Vec<(&'static str, smart_trace::Value)> = match &row.result {
@@ -341,9 +315,8 @@ where
     row
 }
 
-/// The traced body of [`run_candidate`]: budget gates, checkpoint
-/// replay, elaboration boundary, sizing boundary.
-#[allow(clippy::too_many_arguments)]
+/// The traced body of [`run_candidate`]: budget gates, elaboration
+/// boundary, sizing boundary.
 fn run_candidate_inner<F>(
     idx: usize,
     alt: &MacroSpec,
@@ -352,8 +325,6 @@ fn run_candidate_inner<F>(
     boundary: &Boundary,
     spec: &DelaySpec,
     opts: &SizingOptions,
-    resumed: Option<&BTreeMap<usize, SizingOutcome>>,
-    replayed: &AtomicUsize,
 ) -> Candidate
 where
     F: Fn(&MacroSpec) -> Circuit,
@@ -403,39 +374,6 @@ where
                 }),
             };
         }
-    }
-    // Checkpoint replay: a row completed by an earlier interrupted run of
-    // this exact sweep (fingerprint-matched) skips sizing entirely; only
-    // the cheap deterministic metrics are re-derived from the stored
-    // widths. Placed after the budget gates so a capped or cancelled
-    // sweep renders identically whether or not a checkpoint exists.
-    if let Some(outcome) = resumed.and_then(|rows| rows.get(&idx)) {
-        replayed.fetch_add(1, Ordering::Relaxed);
-        smart_trace::emit("candidate/resumed", &[("index", idx.into())]);
-        let circuit = match catch_unwind(AssertUnwindSafe(|| generate(alt))) {
-            Ok(c) => c,
-            Err(payload) => {
-                return Candidate {
-                    result: Err(FlowError::Internal {
-                        candidate: alt.to_string(),
-                        panic_msg: panic_message(payload),
-                    }),
-                    spec: alt.clone(),
-                    circuit: None,
-                };
-            }
-        };
-        let metrics = CandidateMetrics {
-            clock_load: circuit.clock_load(&outcome.sizing),
-            power: estimate(&circuit, lib, &outcome.sizing, &ActivityProfile::default()),
-            devices: circuit.device_count(),
-            outcome: outcome.clone(),
-        };
-        return Candidate {
-            spec: alt.clone(),
-            circuit: Some(circuit),
-            result: Ok(metrics),
-        };
     }
     // Elaboration boundary: a panicking generator yields an error row.
     // The chaos candidate-panic seam sits inside the boundary, so an
@@ -607,23 +545,8 @@ where
     } else {
         opts
     };
-    // Bind the checkpointer (if any) to this sweep's fingerprint and pull
-    // in whatever a previous interrupted run of the *same* sweep saved.
-    let ckpt = opts.checkpoint.as_deref().map(|c| {
-        let fingerprint = crate::checkpoint::sweep_fingerprint(&specs, lib, boundary, spec, opts);
-        let rows = c.begin(fingerprint);
-        sweep.emit("sweep/checkpoint", &[
-            ("resumable_rows", rows.len().into()),
-            ("fingerprint", format!("{fingerprint:016x}").into()),
-        ]);
-        (c, rows)
-    });
-    let resumed_rows = ckpt.as_ref().map(|(_, rows)| rows);
-    let replayed = AtomicUsize::new(0);
     let rows = run_indexed(specs.len(), par, |i| {
-        run_candidate(
-            i, sweep_id, &specs[i], &generate, lib, boundary, spec, opts, resumed_rows, &replayed,
-        )
+        run_candidate(i, sweep_id, &specs[i], &generate, lib, boundary, spec, opts)
     });
     let candidates = rows
         .into_iter()
@@ -659,14 +582,10 @@ where
             })
         })
         .collect();
-    if let Some((c, _)) = &ckpt {
-        c.flush();
-    }
     let exploration = Exploration {
         candidates,
         cache_hits: opts.cache_stats.as_deref().map_or(0, crate::CacheStats::hits),
         cache_misses: opts.cache_stats.as_deref().map_or(0, crate::CacheStats::misses),
-        resumed: replayed.load(Ordering::Relaxed),
     };
     sweep.end(
         "sweep",
@@ -674,7 +593,6 @@ where
             ("feasible", exploration.feasible_count().into()),
             ("cache_hits", exploration.cache_hits.into()),
             ("cache_misses", exploration.cache_misses.into()),
-            ("resumed", exploration.resumed.into()),
         ],
     );
     exploration

@@ -60,7 +60,6 @@
 
 mod baseline;
 pub mod cache;
-pub mod checkpoint;
 pub mod compact;
 pub mod constraints;
 mod error;
@@ -76,7 +75,6 @@ mod variation;
 
 pub use baseline::{baseline_sizing, BaselineMargins};
 pub use cache::{cache_key, CacheKey, CacheStats, SizingCache};
-pub use checkpoint::{sweep_fingerprint, Checkpointer};
 pub use compact::{compact, CapVec, Compaction, PathClass};
 pub use error::FlowError;
 pub use explore::{

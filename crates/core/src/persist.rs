@@ -1,17 +1,13 @@
-//! Shared byte-stable persistence primitives for the flow's on-disk
-//! artifacts — sweep checkpoints ([`crate::Checkpointer`]) and sizing-cache
-//! snapshots ([`crate::SizingCache::snapshot`]).
+//! Byte-stable persistence primitives behind sizing-cache snapshots
+//! ([`crate::SizingCache::snapshot`]), the flow's one on-disk format.
 //!
-//! Both formats follow the same discipline: every `f64` is encoded as the
-//! 16-hex-digit big-endian bit pattern of `f64::to_bits` (decimal
-//! formatting would round-trip imprecisely and is locale-adjacent; bit
-//! patterns are exact and grep-able), `u128` path counts as 32 hex digits,
-//! and the loader accepts exactly the writer's canonical form — anything
-//! else (truncated write, hand edit, non-finite width bits) degrades to
-//! "no data", never to an error that could take down the flow that tried
-//! to read it. Keeping one renderer/parser pair here guarantees a
-//! checkpoint row and a cache entry serialize a [`SizingOutcome`]
-//! identically, so the byte-stability tests of either format cover both.
+//! Every `f64` is encoded as the 16-hex-digit big-endian bit pattern of
+//! `f64::to_bits` (decimal formatting would round-trip imprecisely and is
+//! locale-adjacent; bit patterns are exact and grep-able), `u128` path
+//! counts as 32 hex digits, and the loader accepts exactly the writer's
+//! canonical form — anything else (truncated write, hand edit, non-finite
+//! width bits) degrades to "no data", never to an error that could take
+//! down the flow that tried to read it.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -30,8 +26,8 @@ pub(crate) fn hex64(v: u64) -> String {
 /// Process-wide counter distinguishing concurrent writers *within* one
 /// process; the pid distinguishes writers *across* processes. Together
 /// they make every in-flight temp file name unique, so two writers racing
-/// on the same target path (two serve requests, two processes resuming
-/// the same sweep) can never truncate or rename each other's partial file
+/// on the same target path (two serve requests, two processes saving the
+/// same snapshot) can never truncate or rename each other's partial file
 /// — each rename atomically publishes a complete file.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -44,8 +40,7 @@ pub(crate) fn unique_tmp(path: &Path) -> PathBuf {
 
 /// Atomically replaces `path` with `contents` via a uniquely named temp
 /// file + rename; a failed attempt cleans up its temp file and reports the
-/// error (callers decide whether persistence failure is fatal — for
-/// checkpoints it never is).
+/// error.
 pub(crate) fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
     let tmp = unique_tmp(path);
     match std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path)) {
@@ -60,8 +55,8 @@ pub(crate) fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
 /// Renders the canonical field sequence of one [`SizingOutcome`]:
 /// `"iters":… ,"paths":… ,"restarts":… ,"raw_paths":… ,"delay":… ,
 /// "precharge":… ,"width":… ,"relax":… ,"binding":… ,"corners":[…],
-/// "sizing":[…]` — no surrounding braces, so callers can prepend their own
-/// key fields (`"idx"` for checkpoints, `"key"` for cache snapshots).
+/// "sizing":[…]` — no surrounding braces, so the snapshot writer can
+/// prepend an entry's `"key"` and `"sum"` fields.
 pub(crate) fn render_outcome_fields(s: &mut String, row: &SizingOutcome) {
     let _ = write!(
         s,

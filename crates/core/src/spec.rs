@@ -12,7 +12,6 @@ use smart_netlist::Sizing;
 use smart_trace::Trace;
 
 use crate::cache::{CacheStats, SizingCache};
-use crate::checkpoint::Checkpointer;
 
 /// Cost metric the sizer minimizes after the timing constraints are met
 /// (paper Fig. 1: "specified cost function (area, power)").
@@ -288,17 +287,10 @@ pub struct SizingOptions {
     /// [`crate::SizingOutcome::binding_corner`]. A singleton set whose
     /// member equals the passed library's process produces bit-identical
     /// results to `None` (the corner-parity suite pins this), but keys
-    /// caches and checkpoints separately — a multi-corner solve never
-    /// replays a single-corner entry and vice versa.
+    /// the sizing cache (and so its snapshots) separately — a
+    /// multi-corner solve never replays a single-corner entry and vice
+    /// versa.
     pub corners: Option<CornerSet>,
-    /// Sweep checkpoint store for [`crate::explore`] runs: completed
-    /// candidate rows are periodically serialized (byte-stable JSON keyed
-    /// by the sweep fingerprint) so an interrupted sweep resumes only the
-    /// missing candidates. `None` (the default) disables checkpointing.
-    /// Direct [`crate::size_circuit`] calls ignore it. Excluded from the
-    /// sizing-cache fingerprint and from the checkpoint's own sweep
-    /// fingerprint: persistence must never change what is computed.
-    pub checkpoint: Option<Arc<Checkpointer>>,
 }
 
 /// Resolves the effective corner list of one sizing run: the configured
@@ -351,7 +343,6 @@ impl Default for SizingOptions {
             trace: Trace::from_env(),
             corners: None,
             chaos: None,
-            checkpoint: None,
         }
     }
 }

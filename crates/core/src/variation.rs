@@ -17,13 +17,12 @@
 //! the report is byte-identical for a fixed seed at any `SMART_WORKERS`
 //! setting. The differential suite pins this.
 //!
-//! Cache/checkpoint isolation: a variation sweep measures, it never
-//! sizes, so it performs **zero** sizing-cache lookups and records
-//! nothing to any checkpointer — re-measures must not pollute
-//! [`crate::Exploration`]'s per-sweep cache statistics or a resumable
-//! sweep's row store. The implementation touches neither by construction
-//! (it calls the STA layer directly), and the cache-correctness suite
-//! asserts the zero-traffic property.
+//! Cache isolation: a variation sweep measures, it never sizes, so it
+//! performs **zero** sizing-cache lookups and inserts — re-measures must
+//! not pollute [`crate::Exploration`]'s per-sweep cache statistics or
+//! the entries a snapshot persists. The implementation touches neither
+//! by construction (it calls the STA layer directly), and the
+//! cache-correctness suite asserts the zero-traffic property.
 
 use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, Sizing};
@@ -137,7 +136,7 @@ fn sample_widths(
 /// every corner within `opts.timing_tolerance` of `spec`.
 ///
 /// Deterministic for a fixed `vopts.seed` at any worker count; performs
-/// no sizing-cache traffic and no checkpoint writes.
+/// no sizing-cache traffic.
 ///
 /// # Errors
 ///

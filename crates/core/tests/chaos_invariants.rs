@@ -7,9 +7,9 @@
 //!     exactly one classified taxonomy row (no silent loss), and every
 //!     surviving candidate's row is byte-identical to its fault-free
 //!     row (no wrong winners).
-//! (c) **Interrupt/resume** — a sweep interrupted by a budget and then
-//!     resumed from its checkpoint is byte-identical to an
-//!     uninterrupted sweep.
+//! (c) **Interrupt/resume** — a sweep interrupted by a budget, whose
+//!     sizing cache is saved as a snapshot and loaded into a fresh cache
+//!     for the restart, is byte-identical to an uninterrupted sweep.
 //!
 //! Plus the satellite regressions: zero-wall-time retry backoff on the
 //! virtual clock, checksum-caught cache poisoning, and lint-rule panic
@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use smart_chaos::{Clock, FaultPlan, FaultSite};
 use smart_core::{
-    cache_key, explore_with, explore_with_parallel, size_circuit, Candidate, Checkpointer,
-    DelaySpec, Exploration, FlowError, ParallelOptions, SizingCache, SizingOptions,
+    cache_key, explore_with_parallel, size_circuit, Candidate, DelaySpec, Exploration, FlowError,
+    ParallelOptions, SizingCache, SizingOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology};
 use smart_models::{CornerSet, ModelLibrary};
@@ -259,76 +259,67 @@ fn cache_faults_are_absorbed_with_byte_identical_results() {
     );
 }
 
-/// Invariant (c): interrupt (candidate-budget exhaustion) + resume from
-/// checkpoint == one uninterrupted sweep, byte for byte; the resumed run
-/// recomputes only what the checkpoint is missing.
-#[test]
-fn interrupted_then_resumed_sweep_is_byte_identical_to_uninterrupted() {
-    let specs = mux_specs(6);
-    let uninterrupted = render(&sweep(&specs, &SizingOptions::default(), 2));
-
-    let path = tmp_path("resume");
+/// Saves `cache` as a snapshot and loads it into a fresh cache — what a
+/// killed-and-restarted process does — asserting `entries` came back.
+fn restart_from_snapshot(cache: &SizingCache, name: &str, entries: usize) -> Arc<SizingCache> {
+    let path = tmp_path(name);
+    cache.save_snapshot(&path).expect("snapshot saves");
+    let fresh = Arc::new(SizingCache::new());
+    let loaded = fresh.load_snapshot(&path);
     std::fs::remove_file(&path).ok();
-    let ckpt = Arc::new(Checkpointer::new(&path).with_interval(1));
-
-    // Phase 1: the budget expires after 3 candidates — the "kill".
-    let mut interrupted_opts = SizingOptions::default();
-    interrupted_opts.checkpoint = Some(ckpt.clone());
-    interrupted_opts.budget.max_candidates = Some(3);
-    let interrupted = sweep(&specs, &interrupted_opts, 2);
-    assert_eq!(interrupted.resumed, 0);
-    assert_eq!(interrupted.feasible_count(), 3);
-    assert!(interrupted.degradation().is_degraded());
-
-    // Phase 2: same sweep, budget lifted, same checkpoint file (a fresh
-    // Checkpointer instance, as a restarted process would have).
-    let mut resumed_opts = SizingOptions::default();
-    resumed_opts.checkpoint = Some(Arc::new(Checkpointer::new(&path).with_interval(1)));
-    let resumed = sweep(&specs, &resumed_opts, 2);
-    assert_eq!(
-        resumed.resumed, 3,
-        "exactly the checkpointed rows must be replayed"
-    );
-    assert_eq!(
-        render(&resumed),
-        uninterrupted,
-        "resumed sweep diverged from the uninterrupted one"
-    );
-
-    // And a third run resumes *everything*, still byte-identical.
-    let mut again_opts = SizingOptions::default();
-    again_opts.checkpoint = Some(Arc::new(Checkpointer::new(&path).with_interval(1)));
-    let again = sweep(&specs, &again_opts, 2);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(again.resumed, specs.len());
-    assert_eq!(render(&again), uninterrupted);
+    assert_eq!(loaded, Some(entries), "snapshot must restore every entry");
+    fresh
 }
 
-/// A stale checkpoint (different sweep fingerprint) must be ignored
-/// wholesale — no cross-sweep row leakage.
+/// Invariant (c): interrupt (candidate-budget exhaustion), snapshot the
+/// sizing cache, restore it into a fresh cache and re-run == one
+/// uninterrupted sweep, byte for byte; the resumed run recomputes only
+/// what the snapshot is missing.
 #[test]
-fn stale_checkpoint_fingerprint_resumes_nothing() {
-    let path = tmp_path("stale");
-    std::fs::remove_file(&path).ok();
-    let specs = mux_specs(4);
-    let mut opts = SizingOptions::default();
-    opts.checkpoint = Some(Arc::new(Checkpointer::new(&path).with_interval(1)));
-    let first = sweep(&specs, &opts, 2);
-    assert_eq!(first.resumed, 0);
-    assert_eq!(first.feasible_count(), 4);
+fn interrupted_sweep_resumed_from_snapshot_is_byte_identical_to_uninterrupted() {
+    // Five distinct width-4 mux topologies; candidate 5 repeats
+    // candidate 0's topology, so its key is candidate 0's key.
+    let specs = mux_specs(6);
+    for workers in [1, 4] {
+        let uninterrupted = render(&sweep(&specs, &SizingOptions::default(), workers));
 
-    // Same database, different delay spec ⇒ different fingerprint.
-    let second = explore_with(
-        specs.clone(),
-        MacroSpec::generate,
-        &ModelLibrary::reference(),
-        &boundary_for(&specs, 12.0),
-        &DelaySpec::uniform(500.0),
-        &opts,
-    );
-    std::fs::remove_file(&path).ok();
-    assert_eq!(second.resumed, 0, "stale checkpoint rows leaked in");
-    assert_eq!(second.feasible_count(), 4);
+        // Phase 1: the budget expires after 3 candidates — the "kill".
+        // Capped rows never reach the cache, so it holds candidates 0–2.
+        let cache = Arc::new(SizingCache::new());
+        let mut interrupted_opts = SizingOptions::default();
+        interrupted_opts.cache = Some(cache.clone());
+        interrupted_opts.budget.max_candidates = Some(3);
+        let interrupted = sweep(&specs, &interrupted_opts, workers);
+        assert_eq!(interrupted.feasible_count(), 3);
+        assert!(interrupted.degradation().is_degraded());
+        assert_eq!((interrupted.cache_hits, interrupted.cache_misses), (0, 3));
+
+        // Phase 2: same sweep, budget lifted, in a "restarted process"
+        // warmed from the snapshot. Candidates 0–2 and 5 hit restored
+        // entries; only 3 and 4 are sized.
+        let mut resumed_opts = SizingOptions::default();
+        resumed_opts.cache = Some(restart_from_snapshot(&cache, "resume", 3));
+        let resumed = sweep(&specs, &resumed_opts, workers);
+        assert_eq!(
+            (resumed.cache_hits, resumed.cache_misses),
+            (4, 2),
+            "exactly the snapshotted rows must be replayed ({workers} workers)"
+        );
+        assert_eq!(
+            render(&resumed),
+            uninterrupted,
+            "resumed sweep diverged from the uninterrupted one ({workers} workers)"
+        );
+
+        // And a third run from the resumed run's snapshot (five distinct
+        // keys) replays *everything*, still byte-identical.
+        let resumed_cache = resumed_opts.cache.as_deref().expect("cache set");
+        let mut again_opts = SizingOptions::default();
+        again_opts.cache = Some(restart_from_snapshot(resumed_cache, "resume-again", 5));
+        let again = sweep(&specs, &again_opts, workers);
+        assert_eq!((again.cache_hits, again.cache_misses), (specs.len(), 0));
+        assert_eq!(render(&again), uninterrupted);
+    }
 }
 
 /// Satellite: the retry ladder's exponential backoff runs on the budget
@@ -470,13 +461,14 @@ fn lint_rule_panics_are_contained_as_internal_rows() {
     assert_eq!(plan.injected(FaultSite::LintPanic), 0);
 }
 
-/// Cross-fingerprint separation: a sizing-cache entry and a checkpoint
-/// written under one `CornerSet` must never replay under another (or
-/// under the default corner-less options) — a warm multi-corner entry
-/// replayed into a single-corner run would ship the wrong widths with a
-/// "hit" in the stats.
+/// Cross-corner key separation: a sizing-cache entry written under one
+/// `CornerSet` must never replay under another (or under the default
+/// corner-less options) — a warm multi-corner entry replayed into a
+/// single-corner run would ship the wrong widths with a "hit" in the
+/// stats. A snapshot persists exactly these keys, so the separation
+/// carries over to a resumed sweep.
 #[test]
-fn corner_sets_split_cache_and_checkpoint_fingerprints() {
+fn corner_sets_split_cache_keys() {
     let circuit = mux_specs(1)[0].generate();
     let lib = ModelLibrary::reference();
     let b = boundary_for(&mux_specs(1), 12.0);
@@ -515,94 +507,79 @@ fn corner_sets_split_cache_and_checkpoint_fingerprints() {
         "a corner-set variant replayed another's entry"
     );
     assert_eq!(cache.len(), 3);
-
-    // Checkpoint-level separation: rows written under the multi-corner
-    // sweep must resume nothing under either other option set, and
-    // everything under their own.
-    let specs = mux_specs(4);
-    let path = tmp_path("corner-sep");
-    std::fs::remove_file(&path).ok();
-    let with_ckpt = |corners: &Option<CornerSet>| {
-        let mut o = SizingOptions::default();
-        o.corners = corners.clone();
-        o.checkpoint = Some(Arc::new(Checkpointer::new(&path).with_interval(1)));
-        o
-    };
-    let written = sweep(&specs, &with_ckpt(&multi.corners), 2);
-    assert_eq!(written.resumed, 0);
-    assert_eq!(written.feasible_count(), specs.len());
-
-    // Sanity first: the writer's own fingerprint replays every row.
-    let own = sweep(&specs, &with_ckpt(&multi.corners), 2);
-    assert_eq!(own.resumed, specs.len(), "own rows must all replay");
-
-    // Foreign fingerprints reject the file wholesale (each of these
-    // sweeps then overwrites it with its own rows, which is why the
-    // own-replay check ran first).
-    let foreign = sweep(&specs, &with_ckpt(&None), 2);
-    assert_eq!(foreign.resumed, 0, "corner-less run resumed corner rows");
-    let other = sweep(&specs, &with_ckpt(&slow_only.corners), 2);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(other.resumed, 0, "slow-only run resumed corner-less rows");
 }
 
 /// Invariant (c) under corners **and** chaos at once: a multi-corner
-/// sweep interrupted mid-flight and resumed from its checkpoint, with
-/// cache faults firing throughout, is byte-identical to the clean
+/// sweep interrupted mid-flight and resumed from its cache snapshot,
+/// with cache faults firing throughout, is byte-identical to the clean
 /// uninterrupted multi-corner sweep (corner tables included — `render`
 /// covers them).
 #[test]
 fn multi_corner_interrupted_resume_is_byte_identical_under_injected_faults() {
-    // Duplicated specs so the sizing cache sees hits — the only state
-    // the cache faults can disrupt.
-    let mut specs = mux_specs(3);
-    specs.extend(mux_specs(3));
+    // Five distinct topologies: each candidate owns its cache key, so
+    // whether it hits depends only on its own fault rolls, never on a
+    // sibling's timing — the counts below are exact at any worker count.
+    let specs = mux_specs(5);
     let corners = Some(CornerSet::slow_typical_fast(
         ModelLibrary::reference().process(),
     ));
 
     let mut clean_opts = SizingOptions::default();
     clean_opts.corners = corners.clone();
-    let clean = render(&sweep(&specs, &clean_opts, 2));
 
-    let path = tmp_path("corner-chaos-resume");
-    std::fs::remove_file(&path).ok();
-    let plan = Arc::new(
-        FaultPlan::new(23)
-            .with_rate(FaultSite::CacheDrop, 1.0)
-            .with_rate(FaultSite::CacheCorrupt, 1.0),
-    );
+    for workers in [1, 4] {
+        let clean = render(&sweep(&specs, &clean_opts, workers));
+        // Seed 22 drops candidate 0's entry, corrupts candidate 1's and
+        // leaves candidate 2's alone.
+        let plan = Arc::new(
+            FaultPlan::new(22)
+                .with_rate(FaultSite::CacheDrop, 0.5)
+                .with_rate(FaultSite::CacheCorrupt, 0.5),
+        );
 
-    // Phase 1: interrupt after 5 candidates (the last two of which are
-    // duplicates, i.e. cache hits for the faults to hit), faults live.
-    let mut interrupted_opts = SizingOptions::default();
-    interrupted_opts.corners = corners.clone();
-    interrupted_opts.cache = Some(Arc::new(SizingCache::new()));
-    interrupted_opts.chaos = Some(plan.clone());
-    interrupted_opts.checkpoint = Some(Arc::new(Checkpointer::new(&path).with_interval(1)));
-    interrupted_opts.budget.max_candidates = Some(5);
-    let interrupted = sweep(&specs, &interrupted_opts, 2);
-    assert_eq!(interrupted.feasible_count(), 5);
+        // Phase 1: interrupt after 3 candidates, faults live (an empty
+        // cache gives them nothing to drop or corrupt yet).
+        let cache = Arc::new(SizingCache::new());
+        let mut interrupted_opts = SizingOptions::default();
+        interrupted_opts.corners = corners.clone();
+        interrupted_opts.cache = Some(cache.clone());
+        interrupted_opts.chaos = Some(plan.clone());
+        interrupted_opts.budget.max_candidates = Some(3);
+        let interrupted = sweep(&specs, &interrupted_opts, workers);
+        assert_eq!(interrupted.feasible_count(), 3);
+        assert_eq!((interrupted.cache_hits, interrupted.cache_misses), (0, 3));
 
-    // Phase 2: fresh process-equivalent resume, faults still live.
-    let mut resumed_opts = SizingOptions::default();
-    resumed_opts.corners = corners;
-    resumed_opts.cache = Some(Arc::new(SizingCache::new()));
-    resumed_opts.chaos = Some(plan.clone());
-    resumed_opts.checkpoint = Some(Arc::new(Checkpointer::new(&path).with_interval(1)));
-    let resumed = sweep(&specs, &resumed_opts, 2);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(
-        resumed.resumed, 5,
-        "the five checkpointed multi-corner rows must replay"
-    );
-    assert_eq!(
-        render(&resumed),
-        clean,
-        "multi-corner interrupt/resume under faults diverged"
-    );
-    assert!(
-        plan.injected(FaultSite::CacheDrop) + plan.injected(FaultSite::CacheCorrupt) > 0,
-        "no fault ever manifested — vacuous test"
-    );
+        // Phase 2: restart from the snapshot, faults still live. A
+        // restored row replays only if the plan neither drops its entry
+        // (the lookup misses) nor corrupts it (the checksum evicts it)
+        // just before the lookup; a faulted row is recomputed instead,
+        // and must still render byte-identically.
+        let mut resumed_opts = SizingOptions::default();
+        resumed_opts.corners = corners.clone();
+        resumed_opts.cache = Some(restart_from_snapshot(&cache, "corner-chaos-resume", 3));
+        resumed_opts.chaos = Some(plan.clone());
+        let resumed = sweep(&specs, &resumed_opts, workers);
+        let faulted = |i: u64| {
+            plan.fires(FaultSite::CacheDrop, i) || plan.fires(FaultSite::CacheCorrupt, i)
+        };
+        let replayed = (0..3).filter(|&i| !faulted(i)).count();
+        assert!(
+            replayed > 0 && replayed < 3,
+            "seed must replay some restored rows and fault others, replayed {replayed}"
+        );
+        assert_eq!(
+            (resumed.cache_hits, resumed.cache_misses),
+            (replayed, specs.len() - replayed),
+            "only the unfaulted snapshotted rows may replay ({workers} workers)"
+        );
+        assert_eq!(
+            render(&resumed),
+            clean,
+            "multi-corner interrupt/resume under faults diverged ({workers} workers)"
+        );
+        assert!(
+            plan.injected(FaultSite::CacheDrop) > 0 && plan.injected(FaultSite::CacheCorrupt) > 0,
+            "both cache faults must manifest — or the test is vacuous"
+        );
+    }
 }

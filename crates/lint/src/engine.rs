@@ -119,7 +119,7 @@ impl Default for LintConfig {
 
 /// A registered rule.
 pub struct RuleInfo {
-    /// Stable id (`SL` + number; 0xx = legacy DRC, 1xx = graph/dataflow).
+    /// Stable id (`SL` + number; 0xx = methodology DRC, 1xx = graph/dataflow).
     pub id: &'static str,
     /// Short kebab-case name.
     pub name: &'static str,

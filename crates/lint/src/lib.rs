@@ -19,13 +19,11 @@
 //!   sneak paths, multi-driver contention, pass-chain depth,
 //!   floating/undriven nets.
 //!
-//! The four historical checks of `smart_netlist::drc` live on here as
-//! rules `SL001`–`SL004`; [`compat::methodology_check`] reproduces the
-//! old API verbatim for callers that still want `DrcIssue` values.
+//! The four methodology DRC checks that predate the engine are rules
+//! `SL001`–`SL004`.
 
 #![warn(missing_docs)]
 
-pub mod compat;
 pub mod dataflow;
 mod engine;
 mod report;

@@ -1,12 +1,12 @@
 //! The rule catalogue.
 //!
-//! Rule ids are stable API: `SL0xx` are the four legacy methodology DRC
-//! checks migrated from `smart_netlist::drc`, `SL1xx` are the dataflow
-//! and graph-reachability rules introduced with this crate.
+//! Rule ids are stable API: `SL0xx` are the four methodology DRC checks
+//! that predate the engine, `SL1xx` are the dataflow and
+//! graph-reachability rules introduced with this crate.
 
 pub(crate) mod connectivity;
 pub(crate) mod electrical;
-pub(crate) mod legacy;
+pub(crate) mod methodology;
 pub(crate) mod monotonicity;
 pub(crate) mod timing;
 
@@ -20,14 +20,14 @@ pub(crate) static REGISTRY: &[RuleInfo] = &[
         default_severity: Severity::Error,
         description: "domino clock pins must sit on clock nets, and clock nets \
                       must not feed non-clock inputs",
-        check: legacy::check_clock_wiring,
+        check: methodology::check_clock_wiring,
     },
     RuleInfo {
         id: "SL002",
         name: "dynamic-marking",
         default_severity: Severity::Error,
         description: "NetKind::Dynamic marking and domino drivers must agree",
-        check: legacy::check_dynamic_marking,
+        check: methodology::check_dynamic_marking,
     },
     RuleInfo {
         id: "SL003",
@@ -35,7 +35,7 @@ pub(crate) static REGISTRY: &[RuleInfo] = &[
         default_severity: Severity::Error,
         description: "every data input of an unfooted (D2) domino gate must be \
                       low during precharge",
-        check: legacy::check_unfooted_inputs,
+        check: methodology::check_unfooted_inputs,
     },
     RuleInfo {
         id: "SL004",
@@ -43,7 +43,7 @@ pub(crate) static REGISTRY: &[RuleInfo] = &[
         default_severity: Severity::Error,
         description: "series pass-gate chains must not exceed the methodology \
                       depth limit",
-        check: legacy::check_pass_chains,
+        check: methodology::check_pass_chains,
     },
     RuleInfo {
         id: "SL101",

@@ -434,13 +434,11 @@ fn cla_incrementor_matches_ripple() {
     }
 }
 
+/// The methodology DRC is lint rules SL001–SL004; every spec here must
+/// carry no Error-severity finding from the full rule set.
 #[test]
-// Pins the deprecated shim's behaviour until its removal; the maintained
-// checks live in smart-lint (see crates/lint/tests/database.rs).
-#[allow(deprecated)]
 fn database_macros_pass_methodology_drc() {
     use smart_macros::MacroSpec;
-    use smart_netlist::methodology_check;
     let specs = [
         MacroSpec::Mux { topology: MuxTopology::StronglyMutexedPass, width: 8 },
         MacroSpec::Mux { topology: MuxTopology::WeaklyMutexedPass, width: 4 },
@@ -462,7 +460,7 @@ fn database_macros_pass_methodology_drc() {
     ];
     for spec in specs {
         let c = spec.generate();
-        let issues = methodology_check(&c);
-        assert!(issues.is_empty(), "{spec}: {issues:?}");
+        let report = smart_lint::lint_circuit(&c);
+        assert!(!report.has_errors(), "{spec}: {:?}", report.findings);
     }
 }

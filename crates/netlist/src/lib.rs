@@ -55,7 +55,6 @@
 
 mod circuit;
 mod compose;
-pub mod drc;
 mod component;
 mod error;
 mod hash;
@@ -67,8 +66,6 @@ pub mod spice;
 pub mod text;
 
 pub use circuit::{Circuit, LintIssue};
-#[allow(deprecated)]
-pub use drc::{methodology_check, DrcIssue};
 pub use component::{CompId, Component};
 pub use error::NetlistError;
 pub use hash::StableHasher;

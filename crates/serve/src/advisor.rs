@@ -607,7 +607,7 @@ fn ok_head(op: &str, id: &str) -> String {
     s
 }
 
-fn error_line(op: &str, id: &str, taxonomy: &str, detail: &str) -> String {
+pub(crate) fn error_line(op: &str, id: &str, taxonomy: &str, detail: &str) -> String {
     let mut s = String::with_capacity(96);
     s.push_str("{\"ok\":false,\"op\":");
     push_str_escaped(&mut s, op);

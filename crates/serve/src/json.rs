@@ -208,14 +208,20 @@ impl JsonParser<'_> {
                 }
                 Some(&b) if b < 0x20 => return Err("control byte in string".to_owned()),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (request lines are valid
-                    // UTF-8 — they arrived as &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "non-utf8 string")?;
-                    if let Some(c) = s.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                    // Consume the run of plain bytes up to the next quote,
+                    // escape or control byte. Those are ASCII, so they
+                    // never split a UTF-8 scalar, and each byte is
+                    // validated once — a long string parses in linear time.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
                     }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| "non-utf8 string")?;
+                    out.push_str(run);
                 }
             }
         }

@@ -15,7 +15,7 @@
 //! * **Shared sizing cache** — one sharded [`smart_core::SizingCache`]
 //!   (per-shard locks, LRU eviction under a configurable entry budget)
 //!   serves every client and request; `snapshot`/`restore` persist it
-//!   with the checkpoint float-bit-pattern encoding so a warm restart
+//!   with a byte-stable float-bit-pattern encoding so a warm restart
 //!   replays byte-identically.
 //! * **Admission control** — bounded in-flight work plus per-request
 //!   [`smart_core::FlowBudget`]s (wall clock, GP iterations, candidate

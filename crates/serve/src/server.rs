@@ -6,14 +6,20 @@
 //! client reads newline-delimited JSON requests and writes one response
 //! line per request. A `shutdown` op flips a shared stop flag and pokes
 //! the listener with a loopback connection so the blocking `accept`
-//! observes it promptly.
+//! observes it promptly. A request line longer than [`MAX_LINE`] bytes,
+//! or one that is not UTF-8, gets one `invalid-request` row and the
+//! connection stays open; the reader never buffers more than the cap.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::advisor::{Advisor, Control};
+use crate::advisor::{error_line, Advisor, Control, Reply};
+
+/// Longest request line, in bytes without its `\n`, that a socket
+/// client may send.
+const MAX_LINE: usize = 1 << 20;
 
 /// Replays a newline-delimited request script through `advisor`, writing
 /// one response line per request to `out`. Blank lines and `#` comment
@@ -41,19 +47,33 @@ pub fn run_script(advisor: &Advisor, script: &str, out: &mut dyn Write) -> std::
     Ok(handled)
 }
 
-fn serve_client(advisor: &Advisor, stream: impl std::io::Read + Write, stop: &AtomicBool) {
+fn serve_client(advisor: &Advisor, stream: impl Read + Write, stop: &AtomicBool) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one of
+        // exactly `MAX_LINE` bytes.
+        match (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)
+        {
             Ok(0) | Err(_) => return, // client hung up
             Ok(_) => {}
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = advisor.handle_line(line.trim());
+        let reply = if buf.last() != Some(&b'\n') && buf.len() > MAX_LINE {
+            // Drop the rest of the line unread; the next one is served.
+            if reader.skip_until(b'\n').is_err() {
+                return;
+            }
+            rejected(&format!("request line exceeds {MAX_LINE} bytes"))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => advisor.handle_line(line.trim()),
+                Err(_) => rejected("request line is not valid UTF-8"),
+            }
+        };
         let stream = reader.get_mut();
         if stream.write_all(reply.text.as_bytes()).is_err()
             || stream.write_all(b"\n").is_err()
@@ -65,6 +85,14 @@ fn serve_client(advisor: &Advisor, stream: impl std::io::Read + Write, stop: &At
             stop.store(true, Ordering::SeqCst);
             return;
         }
+    }
+}
+
+/// The `invalid-request` row for a line the transport refused to parse.
+fn rejected(detail: &str) -> Reply {
+    Reply {
+        text: error_line("", "", "invalid-request", detail),
+        control: Control::Continue,
     }
 }
 
@@ -122,4 +150,87 @@ pub fn serve_unix(advisor: Arc<Advisor>, path: &std::path::Path) -> std::io::Res
     }
     let _ = std::fs::remove_file(path);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeOptions;
+
+    /// An in-memory socket: reads a fixed request stream, records every
+    /// byte written back.
+    struct Duplex {
+        input: std::io::Cursor<Vec<u8>>,
+        output: Vec<u8>,
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn replies(input: Vec<u8>) -> Vec<String> {
+        let advisor = Advisor::new(ServeOptions::default());
+        let mut stream = Duplex {
+            input: std::io::Cursor::new(input),
+            output: Vec::new(),
+        };
+        serve_client(&advisor, &mut stream, &AtomicBool::new(false));
+        let text = String::from_utf8(stream.output).expect("replies are UTF-8");
+        text.lines().map(str::to_owned).collect()
+    }
+
+    const PING: &str = "{\"ok\":true,\"op\":\"ping\",\"id\":\"p\"}";
+
+    /// A 2 MiB line — a well-formed ping padded past the cap — gets one
+    /// `invalid-request` row instead of being buffered whole and served,
+    /// and the ping after it is still answered.
+    #[test]
+    fn over_long_line_is_one_invalid_request_row() {
+        let mut input = b"{\"op\":\"ping\",\"id\":\"big\",\"pad\":\"".to_vec();
+        input.resize(2 << 20, b'a');
+        input.extend_from_slice(b"\"}\n{\"op\":\"ping\",\"id\":\"p\"}\n");
+        let rows = replies(input);
+        assert_eq!(rows.len(), 2, "{rows:.200?}");
+        assert!(
+            rows[0].contains("\"error\":\"invalid-request\"")
+                && rows[0].contains("exceeds 1048576 bytes"),
+            "{}",
+            rows[0]
+        );
+        assert_eq!(rows[1], PING);
+    }
+
+    /// A line of exactly the cap is still read and served.
+    #[test]
+    fn line_at_the_cap_is_served() {
+        let mut input = b"{\"op\":\"ping\",\"id\":\"p\",\"pad\":\"".to_vec();
+        input.resize(MAX_LINE - 2, b'a');
+        input.extend_from_slice(b"\"}\n");
+        assert_eq!(replies(input), [PING]);
+    }
+
+    /// A line that is not UTF-8 gets one `invalid-request` row; the
+    /// connection stays open for the next request.
+    #[test]
+    fn non_utf8_line_is_one_invalid_request_row() {
+        let rows = replies(b"\xff\xfe\n{\"op\":\"ping\",\"id\":\"p\"}\n".to_vec());
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert!(
+            rows[0].contains("\"error\":\"invalid-request\"") && rows[0].contains("UTF-8"),
+            "{}",
+            rows[0]
+        );
+        assert_eq!(rows[1], PING);
+    }
 }
