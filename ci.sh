@@ -18,6 +18,19 @@ cargo build --workspace --release --offline
 echo "== build smartbench (release, offline) =="
 cargo build --release --offline --manifest-path smartbench/Cargo.toml
 
+# Every workload's default-seed output digest must equal the one
+# committed in smartbench/baseline.json. `--seconds 0` runs the minimum
+# three passes and exits non-zero on a digest mismatch, so a change that
+# moves any width bit fails here rather than in the benchmark pipeline.
+echo "== smartbench digests (seed 1, committed baseline) =="
+for w in sweep-db sweep-stf adder64 serve-mix; do
+  cargo run -q --release --offline --manifest-path smartbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 0 --trace 0 > /dev/null || {
+    echo "smartbench $w: seed-1 digest differs from smartbench/baseline.json" >&2
+    exit 1
+  }
+done
+
 # The whole suite runs twice: once serial, once with the exploration
 # sweep fanned across 4 workers (explore/explore_with read SMART_WORKERS
 # from the environment). Any test that diverges between the two runs is a

@@ -5,7 +5,9 @@
 //!
 //! * **kernel** — per-macro sizing-GP solve wall time and Newton
 //!   steps/sec for the sparse production kernel vs the dense reference
-//!   oracle (`solve_reference`), same problems, same trajectories;
+//!   oracle (`solve_reference`), same problems, same trajectories, with
+//!   each GP's term count and line-search trials per solve (the full run
+//!   adds `cla64`, the largest GP of the database);
 //! * **warm_start** — phase-1 + phase-2 step counts and wall time across
 //!   a simulated relaxation ladder, with chaining (rung k+1 starts from
 //!   rung k's solution) vs without (every rung restarts from mid-range
@@ -32,7 +34,9 @@ use smart_core::{
 use smart_gp::SolverOptions;
 use smart_macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::{CornerSet, ModelLibrary};
+use smart_posy::LogPosynomial;
 use smart_sta::Boundary;
+use smart_trace::{Trace, Value};
 
 /// `explore_scaling` full-sweep serial wall time (best of 3) measured at
 /// the commit before this kernel landed (c6d5b09, dense `Vec<Vec<f64>>`
@@ -77,10 +81,32 @@ struct KernelRow {
     name: &'static str,
     dim: usize,
     constraints: usize,
+    terms: usize,
     newton_steps: usize,
+    line_search_trials: usize,
     sparse_ms: f64,
     dense_ms: f64,
     steps_per_sec: f64,
+}
+
+/// Line-search trials of one solve: the sum of the `trials` field of its
+/// `gp/newton` events, recorded in a traced run outside the timed ones.
+fn line_search_trials(built: &SizingGp, opts: &SolverOptions) -> usize {
+    let trace = Trace::enabled();
+    {
+        let scope = trace.scope("gp_kernel", 0, 0);
+        let _current = scope.enter();
+        built.gp.solve(opts).unwrap_or_else(|e| panic!("traced solve: {e}"));
+    }
+    trace
+        .collect()
+        .events_named("gp/newton")
+        .flat_map(|e| &e.fields)
+        .map(|(name, v)| match (*name, v) {
+            ("trials", Value::U64(n)) => *n as usize,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Times `solve` and `solve_reference` on one sizing GP (best of
@@ -108,11 +134,18 @@ fn bench_kernel(name: &'static str, built: &SizingGp, iters: usize) -> KernelRow
             "{name}: kernels walked different trajectories"
         );
     }
+    let dim = built.gp.dim();
+    let terms = std::iter::once(built.gp.objective())
+        .chain(built.gp.constraints().iter().map(|c| &c.body))
+        .map(|p| LogPosynomial::from_posynomial(p, dim).term_count())
+        .sum();
     KernelRow {
         name,
-        dim: built.gp.dim(),
+        dim,
         constraints: built.gp.constraints().len(),
+        terms,
         newton_steps: steps,
+        line_search_trials: line_search_trials(built, &opts),
         sparse_ms: sparse_best.as_secs_f64() * 1e3,
         dense_ms: dense_best.as_secs_f64() * 1e3,
         steps_per_sec: steps as f64 / sparse_best.as_secs_f64().max(1e-12),
@@ -302,13 +335,15 @@ fn main() {
     let iters = if smoke { 1 } else { 3 };
 
     // --- Kernel micro: sparse vs dense on real sizing GPs -------------
-    let kernel_cases: Vec<(&'static str, MacroSpec, f64)> = if smoke {
+    // `(case, macro, output load fF, delay ps)`.
+    let kernel_cases: Vec<(&'static str, MacroSpec, f64, f64)> = if smoke {
         vec![(
             "mux4",
             MacroSpec::Mux {
                 topology: MuxTopology::StronglyMutexedPass,
                 width: 4,
             },
+            20.0,
             900.0,
         )]
     } else {
@@ -319,6 +354,7 @@ fn main() {
                     topology: MuxTopology::StronglyMutexedPass,
                     width: 8,
                 },
+                20.0,
                 900.0,
             ),
             (
@@ -327,26 +363,32 @@ fn main() {
                     width: 16,
                     style: ZeroDetectStyle::Domino,
                 },
+                20.0,
                 900.0,
             ),
-            ("inc13", MacroSpec::Incrementor { width: 13 }, 2600.0),
-            ("inc8_cla", MacroSpec::IncrementorCla { width: 8 }, 1500.0),
+            ("inc13", MacroSpec::Incrementor { width: 13 }, 20.0, 2600.0),
+            ("inc8_cla", MacroSpec::IncrementorCla { width: 8 }, 20.0, 1500.0),
+            // About 1.3× the minimum delay at 12 fF: 73 variables, 1,026
+            // constraints, the GP that dominates the adder64 workload.
+            ("cla64", MacroSpec::ClaAdder { width: 64 }, 12.0, 1469.0),
         ]
     };
     println!(
-        "{:<12} {:>5} {:>6} {:>7} {:>10} {:>10} {:>8} {:>12}",
-        "case", "dim", "cons", "steps", "sparse", "dense", "speedup", "steps/sec"
+        "{:<12} {:>5} {:>6} {:>7} {:>7} {:>7} {:>10} {:>10} {:>8} {:>12}",
+        "case", "dim", "cons", "terms", "steps", "trials", "sparse", "dense", "speedup", "steps/sec"
     );
     let mut kernel_rows = Vec::new();
-    for (name, request, ps) in &kernel_cases {
-        let built = sizing_gp(request, 20.0, &DelaySpec::uniform(*ps));
+    for (name, request, load, ps) in &kernel_cases {
+        let built = sizing_gp(request, *load, &DelaySpec::uniform(*ps));
         let row = bench_kernel(name, &built, iters);
         println!(
-            "{:<12} {:>5} {:>6} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}x {:>12.0}",
+            "{:<12} {:>5} {:>6} {:>7} {:>7} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}x {:>12.0}",
             row.name,
             row.dim,
             row.constraints,
+            row.terms,
             row.newton_steps,
+            row.line_search_trials,
             row.sparse_ms,
             row.dense_ms,
             row.dense_ms / row.sparse_ms.max(1e-9),
@@ -467,12 +509,15 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"case\": \"{}\", \"dim\": {}, \"constraints\": {}, \
-             \"newton_steps\": {}, \"sparse_ms\": {:.3}, \"dense_ms\": {:.3}, \
+             \"terms\": {}, \"newton_steps\": {}, \"line_search_trials\": {}, \
+             \"sparse_ms\": {:.3}, \"dense_ms\": {:.3}, \
              \"dense_over_sparse\": {:.3}, \"steps_per_sec\": {:.0}}}{}",
             r.name,
             r.dim,
             r.constraints,
+            r.terms,
             r.newton_steps,
+            r.line_search_trials,
             r.sparse_ms,
             r.dense_ms,
             r.dense_ms / r.sparse_ms.max(1e-9),

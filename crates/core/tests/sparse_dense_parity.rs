@@ -1,7 +1,8 @@
 //! Differential parity suite for the sparse GP Newton kernel.
 //!
 //! The production solver assembles gradients and Hessians sparsely
-//! (`LogPosynomial::value_grad_hess_into` + packed scatter) while the
+//! (`LogPosynomial::shifted_exps` + `stage_from_exps`, which
+//! `value_grad_hess_into` chains, + packed scatter) while the
 //! dense path (`value_grad_hess`, `GpProblem::solve_reference`) survives
 //! as the oracle. This suite pins the two against each other on the real
 //! sizing GPs of the representative macro database:

@@ -13,10 +13,15 @@
 //! [`smart_posy::GradHessWorkspace`], and the system is factored in place
 //! in packed lower-triangular form. All per-step buffers live in a
 //! [`NewtonWorkspace`] reused across steps and line-search trials, so a
-//! steady-state Newton step performs no heap allocation. The historical
-//! dense path survives as [`GpProblem::solve_reference`] (see
-//! `reference.rs`), the oracle the differential parity suite pins this
-//! kernel against.
+//! steady-state Newton step performs no heap allocation.
+//!
+//! Each term's shifted exponential is computed **once per point**. A
+//! line-search trial sweeps every posynomial into an [`EvalRecord`]; when
+//! the trial is accepted its record is swapped in along with the point,
+//! and the next assembly stages straight from it. Only the first step of
+//! a phase evaluates at the current point. The historical dense path
+//! survives as [`GpProblem::solve_reference`] (see `reference.rs`), the
+//! oracle the differential parity suite pins this kernel against.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -158,11 +163,48 @@ pub(crate) const Y_BOUND: f64 = 40.0;
 /// Trust-region-style cap on a single Newton step in log space.
 pub(crate) const MAX_STEP: f64 = 8.0;
 
+/// One sweep of the objective and every constraint at a point: each
+/// term's shifted exponential, each posynomial's sum and value. Slot 0 is
+/// the objective, slot `i + 1` constraint `i`; slot `j` owns
+/// `exps[bounds[j]..bounds[j + 1]]`, with `bounds` kept once in the
+/// [`NewtonWorkspace`] because both records share it.
+#[derive(Debug, Default)]
+struct EvalRecord {
+    exps: Vec<f64>,
+    sums: Vec<f64>,
+    values: Vec<f64>,
+}
+
+impl EvalRecord {
+    /// A record sized for the posynomials behind `bounds`.
+    fn new(bounds: &[usize]) -> Self {
+        let slots = bounds.len() - 1;
+        EvalRecord {
+            exps: vec![0.0; bounds[slots]],
+            sums: vec![0.0; slots],
+            values: vec![0.0; slots],
+        }
+    }
+
+    /// Sweeps posynomial `p` at `y` into slot `j`; returns its value.
+    fn eval(&mut self, bounds: &[usize], j: usize, p: &LogPosynomial, y: &[f64]) -> f64 {
+        let (value, sum) = p.shifted_exps(y, &mut self.exps[bounds[j]..bounds[j + 1]]);
+        self.sums[j] = sum;
+        self.values[j] = value;
+        value
+    }
+
+    /// Stages slot `j` (posynomial `p`) into `ws` from the kept sweep.
+    fn stage(&self, bounds: &[usize], j: usize, p: &LogPosynomial, ws: &mut GradHessWorkspace) {
+        p.stage_from_exps(&self.exps[bounds[j]..bounds[j + 1]], self.sums[j], ws);
+    }
+}
+
 /// Per-solve scratch for the Newton loops: the sparse gradient/Hessian
-/// accumulator plus the factorization, right-hand-side, direction and
-/// line-search trial buffers. Every buffer keeps its capacity across
-/// Newton steps and backtracking trials, so the steady-state step
-/// allocates nothing.
+/// accumulator, the factorization, right-hand-side, direction and
+/// line-search trial buffers, and the two evaluation records. Every
+/// buffer keeps its capacity across Newton steps and backtracking
+/// trials, so the steady-state step allocates nothing.
 #[derive(Debug, Default)]
 struct NewtonWorkspace {
     /// Sparse scatter target: gradient + packed lower-triangular Hessian.
@@ -176,6 +218,30 @@ struct NewtonWorkspace {
     dir: Vec<f64>,
     /// Line-search trial point.
     trial: Vec<f64>,
+    /// Term ranges of the records' slots (objective, then constraints).
+    bounds: Vec<usize>,
+    /// The sweep at the current point `y`, staged by the assembly.
+    at_y: EvalRecord,
+    /// The sweep at `trial`, filled by the line search; swapped with
+    /// `at_y` when the trial is accepted.
+    at_trial: EvalRecord,
+}
+
+impl NewtonWorkspace {
+    /// A workspace whose records fit `obj` and `cons`.
+    fn new(obj: &LogPosynomial, cons: &[LogPosynomial]) -> Self {
+        let mut bounds = Vec::with_capacity(cons.len() + 2);
+        bounds.push(0);
+        for p in std::iter::once(obj).chain(cons) {
+            bounds.push(bounds[bounds.len() - 1] + p.term_count());
+        }
+        NewtonWorkspace {
+            at_y: EvalRecord::new(&bounds),
+            at_trial: EvalRecord::new(&bounds),
+            bounds,
+            ..NewtonWorkspace::default()
+        }
+    }
 }
 
 /// Shared setup for [`GpProblem::solve`] and
@@ -302,7 +368,7 @@ impl GpProblem {
     ///   cap fired before convergence.
     pub fn solve(&self, opts: &SolverOptions) -> Result<GpSolution, GpError> {
         let (obj, cons, start) = prepare(self, opts)?;
-        let mut nw = NewtonWorkspace::default();
+        let mut nw = NewtonWorkspace::new(&obj, &cons);
         let mut phase1_steps = 0;
         let y0 = if cons.is_empty() {
             start
@@ -339,15 +405,24 @@ fn phase1(
         rhs,
         dir,
         trial,
+        bounds,
+        at_y,
+        at_trial,
     } = nw;
     let dim = start.len();
     let mut y = start;
-    let worst = |y: &[f64]| -> f64 {
-        cons.iter()
-            .map(|c| c.value(y))
+    // The worst constraint value of a fully swept record.
+    let worst = |rec: &EvalRecord| {
+        rec.values[1..]
+            .iter()
+            .copied()
             .fold(f64::NEG_INFINITY, f64::max)
     };
-    let mut s = worst(&y) + 1.0;
+    // The start sweep fills the record the first assembly stages from.
+    for (i, c) in cons.iter().enumerate() {
+        at_y.eval(bounds, i + 1, c, &y);
+    }
+    let mut s = worst(at_y) + 1.0;
     if s - 1.0 < -opts.feasibility_margin {
         return Ok(y); // the start is already strictly feasible
     }
@@ -365,22 +440,22 @@ fn phase1(
             let n = dim + 1;
             ws.reset(n);
             ws.grad_mut()[dim] = t;
-            // The barrier value at (y, s) falls out of the assembly for
-            // free: the same constraint values, combined in the same order
-            // as the line-search evaluator, so `f0` is bit-identical to a
-            // separate evaluation and costs no extra posynomial sweeps.
+            // The barrier value at (y, s) comes from the record's values,
+            // combined in the same order as the line search, so `f0` is
+            // bit-identical to a separate evaluation.
             let mut f0 = t * s;
-            let mut domain_ok = true;
-            for c in cons {
-                let fv = c.value_grad_hess_into(&y, ws);
-                let g = s - fv;
+            for (i, c) in cons.iter().enumerate() {
+                let g = s - at_y.values[i + 1];
                 if g <= 0.0 {
-                    domain_ok = false;
-                    break;
+                    return Err(GpError::Numerical {
+                        stage: "phase1",
+                        detail: "iterate left the barrier domain".into(),
+                    });
                 }
                 f0 -= g.ln();
                 let inv = 1.0 / g;
                 let inv2 = inv * inv;
+                at_y.stage(bounds, i + 1, c, ws);
                 // y-block of −∇²log(s−F): inv²·ffᵀ + inv·∇²F, …
                 ws.scatter_staged(inv, inv, inv2);
                 // … the s-row cross terms −inv²·f, …
@@ -389,12 +464,6 @@ fn phase1(
                 ws.grad_mut()[dim] -= inv;
                 ws.add_hess(dim, dim, inv2);
             }
-            if !domain_ok {
-                return Err(GpError::Numerical {
-                    stage: "phase1",
-                    detail: "iterate left the barrier domain".into(),
-                });
-            }
             rhs.clear();
             rhs.extend(ws.grad().iter().map(|&g| -g));
             solve_spd_ridged_packed(ws.hess_packed(), n, rhs, factor, dir);
@@ -402,44 +471,37 @@ fn phase1(
             if decrement2 / 2.0 < opts.newton_tol {
                 break;
             }
-            // Backtracking line search keeping s − Fᵢ > 0. Each trial also
-            // reports the worst raw constraint value so the feasibility
-            // check below reuses the accepted trial's sweep (the fold order
-            // matches `worst`, keeping the result bit-identical).
-            let value_worst = |y: &[f64], s: f64| -> Option<(f64, f64)> {
-                let mut v = t * s;
-                let mut w = f64::NEG_INFINITY;
-                for c in cons {
-                    let fv = c.value(y);
-                    let g = s - fv;
-                    if g <= 0.0 {
-                        return None;
-                    }
-                    w = w.max(fv);
-                    v -= g.ln();
-                }
-                Some((v, w))
-            };
+            // Backtracking line search keeping s − Fᵢ > 0. Each trial
+            // sweeps into `at_trial`; the accepted one becomes `at_y`.
             // Cap the step so the phase-I recession direction (s → −∞ with
             // g fixed) cannot fling the iterate outside the sanity box
             // before the early feasibility return fires.
             let mut alpha = (MAX_STEP / norm(dir)).min(1.0);
             let slope = dot(ws.grad(), dir);
             let mut accepted = false;
-            let mut worst_y = f64::INFINITY;
+            let mut trials = 0usize;
             for _ in 0..60 {
+                trials += 1;
                 trial.clear();
                 trial.extend_from_slice(&y);
                 axpy(alpha, &dir[..dim], trial);
                 let sn = s + alpha * dir[dim];
-                if let Some((fv, w)) = value_worst(trial, sn) {
-                    if fv <= f0 + 0.25 * alpha * slope {
-                        std::mem::swap(&mut y, trial);
-                        s = sn;
-                        worst_y = w;
-                        accepted = true;
+                let mut fv = t * sn;
+                let mut inside = true;
+                for (i, c) in cons.iter().enumerate() {
+                    let g = sn - at_trial.eval(bounds, i + 1, c, trial);
+                    if g <= 0.0 {
+                        inside = false;
                         break;
                     }
+                    fv -= g.ln();
+                }
+                if inside && fv <= f0 + 0.25 * alpha * slope {
+                    std::mem::swap(&mut y, trial);
+                    std::mem::swap(at_y, at_trial);
+                    s = sn;
+                    accepted = true;
+                    break;
                 }
                 alpha *= 0.5;
             }
@@ -449,6 +511,7 @@ fn phase1(
                     ("step", (*steps).into()),
                     ("residual", (decrement2 / 2.0).into()),
                     ("alpha", alpha.into()),
+                    ("trials", trials.into()),
                     ("accepted", accepted.into()),
                 ]
             });
@@ -457,9 +520,8 @@ fn phase1(
             }
             // Return on *actual* strict feasibility of y, not only via the
             // slack s — the slack can lag while the barrier drifts along
-            // directions where some gᵢ grows without bound. `worst_y` is
-            // the accepted trial's sweep, so no extra evaluation is needed.
-            if s < -opts.feasibility_margin || worst_y < -opts.feasibility_margin {
+            // directions where some gᵢ grows without bound.
+            if s < -opts.feasibility_margin || worst(at_y) < -opts.feasibility_margin {
                 return Ok(y);
             }
             // NaN never compares > Y_BOUND, so catch it explicitly before
@@ -497,7 +559,7 @@ fn phase1(
         t *= opts.mu;
     }
     Err(GpError::Infeasible {
-        worst_violation: worst(&y).exp(),
+        worst_violation: worst(at_y).exp(),
     })
 }
 
@@ -519,22 +581,20 @@ fn phase2(
         rhs,
         dir,
         trial,
+        bounds,
+        at_y,
+        at_trial,
     } = nw;
     let dim = y.len();
     let m = cons.len();
     let mut t: f64 = 1.0f64.max(m as f64);
 
-    let value = |y: &[f64], t: f64| -> Option<f64> {
-        let mut v = t * obj.value(y);
-        for c in cons {
-            let fv = c.value(y);
-            if fv >= 0.0 {
-                return None;
-            }
-            v -= (-fv).ln();
-        }
-        Some(v)
-    };
+    // The phase's one evaluation at a point it did not reach by a line
+    // search; every later assembly stages from the accepted trial's sweep.
+    at_y.eval(bounds, 0, obj, &y);
+    for (i, c) in cons.iter().enumerate() {
+        at_y.eval(bounds, i + 1, c, &y);
+    }
 
     loop {
         // Centering.
@@ -543,15 +603,13 @@ fn phase2(
             check_budget(opts, "phase2", spent_before + *steps)?;
             ws.reset(dim);
             // The objective contributes t·∇F₀ and t·∇²F₀ (no rank-one
-            // barrier piece). As in phase I, the barrier value `f0` is
-            // accumulated from the assembly's own evaluations, in the same
-            // order as the line-search evaluator — bit-identical, no extra
-            // sweeps.
-            let obj_val = obj.value_grad_hess_into(&y, ws);
+            // barrier piece). As in phase I, the barrier value `f0` comes
+            // from the record, in the same order as the line search.
+            at_y.stage(bounds, 0, obj, ws);
             ws.scatter_staged(t, t, 0.0);
-            let mut f0 = t * obj_val;
-            for c in cons {
-                let fv = c.value_grad_hess_into(&y, ws);
+            let mut f0 = t * at_y.values[0];
+            for (i, c) in cons.iter().enumerate() {
+                let fv = at_y.values[i + 1];
                 if fv >= 0.0 {
                     return Err(GpError::Numerical {
                         stage: "phase2",
@@ -561,6 +619,7 @@ fn phase2(
                 f0 -= (-fv).ln();
                 let inv = -1.0 / fv; // 1/(−Fᵢ) > 0
                 let inv2 = inv * inv;
+                at_y.stage(bounds, i + 1, c, ws);
                 ws.scatter_staged(inv, inv, inv2);
             }
             rhs.clear();
@@ -573,16 +632,27 @@ fn phase2(
             let slope = dot(ws.grad(), dir);
             let mut alpha = (MAX_STEP / norm(dir)).min(1.0);
             let mut accepted = false;
+            let mut trials = 0usize;
             for _ in 0..60 {
+                trials += 1;
                 trial.clear();
                 trial.extend_from_slice(&y);
                 axpy(alpha, dir, trial);
-                if let Some(fv) = value(trial, t) {
-                    if fv <= f0 + 0.25 * alpha * slope {
-                        std::mem::swap(&mut y, trial);
-                        accepted = true;
+                let mut fv = t * at_trial.eval(bounds, 0, obj, trial);
+                let mut inside = true;
+                for (i, c) in cons.iter().enumerate() {
+                    let cv = at_trial.eval(bounds, i + 1, c, trial);
+                    if cv >= 0.0 {
+                        inside = false;
                         break;
                     }
+                    fv -= (-cv).ln();
+                }
+                if inside && fv <= f0 + 0.25 * alpha * slope {
+                    std::mem::swap(&mut y, trial);
+                    std::mem::swap(at_y, at_trial);
+                    accepted = true;
+                    break;
                 }
                 alpha *= 0.5;
             }
@@ -592,6 +662,7 @@ fn phase2(
                     ("step", (*steps).into()),
                     ("residual", (decrement2.abs() / 2.0).into()),
                     ("alpha", alpha.into()),
+                    ("trials", trials.into()),
                     ("accepted", accepted.into()),
                 ]
             });

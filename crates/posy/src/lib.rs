@@ -41,7 +41,7 @@ mod vars;
 mod workspace;
 
 pub use error::PosyError;
-pub use logform::{LogPosynomial, LogTerm};
+pub use logform::LogPosynomial;
 pub use monomial::Monomial;
 pub use posynomial::Posynomial;
 pub use vars::{VarId, VarPool};

@@ -8,13 +8,16 @@
 use crate::workspace::GradHessWorkspace;
 use crate::Posynomial;
 
-/// One exponentiated affine term `exp(a·y + b)` of a log-form posynomial.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogTerm {
-    /// Sparse exponent row `a` as `(dense variable index, exponent)` pairs.
-    pub exps: Vec<(usize, f64)>,
-    /// Offset `b = log c`.
-    pub offset: f64,
+/// One entry of a term's exponent row: exponent `e` of variable `var`,
+/// which sits in slot `slot` of the posynomial's support.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RowEntry {
+    /// Index into [`LogPosynomial::support`].
+    slot: u32,
+    /// Dense variable index (`support[slot]`), kept beside the slot so the
+    /// exponent dot gathers `y` without a second indirection.
+    var: u32,
+    exp: f64,
 }
 
 /// A posynomial converted to log-space, ready for convex optimization.
@@ -34,40 +37,17 @@ pub struct LogTerm {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogPosynomial {
-    terms: Vec<LogTerm>,
     dim: usize,
     /// Sorted, deduplicated variable indices this posynomial touches.
     support: Vec<usize>,
-    /// Per-term exponents re-indexed into `support` slots, flattened;
-    /// term `k` owns `slot_exps[slot_bounds[k]..slot_bounds[k+1]]`. The
-    /// sparse evaluator scatters through these so a constraint of support
-    /// `s` costs O(s²) regardless of the ambient dimension.
-    slot_exps: Vec<(u32, f64)>,
-    slot_bounds: Vec<u32>,
-}
-
-/// Precomputes the support and the slot-indexed exponent rows.
-fn index_support(terms: &[LogTerm]) -> (Vec<usize>, Vec<(u32, f64)>, Vec<u32>) {
-    let mut support: Vec<usize> = terms
-        .iter()
-        .flat_map(|t| t.exps.iter().map(|&(i, _)| i))
-        .collect();
-    support.sort_unstable();
-    support.dedup();
-    let mut slot_exps = Vec::with_capacity(terms.iter().map(|t| t.exps.len()).sum());
-    let mut slot_bounds = Vec::with_capacity(terms.len() + 1);
-    slot_bounds.push(0u32);
-    for t in terms {
-        for &(i, e) in &t.exps {
-            // The index is present by construction; partition_point avoids
-            // an unwrap on binary_search's Result.
-            let slot = support.partition_point(|&v| v < i);
-            debug_assert_eq!(support[slot], i);
-            slot_exps.push((slot as u32, e));
-        }
-        slot_bounds.push(slot_exps.len() as u32);
-    }
-    (support, slot_exps, slot_bounds)
+    /// Offset `bₖ = log cₖ` of each term.
+    offsets: Vec<f64>,
+    /// Per-term exponent rows, flattened; term `k` owns
+    /// `rows[row_bounds[k]..row_bounds[k+1]]`. The sparse evaluator
+    /// scatters through the slots so a constraint of support `s` costs
+    /// O(s²) regardless of the ambient dimension.
+    rows: Vec<RowEntry>,
+    row_bounds: Vec<u32>,
 }
 
 impl LogPosynomial {
@@ -75,54 +55,53 @@ impl LogPosynomial {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is the zero posynomial (log of zero is undefined) or if
-    /// `p` references a variable with index `>= dim`.
+    /// Panics if `p` is the zero posynomial (log of zero is undefined), if
+    /// `p` references a variable with index `>= dim`, or if `dim` exceeds
+    /// `u32::MAX` (exponent rows index variables as `u32`).
     pub fn from_posynomial(p: &Posynomial, dim: usize) -> Self {
         assert!(!p.is_zero(), "cannot take the log-form of the zero posynomial");
+        assert!(
+            u32::try_from(dim).is_ok(),
+            "dimension {dim} exceeds u32 indices"
+        );
         assert!(
             p.dimension() <= dim,
             "posynomial uses variable index {} but problem has {} variables",
             p.dimension() - 1,
             dim
         );
-        let terms: Vec<LogTerm> = p
+        let mut support: Vec<usize> = p
             .terms()
             .iter()
-            .map(|m| LogTerm {
-                exps: m.exponents().map(|(v, e)| (v.index(), e)).collect(),
-                offset: m.coeff().ln(),
-            })
+            .flat_map(|m| m.exponents().map(|(v, _)| v.index()))
             .collect();
-        let (support, slot_exps, slot_bounds) = index_support(&terms);
-        LogPosynomial {
-            terms,
-            dim,
-            support,
-            slot_exps,
-            slot_bounds,
-        }
-    }
-
-    /// Builds directly from raw log-terms (used for synthetic constraints
-    /// such as phase-I slack rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `terms` is empty or references an index `>= dim`.
-    pub fn from_terms(terms: Vec<LogTerm>, dim: usize) -> Self {
-        assert!(!terms.is_empty(), "log-form posynomial needs at least one term");
-        for t in &terms {
-            for &(i, _) in &t.exps {
-                assert!(i < dim, "term references variable {i} out of {dim}");
+        support.sort_unstable();
+        support.dedup();
+        let mut offsets = Vec::with_capacity(p.terms().len());
+        let mut rows = Vec::new();
+        let mut row_bounds = Vec::with_capacity(p.terms().len() + 1);
+        row_bounds.push(0u32);
+        for m in p.terms() {
+            offsets.push(m.coeff().ln());
+            for (v, exp) in m.exponents() {
+                // The index is present by construction; partition_point
+                // avoids an unwrap on binary_search's Result.
+                let slot = support.partition_point(|&i| i < v.index());
+                debug_assert_eq!(support[slot], v.index());
+                rows.push(RowEntry {
+                    slot: slot as u32,
+                    var: v.index() as u32,
+                    exp,
+                });
             }
+            row_bounds.push(rows.len() as u32);
         }
-        let (support, slot_exps, slot_bounds) = index_support(&terms);
         LogPosynomial {
-            terms,
             dim,
             support,
-            slot_exps,
-            slot_bounds,
+            offsets,
+            rows,
+            row_bounds,
         }
     }
 
@@ -131,9 +110,9 @@ impl LogPosynomial {
         self.dim
     }
 
-    /// The exponentiated-affine terms.
-    pub fn terms(&self) -> &[LogTerm] {
-        &self.terms
+    /// Number of exponentiated-affine terms `exp(aₖ·y + bₖ)`.
+    pub fn term_count(&self) -> usize {
+        self.offsets.len()
     }
 
     /// Dense variable indices referenced by this posynomial, sorted
@@ -143,65 +122,84 @@ impl LogPosynomial {
         &self.support
     }
 
-    /// The affine exponents of each term as dense rows (one row per term).
-    pub fn dense_rows(&self) -> Vec<Vec<f64>> {
-        self.terms
-            .iter()
-            .map(|t| {
-                let mut row = vec![0.0; self.dim];
-                for &(i, e) in &t.exps {
-                    row[i] = e;
-                }
-                row
-            })
-            .collect()
-    }
-
-    fn exponent_dots(&self, y: &[f64]) -> Vec<f64> {
-        self.terms
-            .iter()
-            .map(|t| {
-                t.offset
-                    + t.exps
-                        .iter()
-                        .map(|&(i, e)| e * y[i])
-                        .sum::<f64>()
-            })
-            .collect()
-    }
-
-    /// One term's exponent dot `aₖ·y + bₖ`.
+    /// Term `k`'s exponent row.
     #[inline]
-    fn term_dot(t: &LogTerm, y: &[f64]) -> f64 {
-        t.offset + t.exps.iter().map(|&(i, e)| e * y[i]).sum::<f64>()
+    fn row(&self, k: usize) -> &[RowEntry] {
+        &self.rows[self.row_bounds[k] as usize..self.row_bounds[k + 1] as usize]
+    }
+
+    /// Term `k`'s exponent dot `aₖ·y + bₖ`.
+    #[inline]
+    fn term_dot(&self, k: usize, y: &[f64]) -> f64 {
+        self.offsets[k]
+            + self
+                .row(k)
+                .iter()
+                .map(|r| r.exp * y[r.var as usize])
+                .sum::<f64>()
+    }
+
+    /// Every term's exponent dot (the dense oracles' first step).
+    fn exponent_dots(&self, y: &[f64]) -> Vec<f64> {
+        (0..self.term_count())
+            .map(|k| self.term_dot(k, y))
+            .collect()
     }
 
     /// `F(y) = log Σ exp(aₖ·y + bₖ)`, computed with a max-shift so that very
     /// large or small exponents do not overflow.
     ///
     /// Streams the terms twice (max pass, then sum pass) instead of
-    /// materializing the dot vector — the line searches of the GP solver
-    /// call this per constraint per trial, so it must not allocate.
+    /// materializing the dot vector, so it never allocates. A caller that
+    /// also wants the gradient later should use
+    /// [`shifted_exps`](Self::shifted_exps), which computes each dot once
+    /// and keeps the exponentials.
     ///
     /// # Panics
     ///
     /// Panics if `y.len() < self.dim()`.
     pub fn value(&self, y: &[f64]) -> f64 {
         assert!(y.len() >= self.dim, "point has wrong dimension");
-        let m = self
-            .terms
-            .iter()
-            .map(|t| Self::term_dot(t, y))
+        let m = (0..self.term_count())
+            .map(|k| self.term_dot(k, y))
             .fold(f64::NEG_INFINITY, f64::max);
         if m.is_infinite() {
             return m;
         }
-        m + self
-            .terms
-            .iter()
-            .map(|t| (Self::term_dot(t, y) - m).exp())
+        m + (0..self.term_count())
+            .map(|k| (self.term_dot(k, y) - m).exp())
             .sum::<f64>()
             .ln()
+    }
+
+    /// One sweep over the terms at `y`: writes each term's shifted
+    /// exponential `exp(aₖ·y + bₖ − m)`, `m` the largest dot, into `out`
+    /// and returns `(F(y), Σₖ out[k])`.
+    ///
+    /// Each dot is computed once. The value is bit-identical to
+    /// [`value`](Self::value): the same dots, max and sum in the same
+    /// order. The exponentials and sum are exactly what
+    /// [`stage_from_exps`](Self::stage_from_exps) needs, so a point whose
+    /// value has been swept can be staged without evaluating it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len() < self.dim()` or `out.len() != self.term_count()`.
+    pub fn shifted_exps(&self, y: &[f64], out: &mut [f64]) -> (f64, f64) {
+        assert!(y.len() >= self.dim, "point has wrong dimension");
+        assert_eq!(out.len(), self.term_count(), "one output slot per term");
+        let mut m = f64::NEG_INFINITY;
+        for (k, z) in out.iter_mut().enumerate() {
+            *z = self.term_dot(k, y);
+            m = m.max(*z);
+        }
+        let mut sum = 0.0;
+        for z in out.iter_mut() {
+            *z = (*z - m).exp();
+            sum += *z;
+        }
+        let value = if m.is_infinite() { m } else { m + sum.ln() };
+        (value, sum)
     }
 
     /// Value and gradient of `F` at `y`.
@@ -209,12 +207,11 @@ impl LogPosynomial {
     /// The gradient is `Σ softmaxₖ · aₖ`.
     pub fn value_grad(&self, y: &[f64]) -> (f64, Vec<f64>) {
         assert!(y.len() >= self.dim, "point has wrong dimension");
-        let z = self.exponent_dots(y);
-        let (val, w) = softmax(&z);
+        let (val, w) = softmax(&self.exponent_dots(y));
         let mut grad = vec![0.0; self.dim];
-        for (t, &wk) in self.terms.iter().zip(&w) {
-            for &(i, e) in &t.exps {
-                grad[i] += wk * e;
+        for (k, &wk) in w.iter().enumerate() {
+            for r in self.row(k) {
+                grad[r.var as usize] += wk * r.exp;
             }
         }
         (val, grad)
@@ -225,16 +222,17 @@ impl LogPosynomial {
     /// Hessian is `Σ wₖ aₖaₖᵀ − (Σ wₖaₖ)(Σ wₖaₖ)ᵀ`, PSD by convexity.
     pub fn value_grad_hess(&self, y: &[f64]) -> (f64, Vec<f64>, Vec<Vec<f64>>) {
         assert!(y.len() >= self.dim, "point has wrong dimension");
-        let z = self.exponent_dots(y);
-        let (val, w) = softmax(&z);
+        let (val, w) = softmax(&self.exponent_dots(y));
         let n = self.dim;
         let mut grad = vec![0.0; n];
         let mut hess = vec![vec![0.0; n]; n];
-        for (t, &wk) in self.terms.iter().zip(&w) {
-            for &(i, ei) in &t.exps {
-                grad[i] += wk * ei;
-                for &(j, ej) in &t.exps {
-                    hess[i][j] += wk * ei * ej;
+        for (k, &wk) in w.iter().enumerate() {
+            let row = self.row(k);
+            for ri in row {
+                let i = ri.var as usize;
+                grad[i] += wk * ri.exp;
+                for rj in row {
+                    hess[i][rj.var as usize] += wk * ri.exp * rj.exp;
                 }
             }
         }
@@ -246,24 +244,24 @@ impl LogPosynomial {
         (val, grad, hess)
     }
 
-    /// Sparse twin of [`value_grad_hess`](Self::value_grad_hess): stages
-    /// the gradient and packed Hessian **over the support only** into
-    /// `ws` and returns the value. The caller folds the staged
-    /// contribution into the global accumulators with
-    /// [`GradHessWorkspace::scatter_staged`], choosing scale factors that
-    /// may depend on the returned value (barrier weights do).
+    /// Stages the gradient and the raw second moment `Σ wₖaₖaₖᵀ`
+    /// (`wₖ = exps[k] / sum`) **over the support only** into `ws`, from a
+    /// [`shifted_exps`](Self::shifted_exps) sweep at the point. The caller
+    /// folds the staged contribution into the global accumulators with
+    /// [`GradHessWorkspace::scatter_staged`], which completes the Hessian
+    /// `Σ wₖaₖaₖᵀ − ggᵀ` inline, with scale factors that may depend on the
+    /// value (barrier weights do).
     ///
     /// Cost is O(Σₖ sₖ²) in the per-term support sizes — independent of
     /// the ambient dimension — and allocation-free once the workspace
-    /// buffers have warmed up. Values agree with the dense oracle to the
-    /// last bits: both paths compute the same sums in the same order.
+    /// buffers have warmed up.
     ///
     /// # Panics
     ///
-    /// Panics if `y.len() < self.dim()` or the workspace's dimension is
-    /// smaller than `self.dim()`.
-    pub fn value_grad_hess_into(&self, y: &[f64], ws: &mut GradHessWorkspace) -> f64 {
-        assert!(y.len() >= self.dim, "point has wrong dimension");
+    /// Panics if `exps.len() != self.term_count()` or the workspace's
+    /// dimension is smaller than `self.dim()`.
+    pub fn stage_from_exps(&self, exps: &[f64], sum: f64, ws: &mut GradHessWorkspace) {
+        assert_eq!(exps.len(), self.term_count(), "one exponential per term");
         assert!(
             ws.dim() >= self.dim,
             "workspace dimension {} below posynomial dimension {}",
@@ -271,45 +269,41 @@ impl LogPosynomial {
             self.dim
         );
         ws.stage_begin(&self.support);
-        // Exponent dots, then softmax weights in place.
-        let mut scratch = std::mem::take(&mut ws.term_scratch);
-        scratch.clear();
-        scratch.extend(self.terms.iter().map(|t| Self::term_dot(t, y)));
-        let m = scratch.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for z in scratch.iter_mut() {
-            *z = (*z - m).exp();
-            sum += *z;
-        }
-        let val = m + sum.ln();
-        for z in scratch.iter_mut() {
-            *z /= sum;
-        }
         let (grad, hess) = ws.stage_buffers();
-        let s = self.support.len();
-        for (k, &wk) in scratch.iter().enumerate() {
-            let range = self.slot_bounds[k] as usize..self.slot_bounds[k + 1] as usize;
-            let exps = &self.slot_exps[range];
-            for &(si, ei) in exps {
-                let si = si as usize;
-                grad[si] += wk * ei;
-                let row = si * (si + 1) / 2;
-                for &(sj, ej) in exps {
-                    let sj = sj as usize;
-                    if sj <= si {
-                        hess[row + sj] += wk * ei * ej;
+        for (k, &e) in exps.iter().enumerate() {
+            let wk = e / sum;
+            let row = self.row(k);
+            for ri in row {
+                let si = ri.slot as usize;
+                grad[si] += wk * ri.exp;
+                let base = si * (si + 1) / 2;
+                for rj in row {
+                    if rj.slot <= ri.slot {
+                        hess[base + rj.slot as usize] += wk * ri.exp * rj.exp;
                     }
                 }
             }
         }
-        // Low-rank completion: H = Σ wₖaₖaₖᵀ − ggᵀ.
-        for si in 0..s {
-            let row = si * (si + 1) / 2;
-            for sj in 0..=si {
-                hess[row + sj] -= grad[si] * grad[sj];
-            }
-        }
-        ws.term_scratch = scratch;
+    }
+
+    /// Sparse twin of [`value_grad_hess`](Self::value_grad_hess):
+    /// [`shifted_exps`](Self::shifted_exps) into the workspace's term
+    /// scratch, then [`stage_from_exps`](Self::stage_from_exps); returns
+    /// the value. After [`GradHessWorkspace::scatter_staged`] the
+    /// accumulators agree with the dense oracle to the last bits: both
+    /// paths compute the same sums in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len() < self.dim()` or the workspace's dimension is
+    /// smaller than `self.dim()`.
+    pub fn value_grad_hess_into(&self, y: &[f64], ws: &mut GradHessWorkspace) -> f64 {
+        let mut exps = std::mem::take(&mut ws.term_scratch);
+        exps.clear();
+        exps.resize(self.term_count(), 0.0);
+        let (val, sum) = self.shifted_exps(y, &mut exps);
+        self.stage_from_exps(&exps, sum, ws);
+        ws.term_scratch = exps;
         val
     }
 }
@@ -426,8 +420,8 @@ mod tests {
         use crate::{packed_index, GradHessWorkspace};
         // Embed the 2-var sample in a 5-var ambient problem so the
         // support {0, 1} is a strict subset the scatter must respect.
-        let (lp2, _) = sample();
-        let lp = LogPosynomial::from_terms(lp2.terms().to_vec(), 5);
+        let (_, p) = sample();
+        let lp = LogPosynomial::from_posynomial(&p, 5);
         let y = [0.3, -0.7, 9.0, -9.0, 0.1];
         let (val, grad, hess) = lp.value_grad_hess(&y);
         let mut ws = GradHessWorkspace::new(5);
@@ -472,13 +466,17 @@ mod tests {
     }
 
     #[test]
-    fn dense_rows_roundtrip() {
+    fn shifted_exps_sweep_matches_the_streaming_value() {
         let (lp, _) = sample();
-        let rows = lp.dense_rows();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0], vec![1.0, -2.0]);
-        assert_eq!(rows[1], vec![0.0, 1.0]);
-        assert_eq!(rows[2], vec![0.0, 0.0]);
+        assert_eq!(lp.term_count(), 3);
         assert_eq!(lp.support(), vec![0, 1]);
+        for y in [[0.3, -0.7], [0.0, 0.0], [-2.0, 5.0]] {
+            let mut exps = vec![0.0; lp.term_count()];
+            let (val, sum) = lp.shifted_exps(&y, &mut exps);
+            assert_eq!(val, lp.value(&y), "sweep value must agree bitwise at {y:?}");
+            assert_eq!(sum, exps.iter().sum::<f64>());
+            // The largest term is shifted to exactly exp(0).
+            assert!(exps.contains(&1.0));
+        }
     }
 }

@@ -10,13 +10,16 @@
 //! assembly into O(m·s²) scatter-adds (s = support size) with **zero heap
 //! allocations after warm-up**:
 //!
-//! 1. [`LogPosynomial::value_grad_hess_into`] evaluates one posynomial
-//!    into the workspace's *staging* area — its value, its gradient over
-//!    the support slots, and its packed support×support Hessian,
-//!    exploiting the low-rank `Σ wₖaₖaₖᵀ − ggᵀ` structure.
-//! 2. [`GradHessWorkspace::scatter_staged`] folds the staged contribution
-//!    into the global accumulators with caller-chosen barrier scale
-//!    factors (which depend on the staged value, hence the two steps).
+//! 1. [`LogPosynomial::stage_from_exps`] stages one posynomial from a
+//!    [`LogPosynomial::shifted_exps`] sweep (or
+//!    [`LogPosynomial::value_grad_hess_into`] sweeps and stages in one
+//!    call) into the workspace's *staging* area: its gradient `g` over the
+//!    support slots and its packed support×support raw second moment
+//!    `Σ wₖaₖaₖᵀ`.
+//! 2. [`GradHessWorkspace::scatter_staged`] completes the Hessian
+//!    `Σ wₖaₖaₖᵀ − ggᵀ` inline while it folds the staged contribution into
+//!    the global accumulators with caller-chosen barrier scale factors
+//!    (which depend on the value, hence the two steps).
 //!
 //! The global Hessian accumulator is a flat row-major **packed lower
 //! triangle** (`hess[i·(i+1)/2 + j]`, `j ≤ i`), the same layout the
@@ -24,6 +27,8 @@
 //!
 //! [`LogPosynomial::value_grad_hess`]: crate::LogPosynomial::value_grad_hess
 //! [`LogPosynomial::value_grad_hess_into`]: crate::LogPosynomial::value_grad_hess_into
+//! [`LogPosynomial::stage_from_exps`]: crate::LogPosynomial::stage_from_exps
+//! [`LogPosynomial::shifted_exps`]: crate::LogPosynomial::shifted_exps
 
 /// Index of entry `(i, j)`, `j ≤ i`, in a row-major packed lower triangle.
 #[inline]
@@ -54,9 +59,12 @@ pub struct GradHessWorkspace {
     stage_support: Vec<usize>,
     /// Staged gradient over the support slots.
     stage_grad: Vec<f64>,
-    /// Staged Hessian, packed lower triangle over the support slots.
+    /// Staged raw second moment `Σ wₖaₖaₖᵀ`, packed lower triangle over
+    /// the support slots; [`scatter_staged`](Self::scatter_staged)
+    /// subtracts `ggᵀ` from it inline.
     stage_hess: Vec<f64>,
-    /// Per-term scratch (exponent dots, then softmax weights, in place).
+    /// Per-term shifted exponentials for
+    /// [`LogPosynomial::value_grad_hess_into`](crate::LogPosynomial::value_grad_hess_into).
     pub(crate) term_scratch: Vec<f64>,
 }
 
@@ -124,11 +132,11 @@ impl GradHessWorkspace {
     }
 
     /// Begins staging a posynomial with the given support: copies the
-    /// indices and zeroes the staged gradient/Hessian. Called by
-    /// [`LogPosynomial::value_grad_hess_into`]; not part of the public
+    /// indices and zeroes the staged gradient/second moment. Called by
+    /// [`LogPosynomial::stage_from_exps`]; not part of the public
     /// accumulation protocol.
     ///
-    /// [`LogPosynomial::value_grad_hess_into`]: crate::LogPosynomial::value_grad_hess_into
+    /// [`LogPosynomial::stage_from_exps`]: crate::LogPosynomial::stage_from_exps
     pub(crate) fn stage_begin(&mut self, support: &[usize]) {
         debug_assert!(
             support.last().is_none_or(|&i| i < self.dim),
@@ -144,7 +152,7 @@ impl GradHessWorkspace {
     }
 
     /// Mutable staged buffers for the evaluator (grad slots, packed
-    /// Hessian slots).
+    /// second-moment slots).
     pub(crate) fn stage_buffers(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.stage_grad, &mut self.stage_hess)
     }
@@ -156,11 +164,15 @@ impl GradHessWorkspace {
     /// hess += outer_scale · g gᵀ + h_scale · H
     /// ```
     ///
-    /// where `g`/`H` are the staged gradient and Hessian. The split lets
-    /// one staged evaluation serve every barrier role: an objective term
-    /// is `(t, t, 0)`, a log-barrier constraint term `1/(−F)` is
-    /// `(inv, inv, inv²)` — the `inv²·ggᵀ` rank-one piece and the `inv·H`
-    /// curvature piece of `−∇²log(−F)`.
+    /// where `g` is the staged gradient and `H = S − ggᵀ` the Hessian
+    /// completed here from the staged raw second moment `S`. Each entry
+    /// of `H` is rounded exactly as a separate completion pass would
+    /// round it (product, then difference), so fusing the completion into
+    /// the scatter changes no bit. The split lets one staged evaluation
+    /// serve every barrier role: an objective term is `(t, t, 0)`, a
+    /// log-barrier constraint term `1/(−F)` is `(inv, inv, inv²)` — the
+    /// `inv²·ggᵀ` rank-one piece and the `inv·H` curvature piece of
+    /// `−∇²log(−F)`.
     ///
     /// O(s²) in the staged support size; touches nothing outside it.
     pub fn scatter_staged(&mut self, g_scale: f64, h_scale: f64, outer_scale: f64) {
@@ -175,8 +187,9 @@ impl GradHessWorkspace {
                 // Support is sorted ascending, so the global (row, col)
                 // pair stays in the lower triangle.
                 let gj_idx = self.stage_support[sj];
-                self.hess[row + gj_idx] +=
-                    outer_scale * gi * self.stage_grad[sj] + h_scale * self.stage_hess[stage_row + sj];
+                let gj = self.stage_grad[sj];
+                let h = self.stage_hess[stage_row + sj] - gi * gj;
+                self.hess[row + gj_idx] += outer_scale * gi * gj + h_scale * h;
             }
         }
     }
@@ -232,13 +245,15 @@ mod tests {
     #[test]
     fn scatter_scales_gradient_and_outer_product() {
         let mut ws = GradHessWorkspace::new(4);
-        // Stage a posynomial supported on {1, 3} with g = [2, -1] and
-        // H = 0 (pure rank-one test).
+        // Stage a posynomial supported on {1, 3} with g = [2, -1] and raw
+        // second moment S = ggᵀ, so the completed Hessian S − ggᵀ is zero
+        // and only the rank-one piece lands (pure rank-one test).
         ws.stage_begin(&[1, 3]);
         {
-            let (g, _) = ws.stage_buffers();
+            let (g, s) = ws.stage_buffers();
             g[0] = 2.0;
             g[1] = -1.0;
+            s.copy_from_slice(&[4.0, -2.0, 1.0]);
         }
         ws.scatter_staged(3.0, 1.0, 0.5);
         assert_eq!(ws.grad(), &[0.0, 6.0, 0.0, -3.0]);
@@ -247,6 +262,24 @@ mod tests {
         assert_eq!(ws.hess_packed()[packed_index(3, 1)], -1.0);
         assert_eq!(ws.hess_packed()[packed_index(3, 3)], 0.5);
         assert_eq!(ws.hess_packed()[packed_index(3, 0)], 0.0);
+    }
+
+    #[test]
+    fn scatter_completes_the_raw_second_moment() {
+        let mut ws = GradHessWorkspace::new(3);
+        // Support {0, 2}, g = [0.5, 0.25], S = [[1, ·], [0.5, 2]]: the
+        // completed Hessian is S − ggᵀ = [[0.75, ·], [0.375, 1.9375]].
+        ws.stage_begin(&[0, 2]);
+        {
+            let (g, s) = ws.stage_buffers();
+            g.copy_from_slice(&[0.5, 0.25]);
+            s.copy_from_slice(&[1.0, 0.5, 2.0]);
+        }
+        ws.scatter_staged(1.0, 2.0, 0.0);
+        assert_eq!(ws.hess_packed()[packed_index(0, 0)], 1.5);
+        assert_eq!(ws.hess_packed()[packed_index(2, 0)], 0.75);
+        assert_eq!(ws.hess_packed()[packed_index(2, 2)], 3.875);
+        assert_eq!(ws.hess_packed()[packed_index(1, 0)], 0.0);
     }
 
     #[test]

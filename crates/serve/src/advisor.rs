@@ -104,6 +104,12 @@ pub struct Reply {
 /// it comes back).
 pub const MEMO_CAP: usize = 256;
 
+/// Pending cancellation fences the advisor holds; past it, a `cancel` for
+/// an id it does not already hold gets a typed `budget` row instead of a
+/// fence, so cancels for ids that never arrive cannot grow the map
+/// without bound.
+pub const FENCE_CAP: usize = 1024;
+
 /// What answering a request from the cache needs of an elaborated macro.
 struct Elaboration {
     /// [`Circuit::structural_hash`]: the cache key's `structure`.
@@ -126,7 +132,9 @@ pub struct Advisor {
     /// Cancellation fences by request id: a `cancel` op trips (or
     /// pre-creates) the token under its id; a later work request with the
     /// same id observes it and is rejected deterministically, while an
-    /// in-flight request holding the token stops cooperatively.
+    /// in-flight request holding the token stops cooperatively. A
+    /// `cancel` adds at most [`FENCE_CAP`] entries; the rest are the
+    /// tokens of in-flight requests, bounded by admission control.
     cancels: Mutex<HashMap<String, Arc<CancelToken>>>,
     trace: Trace,
 }
@@ -542,8 +550,9 @@ impl Advisor {
         }
         let _ = write!(
             s,
-            ",\"memo_entries\":{},\"memo_cap\":{MEMO_CAP}",
-            lock(&self.memo).len()
+            ",\"memo_entries\":{},\"memo_cap\":{MEMO_CAP},\"fences\":{},\"fence_cap\":{FENCE_CAP}",
+            lock(&self.memo).len(),
+            lock(&self.cancels).len()
         );
         s.push('}');
         s
@@ -588,10 +597,23 @@ impl Advisor {
         if id.is_empty() {
             return error_line("cancel", "", "invalid-request", "cancel needs an `id`");
         }
-        lock(&self.cancels)
-            .entry(id.to_owned())
-            .or_insert_with(|| Arc::new(CancelToken::new()))
-            .cancel();
+        let mut fences = lock(&self.cancels);
+        match fences.get(id) {
+            Some(token) => token.cancel(),
+            None if fences.len() >= FENCE_CAP => {
+                return error_line(
+                    "cancel",
+                    id,
+                    "budget",
+                    &format!("too many pending cancel fences (max {FENCE_CAP})"),
+                )
+            }
+            None => {
+                let token = Arc::new(CancelToken::new());
+                token.cancel();
+                fences.insert(id.to_owned(), token);
+            }
+        }
         ok_head("cancel", id) + ",\"fenced\":true}"
     }
 }

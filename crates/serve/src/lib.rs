@@ -39,7 +39,7 @@ mod cli;
 pub mod json;
 mod server;
 
-pub use advisor::{Advisor, Control, Reply, ServeOptions, MEMO_CAP};
+pub use advisor::{Advisor, Control, Reply, ServeOptions, FENCE_CAP, MEMO_CAP};
 pub use cli::run_cli;
 pub use server::{run_script, serve_tcp};
 #[cfg(unix)]

@@ -8,7 +8,8 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use smart_core::ParallelOptions;
-use smart_serve::{run_script, Advisor, Control, ServeOptions};
+use smart_serve::json::Json;
+use smart_serve::{run_script, Advisor, Control, ServeOptions, FENCE_CAP};
 
 fn advisor_with_workers(workers: usize) -> Advisor {
     Advisor::new(ServeOptions {
@@ -109,6 +110,39 @@ fn cancel_fences_a_later_request_with_the_same_id() {
     // The fence is consumed: the id is reusable afterwards.
     let reply = advisor.handle_line(r#"{"op":"size","id":"job-7","macro":"mux4"}"#);
     assert!(reply.text.starts_with("{\"ok\":true"), "{}", reply.text);
+}
+
+#[test]
+fn cancel_fences_are_capped_with_a_typed_row() {
+    let advisor = advisor_with_workers(1);
+    for i in 0..FENCE_CAP {
+        let reply = advisor.handle_line(&format!(r#"{{"op":"cancel","id":"never-{i}"}}"#));
+        assert!(reply.text.contains("\"fenced\":true"), "{}", reply.text);
+    }
+    let extra = advisor.handle_line(r#"{"op":"cancel","id":"one-too-many"}"#);
+    assert_eq!(
+        extra.text,
+        format!(
+            r#"{{"ok":false,"op":"cancel","id":"one-too-many","error":"budget","detail":"too many pending cancel fences (max {FENCE_CAP})"}}"#
+        )
+    );
+    let stats = Json::parse(&advisor.handle_line(r#"{"op":"stats"}"#).text).expect("stats");
+    assert_eq!(stats.get("fence_cap").and_then(Json::as_usize), Some(FENCE_CAP));
+    assert_eq!(stats.get("fences").and_then(Json::as_usize), Some(FENCE_CAP));
+    // Re-cancelling a held id needs no new fence, so the cap does not
+    // refuse it.
+    let again = advisor.handle_line(r#"{"op":"cancel","id":"never-0"}"#);
+    assert!(again.text.contains("\"fenced\":true"), "{}", again.text);
+    // A fenced id's next request is still rejected, and consumes its fence.
+    let reply = advisor.handle_line(r#"{"op":"size","id":"never-0","macro":"mux4"}"#);
+    assert!(
+        reply.text.contains("\"error\":\"budget\"")
+            && reply.text.contains("cancelled before start"),
+        "{}",
+        reply.text
+    );
+    let stats = Json::parse(&advisor.handle_line(r#"{"op":"stats"}"#).text).expect("stats");
+    assert_eq!(stats.get("fences").and_then(Json::as_usize), Some(FENCE_CAP - 1));
 }
 
 #[test]
