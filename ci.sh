@@ -14,9 +14,12 @@ cargo build --workspace --release --offline
 
 # The benchmark is its own Cargo workspace built on the public APIs of
 # smart-core, smart-netlist and smart-serve; building it here catches a
-# removed or renamed public name before the benchmark does.
-echo "== build smartbench (release, offline) =="
-cargo build --release --offline --manifest-path smartbench/Cargo.toml
+# removed or renamed public name before the benchmark does. `--locked`
+# keeps smartbench/ frozen: a change that would make cargo rewrite
+# smartbench/Cargo.lock (a new dependency edge between workspace crates)
+# fails here instead of silently editing the lockfile.
+echo "== build smartbench (release, offline, locked) =="
+cargo build --release --offline --locked --manifest-path smartbench/Cargo.toml
 
 # Every workload's default-seed output digest must equal the one
 # committed in smartbench/baseline.json. `--seconds 0` runs the minimum
@@ -24,7 +27,7 @@ cargo build --release --offline --manifest-path smartbench/Cargo.toml
 # moves any width bit fails here rather than in the benchmark pipeline.
 echo "== smartbench digests (seed 1, committed baseline) =="
 for w in sweep-db sweep-stf adder64 serve-mix; do
-  cargo run -q --release --offline --manifest-path smartbench/Cargo.toml -- \
+  cargo run -q --release --offline --locked --manifest-path smartbench/Cargo.toml -- \
     --workload "$w" --seed 1 --seconds 0 --trace 0 > /dev/null || {
     echo "smartbench $w: seed-1 digest differs from smartbench/baseline.json" >&2
     exit 1

@@ -56,6 +56,7 @@ use std::sync::Mutex;
 use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, StableHasher};
 use smart_sta::Boundary;
+use smart_trace::json::Json;
 
 use crate::sizing::SizingOutcome;
 use crate::{CostMetric, DelaySpec, SizingOptions};
@@ -134,35 +135,68 @@ pub(crate) fn boundary_fingerprint(boundary: &Boundary) -> u64 {
 }
 
 pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
+    // Exhaustive on purpose: a new field does not compile until it is
+    // either hashed below or excluded here with its reason. The excluded
+    // fields are runtime plumbing that can never change a successful
+    // outcome, so keying on them would only split the cache.
+    let SizingOptions {
+        cost,
+        max_outer_iters,
+        timing_tolerance,
+        slope_max,
+        pinned,
+        path_limit,
+        noise_constraints,
+        otb,
+        warm_start,
+        heuristic_dominance,
+        gp_retries,
+        relaxation,
+        corners,
+        // Budgets (and their clock) abort solves; aborts are never cached.
+        budget: _,
+        // Backoff moves when a restart runs, never what it computes.
+        retry_backoff: _,
+        // The store itself.
+        cache: _,
+        // A per-sweep sink records what the flow did; keying on it would
+        // give every sweep its own disjoint cache population.
+        cache_stats: _,
+        // The lint gate rejects a candidate before its first lookup.
+        lint: _,
+        // Certificates only abort, and pruning keeps the feasible set
+        // (the prune-parity suite pins pruned and unpruned optima).
+        audit: _,
+        // Observability records what the flow did, it never steers it.
+        trace: _,
+        // Faults abort candidates; they never steer an outcome.
+        chaos: _,
+    } = opts;
     let mut h = StableHasher::new();
-    h.write_u8(match opts.cost {
+    h.write_u8(match cost {
         CostMetric::Width => 0,
         CostMetric::Power => 1,
     });
-    h.write_usize(opts.max_outer_iters);
-    h.write_f64_bits(opts.timing_tolerance);
-    h.write_f64_bits(opts.slope_max);
-    let mut pinned: Vec<(&str, f64)> = opts
-        .pinned
-        .iter()
-        .map(|(k, &v)| (k.as_str(), v))
-        .collect();
+    h.write_usize(*max_outer_iters);
+    h.write_f64_bits(*timing_tolerance);
+    h.write_f64_bits(*slope_max);
+    let mut pinned: Vec<(&str, f64)> = pinned.iter().map(|(k, &v)| (k.as_str(), v)).collect();
     pinned.sort_unstable_by(|a, b| a.0.cmp(b.0));
     h.write_usize(pinned.len());
     for (name, w) in pinned {
         h.write_str(name);
         h.write_f64_bits(w);
     }
-    h.write_usize(opts.path_limit);
-    h.write_bool(opts.noise_constraints);
-    h.write_bool(opts.otb);
-    h.write_bool(opts.heuristic_dominance);
-    h.write_usize(opts.gp_retries);
-    h.write_usize(opts.relaxation.len());
-    for &r in &opts.relaxation {
+    h.write_usize(*path_limit);
+    h.write_bool(*noise_constraints);
+    h.write_bool(*otb);
+    h.write_bool(*heuristic_dominance);
+    h.write_usize(*gp_retries);
+    h.write_usize(relaxation.len());
+    for &r in relaxation {
         h.write_f64_bits(r);
     }
-    match &opts.warm_start {
+    match warm_start {
         Some(s) => {
             h.write_bool(true);
             h.write_usize(s.len());
@@ -178,35 +212,13 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
     // member names, coefficients and order — key separately. A
     // multi-corner solve can never replay a single-corner entry, nor
     // the reverse.
-    match &opts.corners {
+    match corners {
         Some(set) => {
             h.write_bool(true);
             h.write_u64(set.fingerprint());
         }
         None => h.write_bool(false),
     }
-    // opts.budget intentionally excluded: budgets abort solves (which are
-    // never cached), they cannot change a successful outcome.
-    // opts.trace intentionally excluded: observability records what the
-    // flow did, it never changes what the flow computes — keying on it
-    // would needlessly split traced and untraced runs into disjoint
-    // cache populations.
-    // opts.lint likewise: the exploration lint gate rejects a candidate
-    // before its first cache lookup, so gating can never steer an outcome
-    // that reaches the cache.
-    // opts.chaos, opts.budget.clock and opts.retry_backoff likewise:
-    // faults and budget expiry abort candidates (aborts are never
-    // cached), and backoff/clock choice only move *when* a solve runs,
-    // never what it computes.
-    // opts.cache_stats likewise: a statistics sink records what the flow
-    // did, it never changes what the flow computes — keying on it would
-    // split every sweep (each gets a fresh sink) into its own disjoint
-    // cache population, defeating cross-sweep memoization entirely.
-    // opts.audit likewise, exactly like trace: certificates only *abort*
-    // candidates (aborts are never cached), and dominance pruning is
-    // feasible-set-preserving — the prune-parity suite in CI pins the
-    // pruned and unpruned optima together — so the audit gate must never
-    // fork the cache key space.
     h.finish()
 }
 
@@ -617,81 +629,33 @@ impl SizingCache {
                 k.options,
             )
         });
-        let mut s = String::new();
-        s.push_str("{\"version\":1,\"kind\":\"sizing-cache\",\"entries\":[");
-        for (n, (key, checksum, outcome)) in entries.iter().enumerate() {
-            if n > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"key\":[\"{}\",\"{}\",\"{}\",\"{}\",\"{}\",\"{}\"],\"sum\":\"{}\",",
-                crate::persist::hex64(key.structure),
-                crate::persist::hex64(key.process),
-                crate::persist::hex64(key.spec_data),
-                crate::persist::hex64(key.spec_precharge),
-                crate::persist::hex64(key.boundary),
-                crate::persist::hex64(key.options),
-                crate::persist::hex64(*checksum),
-            );
-            crate::persist::render_outcome_fields(&mut s, outcome);
-            s.push('}');
-        }
-        s.push_str("]}\n");
-        s
+        render_snapshot(&entries)
     }
 
     /// Restores entries from a [`SizingCache::snapshot`] string into this
-    /// cache, returning how many were loaded. All-or-nothing: any
-    /// deviation from the canonical form — truncation, a hand edit, an
+    /// cache, returning how many were loaded. The text is parsed with the
+    /// workspace JSON parser and its fields decoded by name; it is then
+    /// accepted only if the decoded entries, re-rendered in input order,
+    /// reproduce it byte for byte (trailing newlines aside). All-or-nothing:
+    /// any deviation from the canonical form — truncation, a hand edit, an
     /// entry whose stored checksum does not match its re-hashed content —
     /// rejects the whole snapshot as `None` ("no snapshot"), so damage
-    /// can only ever cost warm starts, never correctness. Restored entries go through the normal
-    /// insert path (budget eviction applies); counters are not touched.
+    /// can only ever cost warm starts, never correctness. Restored entries
+    /// go through the normal insert path (budget eviction applies);
+    /// counters are not touched.
     pub fn restore(&self, text: &str) -> Option<usize> {
-        let mut p = crate::persist::Parser::new(text);
-        p.lit("{\"version\":1,\"kind\":\"sizing-cache\",\"entries\":[")?;
-        let mut entries = Vec::new();
-        if !p.peek(']') {
-            loop {
-                p.lit("{\"key\":[")?;
-                let mut dims = [0u64; 6];
-                for (i, d) in dims.iter_mut().enumerate() {
-                    if i > 0 {
-                        p.lit(",")?;
-                    }
-                    p.lit("\"")?;
-                    *d = p.hex_u64()?;
-                    p.lit("\"")?;
-                }
-                p.lit("],\"sum\":\"")?;
-                let sum = p.hex_u64()?;
-                p.lit("\",")?;
-                let outcome = crate::persist::parse_outcome_fields(&mut p)?;
-                p.lit("}")?;
-                // The checksum binds the snapshot bytes to the exact
-                // outcome content; a mismatch means damage (or tampering)
-                // and voids the whole file.
-                if outcome_checksum(&outcome) != sum {
-                    return None;
-                }
-                let key = CacheKey {
-                    structure: dims[0],
-                    process: dims[1],
-                    spec_data: dims[2],
-                    spec_precharge: dims[3],
-                    boundary: dims[4],
-                    options: dims[5],
-                };
-                entries.push((key, outcome));
-                if !p.comma() {
-                    break;
-                }
-            }
+        let doc = Json::parse(text).ok()?;
+        let entries = doc
+            .get("entries")?
+            .as_array()?
+            .iter()
+            .map(decode_entry)
+            .collect::<Option<Vec<_>>>()?;
+        if render_snapshot(&entries).trim_end_matches('\n') != text.trim_end_matches('\n') {
+            return None;
         }
-        p.lit("]}")?;
         let n = entries.len();
-        for (key, outcome) in entries {
+        for (key, _, outcome) in entries {
             self.insert(key, outcome);
         }
         Some(n)
@@ -708,6 +672,63 @@ impl SizingCache {
     pub fn load_snapshot(&self, path: &Path) -> Option<usize> {
         self.restore(&std::fs::read_to_string(path).ok()?)
     }
+}
+
+/// The canonical snapshot text of `entries`, in the given order.
+fn render_snapshot(entries: &[(CacheKey, u64, SizingOutcome)]) -> String {
+    let mut s = String::new();
+    s.push_str("{\"version\":1,\"kind\":\"sizing-cache\",\"entries\":[");
+    for (n, (key, checksum, outcome)) in entries.iter().enumerate() {
+        if n > 0 {
+            s.push(',');
+        }
+        let _ = write!(
+            s,
+            "{{\"key\":[\"{:016x}\",\"{:016x}\",\"{:016x}\",\"{:016x}\",\"{:016x}\",\"{:016x}\"],\
+             \"sum\":\"{:016x}\",",
+            key.structure,
+            key.process,
+            key.spec_data,
+            key.spec_precharge,
+            key.boundary,
+            key.options,
+            checksum,
+        );
+        crate::persist::render_outcome_fields(&mut s, outcome);
+        s.push('}');
+    }
+    s.push_str("]}\n");
+    s
+}
+
+/// Decodes one snapshot entry. The checksum binds the snapshot bytes to
+/// the exact outcome content; a mismatch means damage (or tampering) and
+/// voids the whole file.
+fn decode_entry(entry: &Json) -> Option<(CacheKey, u64, SizingOutcome)> {
+    use crate::persist::hex_u64;
+    let dims = entry
+        .get("key")?
+        .as_array()?
+        .iter()
+        .map(hex_u64)
+        .collect::<Option<Vec<u64>>>()?;
+    let [structure, process, spec_data, spec_precharge, boundary, options] = dims[..] else {
+        return None;
+    };
+    let sum = hex_u64(entry.get("sum")?)?;
+    let outcome = crate::persist::decode_outcome(entry)?;
+    if outcome_checksum(&outcome) != sum {
+        return None;
+    }
+    let key = CacheKey {
+        structure,
+        process,
+        spec_data,
+        spec_precharge,
+        boundary,
+        options,
+    };
+    Some((key, sum, outcome))
 }
 
 #[cfg(test)]
@@ -895,11 +916,18 @@ mod tests {
         for n in 0..12 {
             cache.insert(key(n), outcome(n as f64 + 1.5));
         }
+        // Corner and binding names are JSON strings: quotes and
+        // backslashes must survive the round trip, not void the file.
+        let mut quoted = outcome(20.5);
+        quoted.corner_delays[0].corner = "a\"b\\c".to_owned();
+        quoted.binding_corner = "a\"b\\c".to_owned();
+        cache.insert(key(12), quoted);
         let snap = cache.snapshot();
+        assert!(snap.contains(r#""binding":"a\"b\\c""#), "names are escaped");
         // Restoring into a cache with a *different* shard layout must
         // reproduce both the entries and the snapshot bytes.
         let warm = SizingCache::bounded(2, None);
-        assert_eq!(warm.restore(&snap), Some(12));
+        assert_eq!(warm.restore(&snap), Some(13));
         assert_eq!(warm.snapshot(), snap, "snapshot → restore → snapshot must be identity");
         for n in 0..12 {
             let got = warm.lookup(&key(n)).expect("restored entry must hit");
@@ -942,8 +970,17 @@ mod tests {
             // An empty corner list or a blank binding name is not ours.
             edit("\"corners\":[", ']', ""),
             edit("\"binding\":\"", '"', ""),
+            // Parseable but not canonical: upper-case hex digits, a
+            // leading zero, and whitespace between fields.
+            edit("\"sum\":\"", '"', &{
+                let i = snap.find("\"sum\":\"").expect("sum field") + 7;
+                snap[i..i + 16].to_ascii_uppercase()
+            }),
+            snap.replacen("\"iters\":2", "\"iters\":02", 1),
+            snap.replacen(",\"paths\"", ", \"paths\"", 1),
         ];
         for text in cases {
+            assert_ne!(text, snap, "every case must damage the snapshot");
             let fresh = SizingCache::new();
             assert!(
                 fresh.restore(&text).is_none(),

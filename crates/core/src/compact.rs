@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use smart_models::arcs::ArcPhase;
 use smart_models::ModelLibrary;
-use smart_netlist::{Circuit, LabelId, NetId};
+use smart_netlist::{Circuit, ComponentKind, LabelId, NetId};
 use smart_posy::{Posynomial, VarId};
 use smart_sta::{paths::count_paths, TNode, TimingGraph};
 
@@ -85,7 +85,9 @@ impl CapVec {
 /// identical term to a path constraint.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct StepKey {
-    kind_key: u64,
+    /// Index of the component's kind among the circuit's distinct kinds
+    /// (equal kinds, by `==`, share an index).
+    kind: usize,
     labels: Vec<LabelId>,
     edge_fall: bool,
     phase_tag: u8,
@@ -135,13 +137,6 @@ impl Compaction {
     }
 }
 
-fn hash_str(s: &str) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    s.hash(&mut h);
-    h.finish()
-}
-
 /// Runs path extraction and compaction.
 ///
 /// `extra_loads` maps net → additional boundary capacitance (from output
@@ -187,12 +182,18 @@ pub fn compact(
         cap_sig_of_net[i] = id;
     }
 
-    // Arc descriptors.
+    // Arc descriptors. Component kinds are interned by exact equality,
+    // so two different kinds can never share a step identity.
+    let mut kinds: Vec<&ComponentKind> = Vec::new();
     let arc_desc: Vec<StepKey> = graph
         .arcs
         .iter()
         .map(|arc| {
             let comp = circuit.comp(arc.comp);
+            let kind = kinds.iter().position(|&k| *k == comp.kind).unwrap_or_else(|| {
+                kinds.push(&comp.kind);
+                kinds.len() - 1
+            });
             let mut labels: Vec<LabelId> = comp
                 .label_bindings()
                 .iter()
@@ -200,7 +201,7 @@ pub fn compact(
                 .collect();
             labels.sort_unstable();
             StepKey {
-                kind_key: hash_str(&format!("{:?}", comp.kind)),
+                kind,
                 labels,
                 edge_fall: matches!(arc.to.edge, smart_models::arcs::Edge::Fall),
                 phase_tag: match arc.phase {
@@ -312,14 +313,14 @@ pub fn compact(
 
     // Fanout-dominance pruning: group by cap-free shape; within a group,
     // drop classes whose per-step caps are pointwise dominated.
-    type ShapeKey = Vec<(u64, Vec<LabelId>, bool, u8)>;
+    type ShapeKey = Vec<(usize, Vec<LabelId>, bool, u8)>;
     let shape_of = |class: &PathClass| -> ShapeKey {
         class
             .arcs
             .iter()
             .map(|&ai| {
                 let d = &arc_desc[ai];
-                (d.kind_key, d.labels.clone(), d.edge_fall, d.phase_tag)
+                (d.kind, d.labels.clone(), d.edge_fall, d.phase_tag)
             })
             .collect()
     };

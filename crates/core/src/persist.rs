@@ -4,24 +4,22 @@
 //! Every `f64` is encoded as the 16-hex-digit big-endian bit pattern of
 //! `f64::to_bits` (decimal formatting would round-trip imprecisely and is
 //! locale-adjacent; bit patterns are exact and grep-able), `u128` path
-//! counts as 32 hex digits, and the loader accepts exactly the writer's
-//! canonical form — anything else (truncated write, hand edit, non-finite
-//! width bits) degrades to "no data", never to an error that could take
-//! down the flow that tried to read it.
+//! counts as 32 hex digits, and names go through the workspace JSON
+//! escaper. The loader parses with the shared [`smart_trace::json`]
+//! parser, decodes fields by name, and accepts the text only if the
+//! decoded entries re-render to the same bytes — so it accepts exactly
+//! the writer's canonical form. Anything else (truncated write, hand
+//! edit, non-finite width bits) degrades to "no data", never to an error
+//! that could take down the flow that tried to read it.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use smart_netlist::Sizing;
+use smart_trace::json::{push_str_escaped, Json};
 
 use crate::sizing::{CornerDelay, SizingOutcome};
-
-/// Canonical 16-hex-digit rendering of a `u64` (and, via `to_bits`, of an
-/// `f64` bit pattern).
-pub(crate) fn hex64(v: u64) -> String {
-    format!("{v:016x}")
-}
 
 /// Process-wide counter distinguishing concurrent writers *within* one
 /// process; the pid distinguishes writers *across* processes. Together
@@ -61,32 +59,30 @@ pub(crate) fn render_outcome_fields(s: &mut String, row: &SizingOutcome) {
     let _ = write!(
         s,
         "\"iters\":{},\"paths\":{},\"restarts\":{},\"raw_paths\":\"{:032x}\",\
-         \"delay\":\"{}\",\"precharge\":\"{}\",\"width\":\"{}\",\"relax\":\"{}\",\
-         \"binding\":\"{}\",\"corners\":[",
+         \"delay\":\"{:016x}\",\"precharge\":\"{:016x}\",\"width\":\"{:016x}\",\
+         \"relax\":\"{:016x}\",\"binding\":",
         row.iterations,
         row.constraint_paths,
         row.gp_restarts,
         row.raw_paths,
-        hex64(row.measured_delay.to_bits()),
-        hex64(row.measured_precharge.to_bits()),
-        hex64(row.total_width.to_bits()),
-        hex64(row.spec_relaxation.to_bits()),
-        row.binding_corner,
+        row.measured_delay.to_bits(),
+        row.measured_precharge.to_bits(),
+        row.total_width.to_bits(),
+        row.spec_relaxation.to_bits(),
     );
+    push_str_escaped(s, &row.binding_corner);
+    s.push_str(",\"corners\":[");
     for (k, c) in row.corner_delays.iter().enumerate() {
         if k > 0 {
             s.push(',');
         }
-        // Corner names are serialized verbatim; a name containing `"`
-        // or `\` produces a non-canonical file that the loader rejects
-        // wholesale ("no data") — such names never round-trip, they can
-        // never corrupt a restore.
+        s.push_str("{\"name\":");
+        push_str_escaped(s, &c.corner);
         let _ = write!(
             s,
-            "{{\"name\":\"{}\",\"data\":\"{}\",\"pre\":\"{}\"}}",
-            c.corner,
-            hex64(c.data.to_bits()),
-            hex64(c.precharge.to_bits()),
+            ",\"data\":\"{:016x}\",\"pre\":\"{:016x}\"}}",
+            c.data.to_bits(),
+            c.precharge.to_bits(),
         );
     }
     s.push_str("],\"sizing\":[");
@@ -94,162 +90,63 @@ pub(crate) fn render_outcome_fields(s: &mut String, row: &SizingOutcome) {
         if k > 0 {
             s.push(',');
         }
-        let _ = write!(s, "\"{}\"", hex64(w.to_bits()));
+        let _ = write!(s, "\"{:016x}\"", w.to_bits());
     }
     s.push(']');
 }
 
-/// Parses the field sequence written by [`render_outcome_fields`],
+/// A hex-string field as a `u64`. Any digit count or case is read here;
+/// the loader's re-render check rejects everything but the canonical
+/// lower-case 16 digits.
+pub(crate) fn hex_u64(v: &Json) -> Option<u64> {
+    u64::from_str_radix(v.as_str()?, 16).ok()
+}
+
+/// The finite `f64` whose bit pattern is the hex string under `key`.
+fn finite(obj: &Json, key: &str) -> Option<f64> {
+    hex_u64(obj.get(key)?).map(f64::from_bits).filter(|v| v.is_finite())
+}
+
+/// Decodes the fields written by [`render_outcome_fields`] by name,
 /// validating everything a live outcome guarantees (finite measurements,
 /// positive finite widths, at least one corner, a binding-corner name).
 /// Any deviation yields `None` — "no data", never a panic.
-pub(crate) fn parse_outcome_fields(p: &mut Parser<'_>) -> Option<SizingOutcome> {
-    p.lit("\"iters\":")?;
-    let iterations = p.number()?;
-    p.lit(",\"paths\":")?;
-    let constraint_paths = p.number()?;
-    p.lit(",\"restarts\":")?;
-    let gp_restarts = p.number()?;
-    p.lit(",\"raw_paths\":\"")?;
-    let raw_paths = p.hex_u128()?;
-    p.lit("\",\"delay\":\"")?;
-    let measured_delay = p.hex_f64()?;
-    p.lit("\",\"precharge\":\"")?;
-    let measured_precharge = p.hex_f64()?;
-    p.lit("\",\"width\":\"")?;
-    let total_width = p.hex_f64()?;
-    p.lit("\",\"relax\":\"")?;
-    let spec_relaxation = p.hex_f64()?;
-    p.lit("\",\"binding\":\"")?;
-    let binding_corner = p.take_while(|c| c != '"').to_owned();
-    p.lit("\",\"corners\":[")?;
+pub(crate) fn decode_outcome(entry: &Json) -> Option<SizingOutcome> {
+    let count = |k: &str| entry.get(k).and_then(Json::as_usize);
     let mut corner_delays = Vec::new();
-    if !p.peek(']') {
-        loop {
-            p.lit("{\"name\":\"")?;
-            let name = p.take_while(|c| c != '"').to_owned();
-            p.lit("\",\"data\":\"")?;
-            let data = p.hex_f64()?;
-            p.lit("\",\"pre\":\"")?;
-            let pre = p.hex_f64()?;
-            p.lit("\"}")?;
-            if !(data.is_finite() && pre.is_finite()) || name.is_empty() {
-                return None;
-            }
-            corner_delays.push(CornerDelay {
-                corner: name,
-                data,
-                precharge: pre,
-            });
-            if !p.comma() {
-                break;
-            }
-        }
+    for c in entry.get("corners")?.as_array()? {
+        corner_delays.push(CornerDelay {
+            corner: c.get("name")?.as_str().filter(|n| !n.is_empty())?.to_owned(),
+            data: finite(c, "data")?,
+            precharge: finite(c, "pre")?,
+        });
     }
-    p.lit("],\"sizing\":[")?;
-    let mut widths = Vec::new();
-    if !p.peek(']') {
-        loop {
-            p.lit("\"")?;
-            let w = p.hex_f64()?;
-            p.lit("\"")?;
-            // `Sizing::from_widths` treats non-positive/non-finite widths
-            // as a caller bug (panic); a damaged file must instead read as
-            // "no data".
-            if !(w.is_finite() && w > 0.0) {
-                return None;
-            }
-            widths.push(w);
-            if !p.comma() {
-                break;
-            }
-        }
-    }
-    p.lit("]")?;
+    let widths = entry
+        .get("sizing")?
+        .as_array()?
+        .iter()
+        // `Sizing::from_widths` treats non-positive/non-finite widths as
+        // a caller bug (panic); a damaged file must instead read as "no
+        // data".
+        .map(|w| hex_u64(w).map(f64::from_bits).filter(|w| w.is_finite() && *w > 0.0))
+        .collect::<Option<Vec<f64>>>()?;
+    let binding_corner = entry.get("binding")?.as_str()?.to_owned();
     // Every live outcome carries at least one corner measurement and a
     // binding-corner name; a row without them is not ours.
-    if widths.is_empty()
-        || corner_delays.is_empty()
-        || binding_corner.is_empty()
-        || !(measured_delay.is_finite()
-            && measured_precharge.is_finite()
-            && total_width.is_finite()
-            && spec_relaxation.is_finite())
-    {
+    if widths.is_empty() || corner_delays.is_empty() || binding_corner.is_empty() {
         return None;
     }
     Some(SizingOutcome {
         sizing: Sizing::from_widths(widths),
-        measured_delay,
-        measured_precharge,
-        total_width,
-        iterations,
-        constraint_paths,
-        raw_paths,
-        spec_relaxation,
-        gp_restarts,
+        measured_delay: finite(entry, "delay")?,
+        measured_precharge: finite(entry, "precharge")?,
+        total_width: finite(entry, "width")?,
+        iterations: count("iters")?,
+        constraint_paths: count("paths")?,
+        raw_paths: u128::from_str_radix(entry.get("raw_paths")?.as_str()?, 16).ok()?,
+        spec_relaxation: finite(entry, "relax")?,
+        gp_restarts: count("restarts")?,
         corner_delays,
         binding_corner,
     })
-}
-
-/// A cursor over canonical persisted text.
-pub(crate) struct Parser<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Parser<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
-        Parser {
-            rest: text.trim_end_matches('\n'),
-        }
-    }
-
-    pub(crate) fn lit(&mut self, s: &str) -> Option<()> {
-        self.rest = self.rest.strip_prefix(s)?;
-        Some(())
-    }
-
-    pub(crate) fn peek(&self, c: char) -> bool {
-        self.rest.starts_with(c)
-    }
-
-    pub(crate) fn comma(&mut self) -> bool {
-        if let Some(r) = self.rest.strip_prefix(',') {
-            self.rest = r;
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(crate) fn take_while(&mut self, pred: impl Fn(char) -> bool) -> &'a str {
-        let end = self
-            .rest
-            .char_indices()
-            .find(|&(_, c)| !pred(c))
-            .map_or(self.rest.len(), |(i, _)| i);
-        let (tok, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        tok
-    }
-
-    pub(crate) fn number(&mut self) -> Option<usize> {
-        let tok = self.take_while(|c| c.is_ascii_digit());
-        tok.parse().ok()
-    }
-
-    pub(crate) fn hex_u64(&mut self) -> Option<u64> {
-        let tok = self.take_while(|c| c.is_ascii_hexdigit());
-        (tok.len() == 16).then(|| u64::from_str_radix(tok, 16).ok())?
-    }
-
-    pub(crate) fn hex_u128(&mut self) -> Option<u128> {
-        let tok = self.take_while(|c| c.is_ascii_hexdigit());
-        (tok.len() == 32).then(|| u128::from_str_radix(tok, 16).ok())?
-    }
-
-    pub(crate) fn hex_f64(&mut self) -> Option<f64> {
-        self.hex_u64().map(f64::from_bits)
-    }
 }

@@ -50,3 +50,26 @@ fn representative_database_hashes_are_pinned() {
         assert_eq!(spec.generate().structural_hash(), hash, "{name}");
     }
 }
+
+/// `cache_key(..).options` for the default options and for the
+/// slow/typical/fast corner set. The options fingerprint is the `options`
+/// field of every [`smart_core::CacheKey`], so like the structural hashes
+/// above it must never move while snapshots are meant to replay.
+#[test]
+fn options_fingerprints_are_pinned() {
+    use smart_core::{cache_key, DelaySpec, SizingOptions};
+    use smart_models::{CornerSet, ModelLibrary};
+    use smart_sta::Boundary;
+
+    let circuit = representative_database()[0].generate();
+    let lib = ModelLibrary::reference();
+    let options = |opts: &SizingOptions| {
+        cache_key(&circuit, &lib, &Boundary::default(), &DelaySpec::uniform(300.0), opts).options
+    };
+    let stf = SizingOptions {
+        corners: Some(CornerSet::slow_typical_fast(lib.process())),
+        ..SizingOptions::default()
+    };
+    assert_eq!(options(&SizingOptions::default()), 0x5c17c1967d9fb900, "default options");
+    assert_eq!(options(&stf), 0x598fd6b99b733824, "slow/typical/fast corners");
+}

@@ -131,12 +131,29 @@ pub struct Advisor {
     inflight: AtomicUsize,
     /// Cancellation fences by request id: a `cancel` op trips (or
     /// pre-creates) the token under its id; a later work request with the
-    /// same id observes it and is rejected deterministically, while an
+    /// same id observes it and is rejected deterministically, while every
     /// in-flight request holding the token stops cooperatively. A
     /// `cancel` adds at most [`FENCE_CAP`] entries; the rest are the
     /// tokens of in-flight requests, bounded by admission control.
-    cancels: Mutex<HashMap<String, Arc<CancelToken>>>,
+    cancels: Mutex<HashMap<String, Fence>>,
     trace: Trace,
+}
+
+/// One cancellation fence: the token every in-flight request under one
+/// id shares, and how many of them hold it. The last holder to finish
+/// removes the fence, so a `cancel` always reaches a request still
+/// running under its id.
+struct Fence {
+    token: Arc<CancelToken>,
+    holders: usize,
+}
+
+/// Leaves a request's fence on every exit path.
+struct FenceGuard<'a>(&'a Advisor, &'a str);
+impl Drop for FenceGuard<'_> {
+    fn drop(&mut self) {
+        self.0.leave_fence(self.1);
+    }
 }
 
 /// Poison-tolerant lock: the map stays usable even if a panicking thread
@@ -255,32 +272,21 @@ impl Advisor {
         let _guard = InflightGuard(&self.inflight);
 
         // Cancellation fence: a cancel op that arrived first (or during a
-        // previous request under this id) rejects this request before any
-        // sizing work. The fence is consumed either way, so ids are
-        // reusable.
+        // request still running under this id) rejects this request
+        // before any sizing work.
         let token = if id.is_empty() {
             None
         } else {
-            let mut fences = lock(&self.cancels);
-            let token = fences
-                .entry(id.to_owned())
-                .or_insert_with(|| Arc::new(CancelToken::new()))
-                .clone();
-            if token.is_cancelled() {
-                fences.remove(id);
-                return error_line(op, id, "budget", "cancelled before start");
+            match self.enter_fence(id) {
+                Some(token) => Some(token),
+                None => return error_line(op, id, "budget", "cancelled before start"),
             }
-            Some(token)
         };
+        let _fence = FenceGuard(self, id);
 
-        let opts = match self.request_options(req, token.clone()) {
+        let opts = match self.request_options(req, token) {
             Ok(o) => o,
-            Err(text) => {
-                if !id.is_empty() {
-                    lock(&self.cancels).remove(id);
-                }
-                return error_line(op, id, "invalid-request", &text);
-            }
+            Err(text) => return error_line(op, id, "invalid-request", &text),
         };
 
         // One span per request, keyed by a serially allocated id so the
@@ -299,11 +305,38 @@ impl Advisor {
         };
         drop(entered);
         scope.end("serve-request", &[]);
-
-        if !id.is_empty() {
-            lock(&self.cancels).remove(id);
-        }
         out
+    }
+
+    /// Joins the fence under `id` (creating it if absent) and returns its
+    /// token, or `None` if a cancel has tripped it. A tripped fence that
+    /// no running request holds is consumed by the rejection, so ids are
+    /// reusable.
+    fn enter_fence(&self, id: &str) -> Option<Arc<CancelToken>> {
+        let mut fences = lock(&self.cancels);
+        let fence = fences.entry(id.to_owned()).or_insert_with(|| Fence {
+            token: Arc::new(CancelToken::new()),
+            holders: 0,
+        });
+        if fence.token.is_cancelled() {
+            if fence.holders == 0 {
+                fences.remove(id);
+            }
+            return None;
+        }
+        fence.holders += 1;
+        Some(Arc::clone(&fence.token))
+    }
+
+    /// Leaves the fence under `id`; the last holder removes it.
+    fn leave_fence(&self, id: &str) {
+        let mut fences = lock(&self.cancels);
+        if let Some(fence) = fences.get_mut(id) {
+            fence.holders = fence.holders.saturating_sub(1);
+            if fence.holders == 0 {
+                fences.remove(id);
+            }
+        }
     }
 
     /// Per-request [`SizingOptions`]: the shared cache, the request's
@@ -599,7 +632,7 @@ impl Advisor {
         }
         let mut fences = lock(&self.cancels);
         match fences.get(id) {
-            Some(token) => token.cancel(),
+            Some(fence) => fence.token.cancel(),
             None if fences.len() >= FENCE_CAP => {
                 return error_line(
                     "cancel",
@@ -611,7 +644,7 @@ impl Advisor {
             None => {
                 let token = Arc::new(CancelToken::new());
                 token.cancel();
-                fences.insert(id.to_owned(), token);
+                fences.insert(id.to_owned(), Fence { token, holders: 0 });
             }
         }
         ok_head("cancel", id) + ",\"fenced\":true}"
@@ -694,5 +727,33 @@ fn batch_row(name: &str, result: Result<&SizingOutcome, (&str, String)>) -> (Str
             s.push('}');
             (s, false)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two in-flight requests under one id share a fence. When the first
+    /// finishes, the fence must survive, so a later `cancel` reaches the
+    /// second request instead of planting a stale fence that would reject
+    /// the next request with that id.
+    #[test]
+    fn same_id_fence_lives_until_its_last_holder_finishes() {
+        let advisor = Advisor::new(ServeOptions::default());
+        let first = advisor.enter_fence("x").expect("no fence yet");
+        let second = advisor.enter_fence("x").expect("fence not tripped");
+        assert!(Arc::ptr_eq(&first, &second), "one id, one token");
+        advisor.leave_fence("x");
+        let reply = advisor.handle_line(r#"{"op":"cancel","id":"x"}"#);
+        assert!(reply.text.contains("\"fenced\":true"), "{}", reply.text);
+        assert!(second.is_cancelled(), "cancel must reach the running request");
+        advisor.leave_fence("x");
+        assert!(
+            advisor.enter_fence("x").is_some(),
+            "no stale fence may reject the next request with the id"
+        );
+        advisor.leave_fence("x");
+        assert_eq!(lock(&advisor.cancels).len(), 0, "every fence is released");
     }
 }

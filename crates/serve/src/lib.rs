@@ -8,10 +8,10 @@
 //! solves repeat earlier ones. This crate keeps that state resident:
 //!
 //! * **Wire protocol** — newline-delimited JSON over TCP or a Unix
-//!   socket, one request line → one response line, hand-rolled with the
-//!   workspace's byte-stable conventions (no dependencies). Ops: `ping`,
-//!   `size`, `explore`, `batch`, `stats`, `snapshot`, `restore`,
-//!   `cancel`, `shutdown`.
+//!   socket, one request line → one response line, through the
+//!   workspace's one byte-stable JSON codec ([`json`], from
+//!   `smart-trace`). Ops: `ping`, `size`, `explore`, `batch`, `stats`,
+//!   `snapshot`, `restore`, `cancel`, `shutdown`.
 //! * **Shared sizing cache** — one sharded [`smart_core::SizingCache`]
 //!   (per-shard locks, LRU eviction under a configurable entry budget)
 //!   serves every client and request; `snapshot`/`restore` persist it
@@ -36,8 +36,10 @@
 
 mod advisor;
 mod cli;
-pub mod json;
 mod server;
+
+/// The wire codec: the workspace's one JSON parser and writer.
+pub use smart_trace::json;
 
 pub use advisor::{Advisor, Control, Reply, ServeOptions, FENCE_CAP, MEMO_CAP};
 pub use cli::run_cli;

@@ -1,47 +1,25 @@
 //! Trace exporters: the byte-stable JSON report and the Chrome-trace
 //! (`chrome://tracing` / Perfetto) span file.
 //!
-//! Both are hand-rolled in the same style as `smart-lint::report`: fixed
-//! key order, explicit escaping, no serialization dependency. The stable
-//! export renders no timestamps and skips unstable events, which is what
-//! makes `SMART_WORKERS=1` and `SMART_WORKERS=4` traces byte-equal; the
+//! Both render through the workspace codec ([`crate::json`]): fixed key
+//! order, its escaper and float writer, no serialization dependency. The
+//! stable export renders no timestamps and skips unstable events, which is
+//! what makes `SMART_WORKERS=1` and `SMART_WORKERS=4` traces byte-equal; the
 //! Chrome export renders real timestamps and is explicitly not stable.
 
+use crate::json::{push_f64, push_str_escaped};
 use crate::{Event, EventKind, TraceReport, Value};
 
-/// Appends `s` as a JSON string literal (quotes, escapes).
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends one field value. Floats use Rust's shortest round-trip `{:?}`
-/// rendering (deterministic for equal bits); non-finite floats become
-/// quoted strings so the output stays valid JSON.
+/// Appends one field value. Floats use the shared shortest round-trip
+/// writer, so non-finite values become quoted strings and the output
+/// stays valid JSON.
 fn json_value(out: &mut String, v: &Value) {
     match v {
         Value::U64(u) => out.push_str(&u.to_string()),
         Value::I64(i) => out.push_str(&i.to_string()),
-        Value::F64(x) => {
-            if x.is_finite() {
-                out.push_str(&format!("{x:?}"));
-            } else {
-                json_string(out, &format!("{x}"));
-            }
-        }
+        Value::F64(x) => push_f64(out, *x),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Str(s) => json_string(out, s),
+        Value::Str(s) => push_str_escaped(out, s),
     }
 }
 
@@ -51,7 +29,7 @@ fn json_fields(out: &mut String, fields: &[(&'static str, Value)]) {
         if i > 0 {
             out.push(',');
         }
-        json_string(out, k);
+        push_str_escaped(out, k);
         out.push(':');
         json_value(out, v);
     }
@@ -74,7 +52,7 @@ pub fn stable_json(report: &TraceReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        json_string(&mut out, name);
+        push_str_escaped(&mut out, name);
         out.push_str(&format!(":{v}"));
     }
     out.push_str(&format!("}},\"dropped\":{},\"events\":[", report.dropped));
@@ -88,12 +66,12 @@ pub fn stable_json(report: &TraceReport) -> String {
         }
         first = false;
         out.push_str("{\"scope\":");
-        json_string(
+        push_str_escaped(
             &mut out,
             &format!("{}:{}.{}", e.scope.kind, e.scope.major, e.scope.minor),
         );
         out.push_str(&format!(",\"seq\":{},\"kind\":\"{}\",\"name\":", e.seq, kind_tag(e.kind)));
-        json_string(&mut out, e.name);
+        push_str_escaped(&mut out, e.name);
         out.push_str(",\"fields\":");
         json_fields(&mut out, &e.fields);
         out.push('}');
@@ -110,9 +88,9 @@ fn chrome_event(out: &mut String, e: &Event, tid: usize) {
         EventKind::Instant => "i",
     };
     out.push_str("{\"name\":");
-    json_string(out, e.name);
+    push_str_escaped(out, e.name);
     out.push_str(",\"cat\":");
-    json_string(out, e.scope.kind);
+    push_str_escaped(out, e.scope.kind);
     out.push_str(&format!(
         ",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3}",
         e.t_ns as f64 / 1000.0
@@ -149,7 +127,7 @@ pub fn chrome_json(report: &TraceReport) -> String {
                 out.push_str(&format!(
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{i},\"args\":{{\"name\":"
                 ));
-                json_string(
+                push_str_escaped(
                     &mut out,
                     &format!("{}:{}.{}", e.scope.kind, e.scope.major, e.scope.minor),
                 );

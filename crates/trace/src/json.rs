@@ -1,14 +1,14 @@
-//! Minimal hand-rolled JSON for the wire protocol — the workspace's
-//! zero-dependency rule applies to the daemon too.
+//! The workspace's one JSON codec: a strict parser and a byte-stable
+//! writer, hand-rolled because every crate here is zero-dependency.
 //!
 //! Parsing is strict enough for a network boundary (every syntax error is
 //! a typed reject, never a panic) but deliberately small: objects,
 //! arrays, strings with the standard escapes, `f64` numbers, booleans,
-//! `null`. Rendering goes the other way with the same determinism
-//! discipline as `smart-trace`'s stable export: object fields are written
-//! in a fixed order by the protocol layer, floats with Rust's shortest
-//! round-trip `{:?}` formatting (same bits ⇒ same bytes), so a replayed
-//! request stream produces byte-identical response bytes.
+//! `null`. Rendering goes the other way with one determinism discipline
+//! for every caller: object fields are written in a fixed order by the
+//! caller, floats with Rust's shortest round-trip `{:?}` formatting (same
+//! bits ⇒ same bytes), so a replayed request stream, a re-exported trace
+//! or a re-taken cache snapshot produces byte-identical output.
 
 use std::fmt::Write as _;
 

@@ -50,11 +50,19 @@
 //! run-dependent (worker counts, timings) are recorded with
 //! [`Scope::emit_unstable`] and excluded from the stable export — they
 //! still appear in [`TraceReport::to_chrome_json`].
+//!
+//! # The workspace JSON codec
+//!
+//! [`json`] is the one JSON reader and writer of the workspace: the trace
+//! export, the `smart-serve` wire protocol and the sizing-cache snapshots
+//! all escape strings with it, and the daemon and the snapshot loader
+//! both parse with [`json::Json::parse`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod export;
+pub mod json;
 
 pub use export::{chrome_json, stable_json};
 
