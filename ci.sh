@@ -35,14 +35,17 @@ for w in sweep-db sweep-stf adder64 serve-mix; do
 done
 
 # The whole suite runs twice: once serial, once with the exploration
-# sweep fanned across 4 workers (explore/explore_with read SMART_WORKERS
-# from the environment). Any test that diverges between the two runs is a
-# determinism bug in the parallel runtime (DESIGN.md §9).
+# sweeps fanned across 4 workers (the tests, like the `smart` binary, the
+# examples and the bench bins, read SMART_WORKERS with
+# ParallelOptions::from_env and pass it to the library). Any test that
+# diverges between the two runs is a determinism bug in the parallel
+# runtime (DESIGN.md §9). The second pass also sets SMART_TRACE=1, which
+# the library must ignore: its option defaults trace nothing.
 echo "== test (workspace, SMART_WORKERS=1) =="
 SMART_WORKERS=1 cargo test -q --offline --workspace
 
-echo "== test (workspace, SMART_WORKERS=4) =="
-SMART_WORKERS=4 cargo test -q --offline --workspace
+echo "== test (workspace, SMART_WORKERS=4, SMART_TRACE=1) =="
+SMART_WORKERS=4 SMART_TRACE=1 cargo test -q --offline --workspace
 
 echo "== explore_scaling smoke (parallel + memoized sweeps) =="
 cargo run -q --offline --release -p smart-bench --bin explore_scaling -- --smoke

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use smart_bench::protocol_61;
 use smart_chaos::FaultPlan;
 use smart_core::{
-    explore_parallel, explore_with, explore_with_parallel, size_circuit, variation_sweep,
+    explore_parallel, explore_with_parallel, size_circuit, variation_sweep,
     DelaySpec, ParallelOptions, SizingCache, SizingOptions, VariationOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
@@ -754,13 +754,14 @@ fn lint_section() {
         cache: Some(Arc::clone(&cache)),
         ..Default::default()
     };
-    let table = explore_with(
+    let table = explore_with_parallel(
         specs,
         |spec| if *spec == poison { broken_pipeline() } else { spec.generate() },
         &lib,
         &boundary,
         &DelaySpec::uniform(450.0),
         &opts,
+        &ParallelOptions::from_env(),
     );
     let failures: BTreeMap<&'static str, usize> = table.failure_taxonomy().into_iter().collect();
     println!(

@@ -1,15 +1,13 @@
-//! A virtual-clock abstraction for budget and backoff logic.
+//! A virtual-clock abstraction for budget logic.
 //!
-//! The flow's wall-clock budgets and the GP retry ladder's backoff are
-//! *time policies*; testing a time policy against the real clock means
-//! either real sleeps (slow suites) or racy tolerances (flaky suites).
-//! [`Clock`] splits the policy from the time source: production uses
-//! [`Clock::Real`] (monotonic `Instant`s, real `thread::sleep`), tests
-//! use [`Clock::Virtual`] whose "now" is an atomic nanosecond counter
-//! that only moves when someone calls [`VirtualClock::advance`] — or when
-//! a [`Clock::sleep`] on the virtual clock advances it in lieu of
-//! sleeping. A timeout test then runs in microseconds of real time while
-//! covering hours of virtual time.
+//! The flow's wall-clock budgets are a *time policy*; testing a time
+//! policy against the real clock means either real sleeps (slow suites)
+//! or racy tolerances (flaky suites). [`Clock`] splits the policy from
+//! the time source: production uses [`Clock::Real`] (monotonic
+//! `Instant`s), tests use [`Clock::Virtual`] whose "now" is an atomic
+//! nanosecond counter that only moves when someone calls
+//! [`VirtualClock::advance`]. A timeout test then runs in microseconds of
+//! real time while covering hours of virtual time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +16,7 @@ use std::time::{Duration, Instant};
 /// A monotonic nanosecond counter standing in for the machine clock.
 ///
 /// Shared via `Arc` by every party that needs a consistent "now"
-/// (typically: the test, the flow budget, and the retry ladder).
+/// (typically: the test and the flow budget).
 /// Advancing is `fetch_add`-atomic, so concurrent advances never lose
 /// time — though deterministic chaos suites advance only from the thread
 /// under test.
@@ -62,10 +60,10 @@ impl VirtualClock {
 /// are different sources even at the same reading).
 #[derive(Clone, Debug, Default)]
 pub enum Clock {
-    /// `std::time::Instant` now, `std::thread::sleep` sleeps.
+    /// `std::time::Instant` now.
     #[default]
     Real,
-    /// A shared virtual clock: `sleep` advances it instead of blocking.
+    /// A shared virtual clock, moved only by [`VirtualClock::advance`].
     Virtual(Arc<VirtualClock>),
 }
 
@@ -149,16 +147,6 @@ impl Clock {
             _ => false,
         }
     }
-
-    /// Sleeps for `d`: a real `thread::sleep` on the real clock, an
-    /// instantaneous [`VirtualClock::advance`] on a virtual one. This is
-    /// the call that lets backoff tests consume zero real wall time.
-    pub fn sleep(&self, d: Duration) {
-        match self {
-            Clock::Real => std::thread::sleep(d),
-            Clock::Virtual(v) => v.advance(d),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,12 +156,13 @@ mod tests {
     #[test]
     fn virtual_clock_advances_only_on_demand() {
         let clock = Clock::new_virtual();
+        let v = clock.virtual_clock().expect("virtual");
         let t0 = clock.now();
         let deadline = clock.deadline_after(Duration::from_secs(3600));
         assert!(!clock.has_passed(&deadline));
-        clock.sleep(Duration::from_secs(3599));
+        v.advance(Duration::from_secs(3599));
         assert!(!clock.has_passed(&deadline));
-        clock.sleep(Duration::from_secs(1));
+        v.advance(Duration::from_secs(1));
         assert!(clock.has_passed(&deadline));
         // An hour of virtual time, and t0 itself has "passed" too.
         assert!(clock.has_passed(&t0));

@@ -13,8 +13,8 @@
 //!   candidate — so a fixed seed produces byte-identical exploration
 //!   outcomes across any `SMART_WORKERS` setting, and a failing chaos run
 //!   is replayable from its seed alone;
-//! * a virtual [`Clock`] stands in for `std::time` so retry backoff and
-//!   wall-clock budgets can be tested by *advancing* time instead of
+//! * a virtual [`Clock`] stands in for `std::time` so wall-clock
+//!   budgets can be tested by *advancing* time instead of
 //!   *spending* it — chaos suites that exercise timeouts consume zero
 //!   real wall time.
 //!

@@ -155,8 +155,6 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
         corners,
         // Budgets (and their clock) abort solves; aborts are never cached.
         budget: _,
-        // Backoff moves when a restart runs, never what it computes.
-        retry_backoff: _,
         // The store itself.
         cache: _,
         // A per-sweep sink records what the flow did; keying on it would

@@ -15,9 +15,10 @@
 //! boundary / options), so [`explore_parallel`] fans candidates across the
 //! [`crate::pool`] worker pool and reassembles the table in index order —
 //! byte-identical to the serial table, a property the differential test
-//! suite (`tests/parallel_equivalence.rs`) enforces. The plain [`explore`]
-//! / [`explore_with`] entry points read [`ParallelOptions::from_env`], so
-//! `SMART_WORKERS=4` parallelizes every existing caller unchanged.
+//! suite (`tests/parallel_equivalence.rs`) enforces. The caller chooses
+//! the parallelism; the library never reads it from the environment (the
+//! `smart` binary, the examples and the bench bins resolve
+//! `SMART_WORKERS` themselves with [`ParallelOptions::from_env`]).
 //!
 //! An interrupted sweep resumes through the sizing cache: run it with
 //! [`SizingOptions::cache`] set, [`crate::SizingCache::save_snapshot`]
@@ -426,43 +427,13 @@ where
 }
 
 /// Runs the Fig.-1 exploration: every database alternative of `request`
-/// is elaborated, sized under the same instance constraints and measured.
+/// is elaborated, sized under the same instance constraints and measured,
+/// fanned across `par`'s workers.
 ///
 /// Never panics on a bad candidate and never returns early: the table
 /// always has one row per alternative, failed rows carrying the typed
-/// error that disqualified them.
-///
-/// Parallelism comes from the environment ([`ParallelOptions::from_env`]:
-/// `SMART_WORKERS` / `SMART_CHUNK`); use [`explore_parallel`] to set it
-/// explicitly.
-pub fn explore(
-    request: &MacroSpec,
-    lib: &ModelLibrary,
-    boundary: &Boundary,
-    spec: &DelaySpec,
-    opts: &SizingOptions,
-) -> Exploration {
-    explore_parallel(request, lib, boundary, spec, opts, &env_parallel(opts))
-}
-
-/// Resolves environment parallelism for the `from_env` exploration entry
-/// points, recording any set-but-unusable knob (garbage or `0`) into the
-/// options' trace as a `pool/env-fallback` event — a misconfigured
-/// `SMART_WORKERS` must be visible, not silently serial.
-fn env_parallel(opts: &SizingOptions) -> ParallelOptions {
-    let (par, fallbacks) = ParallelOptions::from_env_lookup(|n| std::env::var(n).ok());
-    if opts.trace.is_enabled() && !fallbacks.is_empty() {
-        let scope = opts.trace.scope("pool", opts.trace.next_id(), 0);
-        let _g = scope.enter();
-        for f in &fallbacks {
-            f.emit();
-        }
-    }
-    par
-}
-
-/// [`explore`] with explicit parallelism. The result is byte-identical
-/// for every `par` (see DESIGN.md §9 for the determinism contract).
+/// error that disqualified them. The result is byte-identical for every
+/// `par` (see DESIGN.md §9 for the determinism contract).
 pub fn explore_parallel(
     request: &MacroSpec,
     lib: &ModelLibrary,
@@ -479,33 +450,16 @@ pub fn explore_parallel(
     explore_with_parallel(alts, MacroSpec::generate, lib, boundary, spec, opts, par)
 }
 
-/// The exploration engine behind [`explore`], with an injectable
+/// The exploration engine behind [`explore_parallel`], with an injectable
 /// elaborator. Designer databases with custom generators (paper §3(i))
 /// plug in here; tests use it to inject pathological candidates and prove
 /// the sweep survives them.
 ///
-/// Parallelism comes from the environment ([`ParallelOptions::from_env`]);
-/// use [`explore_with_parallel`] to set it explicitly. The generator must
-/// be `Sync` because workers share it — generators are pure spec→netlist
-/// elaborators, so this is no burden in practice.
-pub fn explore_with<F>(
-    specs: Vec<MacroSpec>,
-    generate: F,
-    lib: &ModelLibrary,
-    boundary: &Boundary,
-    spec: &DelaySpec,
-    opts: &SizingOptions,
-) -> Exploration
-where
-    F: Fn(&MacroSpec) -> Circuit + Sync,
-{
-    let par = env_parallel(opts);
-    explore_with_parallel(specs, generate, lib, boundary, spec, opts, &par)
-}
-
-/// [`explore_with`] with explicit parallelism: candidates fan out across
-/// the worker pool and the table is reassembled in candidate-index order,
-/// byte-identical to the serial sweep.
+/// Candidates fan out across the worker pool and the table is
+/// reassembled in candidate-index order, byte-identical to the serial
+/// sweep. The generator must be `Sync` because workers share it —
+/// generators are pure spec→netlist elaborators, so this is no burden in
+/// practice.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_with_parallel<F>(
     specs: Vec<MacroSpec>,

@@ -19,7 +19,7 @@
 //!    pins; domino paths are timed end-to-end across stage boundaries,
 //!    giving automatic Opportunistic Time Borrowing.
 //! 3. [`size_circuit`] — the GP-solve → STA-verify → retarget loop.
-//! 4. [`explore`] — Fig.-1 topology exploration over database
+//! 4. [`explore_parallel`] — Fig.-1 topology exploration over database
 //!    alternatives, reporting width / power / clock load per candidate.
 //! 5. [`baseline_sizing`] — the deterministic "hand designed original"
 //!    model that the reproduction's experiments compare against (see
@@ -78,8 +78,8 @@ pub use cache::{cache_key, CacheKey, CacheStats, SizingCache};
 pub use compact::{compact, CapVec, Compaction, PathClass};
 pub use error::FlowError;
 pub use explore::{
-    explore, explore_parallel, explore_with, explore_with_parallel, size_and_measure, Candidate,
-    CandidateMetrics, DegradationReport, Exploration,
+    explore_parallel, explore_with_parallel, size_and_measure, Candidate, CandidateMetrics,
+    DegradationReport, Exploration,
 };
 pub use noise::{analyze_noise, DynamicNodeNoise, NoiseReport};
 pub use pool::{run_indexed, EnvFallback, ParallelOptions};

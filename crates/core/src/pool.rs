@@ -15,10 +15,9 @@
 //!    a serial run gets from its own `catch_unwind` — and can never poison
 //!    a sibling.
 //!
-//! Workers claim indices in `chunk`-sized batches from a shared atomic
-//! counter (dynamic self-scheduling), so a single slow candidate — one
-//! giant GP — does not strand the work behind it the way static
-//! striping would.
+//! Workers claim one index at a time from a shared atomic counter
+//! (dynamic self-scheduling), so a single slow candidate — one giant GP —
+//! does not strand the work behind it the way static striping would.
 //!
 //! Threads come from [`std::thread::scope`]: no channels, no external
 //! crates, workers joined before the function returns.
@@ -26,26 +25,19 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Parallelism knobs for [`crate::explore`] / [`crate::explore_with`].
+/// Parallelism of [`crate::explore_parallel`], [`run_indexed`] and the
+/// sweeps built on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelOptions {
     /// Worker threads to fan candidates across. `0` and `1` both mean
     /// serial in-place execution (no threads are spawned); the pool never
     /// spawns more workers than there are jobs.
     pub workers: usize,
-    /// Indices a worker claims per visit to the shared counter. `1` (the
-    /// default) is right for exploration, where one candidate is a whole
-    /// GP/STA run and claim overhead is noise; raise it only for very
-    /// cheap jobs.
-    pub chunk: usize,
 }
 
 impl Default for ParallelOptions {
     fn default() -> Self {
-        ParallelOptions {
-            workers: 1,
-            chunk: 1,
-        }
+        ParallelOptions { workers: 1 }
     }
 }
 
@@ -55,21 +47,21 @@ impl ParallelOptions {
         Self::default()
     }
 
-    /// `workers` threads with single-index claiming.
+    /// `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
-        ParallelOptions { workers, chunk: 1 }
+        ParallelOptions { workers }
     }
 
-    /// Reads `SMART_WORKERS` (worker count) and `SMART_CHUNK` (claim
-    /// batch) from the environment; unset values use serial defaults.
-    /// This is how `explore`/`explore_with` pick up parallelism without an
-    /// API change — CI runs the whole test suite under both
-    /// `SMART_WORKERS=1` and `SMART_WORKERS=4`.
+    /// Reads `SMART_WORKERS` (worker count) from the environment; unset
+    /// means serial. The library never calls this: the `smart` binary,
+    /// the examples, the bench bins and the tests read the environment
+    /// once and pass the result down — CI runs the whole test suite under
+    /// both `SMART_WORKERS=1` and `SMART_WORKERS=4`.
     ///
     /// A value that is *set but unusable* — unparsable garbage, or `0`
-    /// (which the pool would silently clamp) — falls back to the default
-    /// like before, but no longer silently: each fallback is recorded as
-    /// a `pool/env-fallback` trace event when a trace scope is current.
+    /// (which the pool would silently clamp) — falls back to serial, but
+    /// not silently: the fallback is recorded as a `pool/env-fallback`
+    /// trace event when a trace scope is current.
     /// Use [`ParallelOptions::from_env_lookup`] to also obtain the
     /// fallback list programmatically.
     pub fn from_env() -> Self {
@@ -83,31 +75,26 @@ impl ParallelOptions {
     /// The pure core of [`ParallelOptions::from_env`], with an injectable
     /// variable lookup (tests pass a closure over a map instead of racing
     /// on the process environment). Returns the resolved options together
-    /// with every fallback that was applied to a set-but-unusable value.
+    /// with the fallback applied to a set-but-unusable value, if any.
     pub fn from_env_lookup(
         lookup: impl Fn(&str) -> Option<String>,
     ) -> (Self, Vec<EnvFallback>) {
-        let mut fallbacks = Vec::new();
-        let mut parse = |name: &'static str, default: usize| -> usize {
-            let Some(raw) = lookup(name) else {
-                return default; // unset is the normal case, not a fallback
-            };
-            match raw.trim().parse::<usize>() {
-                Ok(v) if v >= 1 => v,
-                // 0 would be silently clamped to serial by the pool;
-                // garbage would silently mean "serial". Both are a user
-                // *setting the knob and being ignored* — record it.
-                _ => {
-                    fallbacks.push(EnvFallback { name, raw, default });
-                    default
-                }
-            }
+        let name = "SMART_WORKERS";
+        let default = 1;
+        let Some(raw) = lookup(name) else {
+            // Unset is the normal case, not a fallback.
+            return (Self::default(), Vec::new());
         };
-        let opts = ParallelOptions {
-            workers: parse("SMART_WORKERS", 1),
-            chunk: parse("SMART_CHUNK", 1),
-        };
-        (opts, fallbacks)
+        match raw.trim().parse::<usize>() {
+            Ok(workers) if workers >= 1 => (ParallelOptions { workers }, Vec::new()),
+            // 0 would be silently clamped to serial by the pool; garbage
+            // would silently mean "serial". Both are a user *setting the
+            // knob and being ignored* — record it.
+            _ => (
+                ParallelOptions { workers: default },
+                vec![EnvFallback { name, raw, default }],
+            ),
+        }
     }
 
     /// Workers actually used for `n` jobs (≥ 1, ≤ `n`).
@@ -122,7 +109,7 @@ impl ParallelOptions {
 /// instead of silent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvFallback {
-    /// The environment variable (`"SMART_WORKERS"` / `"SMART_CHUNK"`).
+    /// The environment variable (`"SMART_WORKERS"`).
     pub name: &'static str,
     /// The raw value that failed to parse (or parsed to 0).
     pub raw: String,
@@ -158,11 +145,6 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let workers = par.effective_workers(n);
-    // Clamp to `n`: a chunk larger than the job count (e.g. a huge
-    // SMART_CHUNK from the environment) buys nothing, and an extreme one
-    // would wrap the claim counter's `fetch_add` past `usize::MAX`,
-    // letting indices be claimed twice.
-    let chunk = par.chunk.clamp(1, n.max(1));
     if workers <= 1 {
         // Serial reference path: same containment, same slot semantics,
         // strictly ascending order.
@@ -182,13 +164,11 @@ where
             handles.push(scope.spawn(move || {
                 let mut batch: Vec<(usize, Option<T>)> = Vec::new();
                 loop {
-                    let start = next_ref.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
+                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         break;
                     }
-                    for i in start..(start + chunk).min(n) {
-                        batch.push((i, catch_unwind(AssertUnwindSafe(|| job(i))).ok()));
-                    }
+                    batch.push((i, catch_unwind(AssertUnwindSafe(|| job(i))).ok()));
                 }
                 batch
             }));
@@ -223,24 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_claiming_covers_every_index_exactly_once() {
-        use std::sync::atomic::AtomicUsize;
-        for chunk in [1, 3, 16, 100] {
-            let calls = AtomicUsize::new(0);
-            let out = run_indexed(
-                50,
-                &ParallelOptions { workers: 4, chunk },
-                |i| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    i
-                },
-            );
-            assert_eq!(calls.load(Ordering::Relaxed), 50, "chunk={chunk}");
-            assert_eq!(out, (0..50).map(Some).collect::<Vec<_>>(), "chunk={chunk}");
-        }
-    }
-
-    #[test]
     fn panicking_job_yields_none_in_its_own_slot_only() {
         for workers in [1, 4] {
             let out = run_indexed(9, &ParallelOptions::with_workers(workers), |i| {
@@ -260,37 +222,20 @@ mod tests {
     }
 
     #[test]
-    fn pathological_chunk_never_claims_an_index_twice() {
-        // A huge SMART_CHUNK (e.g. usize::MAX) must not wrap the claim
-        // counter and re-execute indices: each job must run exactly once.
-        use std::sync::atomic::AtomicUsize;
-        for chunk in [usize::MAX, usize::MAX / 2, 1 << 63] {
-            let calls = AtomicUsize::new(0);
-            let out = run_indexed(23, &ParallelOptions { workers: 4, chunk }, |i| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                i
-            });
-            assert_eq!(calls.load(Ordering::Relaxed), 23, "chunk={chunk}");
-            assert_eq!(out, (0..23).map(Some).collect::<Vec<_>>(), "chunk={chunk}");
-        }
-    }
-
-    #[test]
     fn zero_jobs_and_zero_workers_are_fine() {
         let empty: Vec<Option<usize>> = run_indexed(0, &ParallelOptions::with_workers(8), |i| i);
         assert!(empty.is_empty());
-        let degenerate = run_indexed(3, &ParallelOptions { workers: 0, chunk: 0 }, |i| i);
+        let degenerate = run_indexed(3, &ParallelOptions { workers: 0 }, |i| i);
         assert_eq!(degenerate, vec![Some(0), Some(1), Some(2)]);
     }
 
     #[test]
     fn env_lookup_accepts_valid_values_without_fallbacks() {
         let (opts, fb) = ParallelOptions::from_env_lookup(|name| match name {
-            "SMART_WORKERS" => Some("4".into()),
-            "SMART_CHUNK" => Some(" 2 ".into()),
+            "SMART_WORKERS" => Some(" 4 ".into()),
             _ => None,
         });
-        assert_eq!(opts, ParallelOptions { workers: 4, chunk: 2 });
+        assert_eq!(opts, ParallelOptions::with_workers(4));
         assert!(fb.is_empty());
     }
 
@@ -303,27 +248,21 @@ mod tests {
 
     #[test]
     fn env_lookup_records_garbage_and_zero_as_fallbacks() {
-        let (opts, fb) = ParallelOptions::from_env_lookup(|name| match name {
-            "SMART_WORKERS" => Some("many".into()),
-            "SMART_CHUNK" => Some("0".into()),
-            _ => None,
-        });
-        assert_eq!(opts, ParallelOptions { workers: 1, chunk: 1 });
-        assert_eq!(
-            fb,
-            vec![
-                EnvFallback {
+        for raw in ["many", "0"] {
+            let (opts, fb) = ParallelOptions::from_env_lookup(|name| match name {
+                "SMART_WORKERS" => Some(raw.into()),
+                _ => None,
+            });
+            assert_eq!(opts, ParallelOptions::serial());
+            assert_eq!(
+                fb,
+                vec![EnvFallback {
                     name: "SMART_WORKERS",
-                    raw: "many".into(),
+                    raw: raw.into(),
                     default: 1
-                },
-                EnvFallback {
-                    name: "SMART_CHUNK",
-                    raw: "0".into(),
-                    default: 1
-                },
-            ]
-        );
+                }]
+            );
+        }
     }
 
     #[test]

@@ -167,9 +167,7 @@ fn chaos_gp_fault(opts: &SizingOptions) -> Option<GpError> {
 }
 
 /// One GP solve under the flow budget, with the numerical-failure retry
-/// ladder: `opts.gp_retries` restarts from perturbed starting points,
-/// separated by bounded exponential backoff on the budget clock when
-/// [`SizingOptions::retry_backoff`] is nonzero.
+/// ladder: `opts.gp_retries` restarts from perturbed starting points.
 /// Returns the solution and the number of restarts consumed.
 fn solve_with_retries(
     gp: &GpProblem,
@@ -180,8 +178,8 @@ fn solve_with_retries(
     let solver_opts = |x0: Vec<f64>| SolverOptions {
         initial_x: Some(x0),
         // The solver's per-Newton-step check only understands real
-        // instants; virtual deadlines are enforced at this ladder's own
-        // checkpoints (and the outer loop's) instead.
+        // instants; virtual deadlines are enforced at the outer loop's
+        // checkpoints instead.
         deadline: deadline.and_then(|d| d.as_real()),
         max_total_newton: opts.budget.max_gp_iters,
         cancel: opts.budget.cancel.clone(),
@@ -218,7 +216,6 @@ fn solve_with_retries(
                 smart_trace::emit_with("gp/retry", || {
                     vec![("attempt", attempt.into()), ("error", e.to_string().into())]
                 });
-                backoff_before_retry(opts, deadline, attempt)?;
                 let anchor = anchor
                     .get_or_insert_with(|| current.initial_x.clone().unwrap_or_default());
                 current.initial_x = Some(perturbed_start(anchor, attempt));
@@ -226,43 +223,6 @@ fn solve_with_retries(
             Err(e) => return Err(e.into()),
         }
     }
-}
-
-/// Bounded exponential backoff between GP restarts: attempt *k* waits
-/// `retry_backoff · 2^(k-1)`, capped at 64× the base, on the budget
-/// clock — a real sleep in production, an instantaneous advance under a
-/// virtual clock. The wait is budget-accounted: if it crosses the
-/// wall-clock deadline the ladder stops here with a budget row rather
-/// than starting a solve it cannot finish.
-fn backoff_before_retry(
-    opts: &SizingOptions,
-    deadline: Option<ClockInstant>,
-    attempt: usize,
-) -> Result<(), FlowError> {
-    if opts.retry_backoff.is_zero() {
-        return Ok(());
-    }
-    let shift = u32::try_from(attempt.saturating_sub(1)).unwrap_or(6).min(6);
-    let wait = opts.retry_backoff.saturating_mul(1u32 << shift);
-    opts.budget.clock.sleep(wait);
-    smart_trace::emit_with("gp/backoff", || {
-        vec![
-            ("attempt", attempt.into()),
-            (
-                "wait_us",
-                u64::try_from(wait.as_micros()).unwrap_or(u64::MAX).into(),
-            ),
-        ]
-    });
-    if let Some(d) = &deadline {
-        if opts.budget.clock.has_passed(d) {
-            return Err(FlowError::BudgetExceeded {
-                what: "wall-clock",
-                detail: format!("retry backoff after GP attempt {attempt} exhausted the budget"),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Whether a failure may be answered by walking the relaxation ladder

@@ -1,5 +1,9 @@
 //! Design constraints and flow options: "a macro instance with its local
 //! constraints like delays, slopes and loads" (paper §3).
+//!
+//! The options read no environment: [`SizingOptions::default`] traces
+//! nothing, and a binary that honours `SMART_TRACE` sets
+//! [`SizingOptions::trace`] itself.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -75,8 +79,9 @@ pub struct FlowBudget {
     pub wall_clock: Option<Duration>,
     /// Cap on total GP Newton steps per solve (phase I + phase II).
     pub max_gp_iters: Option<usize>,
-    /// Cap on candidates sized by one [`crate::explore`] sweep; candidates
-    /// beyond it still appear in the table, as budget-exceeded error rows.
+    /// Cap on candidates sized by one [`crate::explore_parallel`] sweep;
+    /// candidates beyond it still appear in the table, as budget-exceeded
+    /// error rows.
     pub max_candidates: Option<usize>,
     /// Shared cooperative cancellation token. Unlike the per-candidate
     /// `wall_clock`, one token is held by every candidate of a sweep (and
@@ -88,14 +93,13 @@ pub struct FlowBudget {
     /// that are stable for the whole sweep (never cancelled, or cancelled
     /// before it starts).
     pub cancel: Option<Arc<CancelToken>>,
-    /// The time source the wall-clock budget and the GP retry backoff run
-    /// against. [`Clock::Real`] (the default) is the historical
-    /// `Instant`-based behavior; a [`Clock::Virtual`] lets tests cover
-    /// hours of budget/backoff time in microseconds. Virtual deadlines
-    /// are enforced at the flow's own checkpoints (outer iterations, the
-    /// retry ladder, backoff sleeps); the GP solver's per-Newton-step
-    /// deadline check only understands real instants and simply does not
-    /// see virtual ones.
+    /// The time source the wall-clock budget runs against.
+    /// [`Clock::Real`] (the default) is the historical `Instant`-based
+    /// behavior; a [`Clock::Virtual`] lets tests cover hours of budget
+    /// time in microseconds. Virtual deadlines are enforced at the flow's
+    /// own checkpoints (outer iterations); the GP solver's
+    /// per-Newton-step deadline check only understands real instants and
+    /// simply does not see virtual ones.
     pub clock: Clock,
 }
 
@@ -214,14 +218,6 @@ pub struct SizingOptions {
     /// each retry perturbs the starting point deterministically to escape
     /// the bad barrier trajectory. `0` disables retries.
     pub gp_retries: usize,
-    /// Base delay of the bounded exponential backoff between GP restarts:
-    /// attempt *k* waits `retry_backoff · 2^(k-1)` (capped at 64× the
-    /// base) on [`FlowBudget::clock`] before re-solving, and the wait is
-    /// budget-accounted — if it pushes past the wall-clock deadline the
-    /// ladder stops with a budget row instead of burning a doomed solve.
-    /// `Duration::ZERO` (the default) restarts immediately, the
-    /// historical behavior.
-    pub retry_backoff: Duration,
     /// Delay-spec relaxation ladder walked when the spec is infeasible or
     /// the Fig.-4 loop cannot converge: each entry is a relative widening
     /// (e.g. `[0.02, 0.05, 0.10]` for +2%, +5%, +10%). The achieved rung is
@@ -250,9 +246,9 @@ pub struct SizingOptions {
     /// `trace`: observability must never change what the cache replays.
     pub cache_stats: Option<Arc<CacheStats>>,
     /// Lint gating of exploration candidates (default: reject on
-    /// `Error`-severity findings before sizing). Applies to the
-    /// [`crate::explore`] family only; direct [`crate::size_circuit`]
-    /// calls are not gated.
+    /// `Error`-severity findings before sizing). Applies to exploration
+    /// ([`crate::explore_parallel`], [`crate::explore_with_parallel`])
+    /// only; direct [`crate::size_circuit`] calls are not gated.
     pub lint: LintGate,
     /// Pre-solve static analysis of each constructed GP (`smart-audit`):
     /// infeasibility certificates by default, dominance pruning opt-in,
@@ -263,9 +259,10 @@ pub struct SizingOptions {
     /// the gate must never fork the cache key space.
     pub audit: AuditGate,
     /// Structured tracing collector for the explore → size → GP → STA
-    /// flow (`smart-trace`). The default reads the `SMART_TRACE`
-    /// environment knob ([`Trace::from_env`]) and is otherwise disabled —
-    /// a disabled trace records nothing and costs one branch per probe.
+    /// flow (`smart-trace`). Disabled by default — a disabled trace
+    /// records nothing and costs one branch per probe. The library never
+    /// reads `SMART_TRACE`; the `smart` binary does, with
+    /// [`Trace::from_env`], and passes the collector in here.
     /// Excluded from the sizing-cache fingerprint: observability must
     /// never change what the cache replays.
     pub trace: Trace,
@@ -333,14 +330,13 @@ impl Default for SizingOptions {
             otb: true,
             heuristic_dominance: true,
             gp_retries: 2,
-            retry_backoff: Duration::ZERO,
             relaxation: Vec::new(),
             budget: FlowBudget::default(),
             cache: None,
             cache_stats: None,
             lint: LintGate::default(),
             audit: AuditGate::default(),
-            trace: Trace::from_env(),
+            trace: Trace::disabled(),
             corners: None,
             chaos: None,
         }

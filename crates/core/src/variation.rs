@@ -234,7 +234,7 @@ mod tests {
         .unwrap();
         let parallel = variation_sweep(
             &circuit, &lib, &boundary, &spec, &out.sizing, &opts, &vopts,
-            &ParallelOptions { workers: 4, chunk: 1 },
+            &ParallelOptions::with_workers(4),
         )
         .unwrap();
         assert_eq!(serial, parallel);

@@ -11,14 +11,13 @@
 //!     sizing cache is saved as a snapshot and loaded into a fresh cache
 //!     for the restart, is byte-identical to an uninterrupted sweep.
 //!
-//! Plus the satellite regressions: zero-wall-time retry backoff on the
-//! virtual clock, checksum-caught cache poisoning, and lint-rule panic
-//! containment.
+//! Plus the satellite regressions: checksum-caught cache poisoning and
+//! lint-rule panic containment.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use smart_chaos::{Clock, FaultPlan, FaultSite};
+use smart_chaos::{FaultPlan, FaultSite};
 use smart_core::{
     cache_key, explore_with_parallel, size_circuit, Candidate, DelaySpec, Exploration, FlowError,
     ParallelOptions, SizingCache, SizingOptions,
@@ -319,79 +318,6 @@ fn interrupted_sweep_resumed_from_snapshot_is_byte_identical_to_uninterrupted() 
         let again = sweep(&specs, &again_opts, workers);
         assert_eq!((again.cache_hits, again.cache_misses), (specs.len(), 0));
         assert_eq!(render(&again), uninterrupted);
-    }
-}
-
-/// Satellite: the retry ladder's exponential backoff runs on the budget
-/// clock — a virtual clock covers seconds of backoff in zero real wall
-/// time, and the waits are exactly 1s + 2s + 4s for three retries.
-#[test]
-fn retry_backoff_consumes_zero_real_wall_time() {
-    let spec = MacroSpec::Mux { topology: MuxTopology::StronglyMutexedPass, width: 4 };
-    let circuit = spec.generate();
-    let boundary = boundary_for(std::slice::from_ref(&spec), 15.0);
-    let clock = Clock::new_virtual();
-    let mut opts = SizingOptions::default();
-    opts.budget.clock = clock.clone();
-    opts.retry_backoff = Duration::from_secs(1);
-    opts.gp_retries = 3;
-    // A persistent GP divergence forces the full ladder.
-    opts.chaos = Some(Arc::new(FaultPlan::new(1).with_rate(FaultSite::GpDiverge, 1.0)));
-
-    let wall_start = std::time::Instant::now();
-    let err = size_circuit(
-        &circuit,
-        &ModelLibrary::reference(),
-        &boundary,
-        &DelaySpec::uniform(400.0),
-        &opts,
-    )
-    .unwrap_err();
-    let wall = wall_start.elapsed();
-
-    assert_eq!(err.taxonomy(), "numerical", "ladder must exhaust into the fault: {err:?}");
-    let virt = clock.virtual_clock().expect("virtual").now_nanos();
-    assert_eq!(
-        virt,
-        7_000_000_000,
-        "three backoffs must advance exactly 1+2+4 virtual seconds"
-    );
-    // 7 s of backoff happened; essentially none of it on the real clock.
-    // (Generous bound: the assertion is about sleeping, not solver speed.)
-    assert!(wall < Duration::from_secs(2), "backoff slept for real: {wall:?}");
-}
-
-/// Satellite: backoff is budget-accounted — a wait that crosses the
-/// wall-clock deadline stops the ladder with a budget row instead of
-/// starting a doomed solve.
-#[test]
-fn backoff_is_budget_accounted() {
-    let spec = MacroSpec::Mux { topology: MuxTopology::StronglyMutexedPass, width: 4 };
-    let circuit = spec.generate();
-    let boundary = boundary_for(std::slice::from_ref(&spec), 15.0);
-    let mut opts = SizingOptions::default();
-    opts.budget.clock = Clock::new_virtual();
-    opts.budget.wall_clock = Some(Duration::from_secs(2));
-    opts.retry_backoff = Duration::from_secs(1);
-    opts.gp_retries = 5;
-    opts.chaos = Some(Arc::new(FaultPlan::new(2).with_rate(FaultSite::GpDiverge, 1.0)));
-
-    let err = size_circuit(
-        &circuit,
-        &ModelLibrary::reference(),
-        &boundary,
-        &DelaySpec::uniform(400.0),
-        &opts,
-    )
-    .unwrap_err();
-    // Backoffs land at t = 1s, then t = 3s > 2s budget: the second wait
-    // trips the deadline.
-    match &err {
-        FlowError::BudgetExceeded { what, detail } => {
-            assert_eq!(*what, "wall-clock");
-            assert!(detail.contains("backoff"), "wrong budget site: {detail}");
-        }
-        other => panic!("expected a budget row, got {other:?}"),
     }
 }
 

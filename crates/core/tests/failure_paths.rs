@@ -6,8 +6,8 @@
 use std::time::Duration;
 
 use smart_core::{
-    explore, explore_with, minimize_delay, size_circuit, DelaySpec, FlowBudget, FlowError,
-    LintGate, SizingOptions,
+    explore_parallel, explore_with_parallel, minimize_delay, size_circuit, DelaySpec, FlowBudget,
+    FlowError, LintGate, ParallelOptions, SizingOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology};
 use smart_models::ModelLibrary;
@@ -33,7 +33,7 @@ fn panicking_candidate_still_yields_a_full_exploration_table() {
         mux(MuxTopology::Tristate),
     ];
     let n = specs.len();
-    let table = explore_with(
+    let table = explore_with_parallel(
         specs,
         |s| {
             if matches!(
@@ -51,6 +51,7 @@ fn panicking_candidate_still_yields_a_full_exploration_table() {
         &boundary(15.0),
         &DelaySpec::uniform(400.0),
         &SizingOptions::default(),
+        &ParallelOptions::from_env(),
     );
 
     // One row per alternative — the panic cost one row, not the sweep.
@@ -83,7 +84,7 @@ fn panic_during_sizing_is_contained_too() {
         mux(MuxTopology::StronglyMutexedPass),
         mux(MuxTopology::Tristate),
     ];
-    let table = explore_with(
+    let table = explore_with_parallel(
         specs,
         |s| {
             if matches!(
@@ -102,6 +103,7 @@ fn panic_during_sizing_is_contained_too() {
         &boundary(15.0),
         &DelaySpec::uniform(400.0),
         &SizingOptions::default(),
+        &ParallelOptions::from_env(),
     );
     assert_eq!(table.candidates.len(), 2);
     match &table.candidates[1].result {
@@ -196,7 +198,14 @@ fn candidate_budget_caps_the_sweep_but_keeps_the_table_complete() {
         ..FlowBudget::unlimited()
     };
     let request = mux(MuxTopology::StronglyMutexedPass);
-    let table = explore(&request, &lib, &boundary(15.0), &DelaySpec::uniform(400.0), &opts);
+    let table = explore_parallel(
+        &request,
+        &lib,
+        &boundary(15.0),
+        &DelaySpec::uniform(400.0),
+        &opts,
+        &ParallelOptions::from_env(),
+    );
     assert!(table.candidates.len() > 1, "mux database has alternatives");
     // Requested topology is evaluated first and within budget.
     assert_eq!(table.candidates[0].spec, request);
@@ -256,12 +265,13 @@ fn exploration_with_all_infeasible_candidates_reports_every_row() {
     // table still carries one typed row per alternative.
     let lib = ModelLibrary::reference();
     let request = mux(MuxTopology::StronglyMutexedPass);
-    let table = explore(
+    let table = explore_parallel(
         &request,
         &lib,
         &boundary(15.0),
         &DelaySpec::uniform(1.0),
         &SizingOptions::default(),
+        &ParallelOptions::from_env(),
     );
     assert!(!table.candidates.is_empty());
     assert_eq!(table.feasible_count(), 0);
@@ -302,7 +312,7 @@ fn severed_candidate_is_a_no_endpoints_row_not_a_zero_ps_winner() {
     // The lint gate would reject the floating driver before sizing; turn
     // it off so the sweep exercises the measurement path itself.
     opts.lint = LintGate::Off;
-    let table = explore_with(
+    let table = explore_with_parallel(
         vec![
             mux(MuxTopology::StronglyMutexedPass),
             mux(MuxTopology::Tristate), // becomes the severed circuit
@@ -324,6 +334,7 @@ fn severed_candidate_is_a_no_endpoints_row_not_a_zero_ps_winner() {
         &boundary(15.0),
         &DelaySpec::uniform(400.0),
         &opts,
+        &ParallelOptions::from_env(),
     );
     assert_eq!(table.candidates.len(), 2);
     match &table.candidates[1].result {

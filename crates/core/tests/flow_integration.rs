@@ -3,8 +3,8 @@
 //! protocol on real database macros.
 
 use smart_core::{
-    baseline_sizing, compaction_stats, explore, minimize_delay, size_circuit,
-    BaselineMargins, DelaySpec, FlowError, SizingOptions,
+    baseline_sizing, compaction_stats, explore_parallel, minimize_delay, size_circuit,
+    BaselineMargins, DelaySpec, FlowError, ParallelOptions, SizingOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::ModelLibrary;
@@ -276,7 +276,8 @@ fn exploration_ranks_mux_topologies() {
     let lib = lib();
     let boundary = loaded_boundary(&["y"], 25.0);
     let spec = DelaySpec::uniform(300.0);
-    let table = explore(&request, &lib, &boundary, &spec, &SizingOptions::default());
+    let par = ParallelOptions::from_env();
+    let table = explore_parallel(&request, &lib, &boundary, &spec, &SizingOptions::default(), &par);
     assert!(table.candidates.len() >= 4);
     assert!(table.feasible_count() >= 2, "most topologies meet 300 ps");
     let best = table.best_by_width().expect("a winner exists");
@@ -377,12 +378,13 @@ fn incrementor_exploration_trades_ripple_vs_lookahead() {
     );
 
     // Relaxed exploration: both feasible, ripple lighter.
-    let relaxed = explore(
+    let relaxed = explore_parallel(
         &request,
         &lib,
         &boundary,
         &DelaySpec::uniform(t_ripple * 1.5),
         &opts,
+        &ParallelOptions::from_env(),
     );
     assert_eq!(relaxed.candidates.len(), 2);
     assert_eq!(relaxed.feasible_count(), 2);
@@ -394,12 +396,13 @@ fn incrementor_exploration_trades_ripple_vs_lookahead() {
     );
 
     // Tight exploration: only the lookahead makes it.
-    let tight = explore(
+    let tight = explore_parallel(
         &request,
         &lib,
         &boundary,
         &DelaySpec::uniform(t_cla * 1.3),
         &opts,
+        &ParallelOptions::from_env(),
     );
     assert_eq!(tight.feasible_count(), 1);
     let best = tight.best_by_width().unwrap();

@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use smart_core::{
-    explore_with, DelaySpec, FlowError, LintGate, SizingCache, SizingOptions,
+    explore_with_parallel, DelaySpec, FlowError, LintGate, ParallelOptions, SizingCache,
+    SizingOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology};
 use smart_models::ModelLibrary;
@@ -88,13 +89,14 @@ fn poisoned_candidate_is_rejected_with_zero_sizing_work() {
     opts.cache = Some(Arc::clone(&cache));
     assert_eq!(opts.lint, LintGate::Errors, "the gate must default on");
 
-    let exploration = explore_with(
+    let exploration = explore_with_parallel(
         vec![poison_tag()],
         generate,
         &lib,
         &boundary(),
         &DelaySpec::uniform(400.0),
         &opts,
+        &ParallelOptions::from_env(),
     );
 
     assert_eq!(exploration.candidates.len(), 1);
@@ -127,13 +129,14 @@ fn gate_off_lets_the_same_candidate_reach_sizing() {
     opts.cache = Some(Arc::clone(&cache));
     opts.lint = LintGate::Off;
 
-    let exploration = explore_with(
+    let exploration = explore_with_parallel(
         vec![poison_tag()],
         generate,
         &lib,
         &boundary(),
         &DelaySpec::uniform(400.0),
         &opts,
+        &ParallelOptions::from_env(),
     );
 
     let row = &exploration.candidates[0];
@@ -151,7 +154,7 @@ fn mixed_sweep_reports_lint_in_the_failure_taxonomy() {
     let lib = ModelLibrary::reference();
     let opts = SizingOptions::default();
 
-    let exploration = explore_with(
+    let exploration = explore_with_parallel(
         vec![
             MacroSpec::Mux { topology: MuxTopology::StronglyMutexedPass, width: 4 },
             poison_tag(),
@@ -162,6 +165,7 @@ fn mixed_sweep_reports_lint_in_the_failure_taxonomy() {
         &boundary(),
         &DelaySpec::uniform(400.0),
         &opts,
+        &ParallelOptions::from_env(),
     );
 
     assert_eq!(exploration.candidates.len(), 3);
@@ -194,21 +198,23 @@ fn clean_database_sweeps_are_unaffected_by_the_gate() {
     gate_off.lint = LintGate::Off;
 
     let spec = DelaySpec::uniform(400.0);
-    let on = explore_with(
+    let on = explore_with_parallel(
         request.alternatives(),
         MacroSpec::generate,
         &lib,
         &boundary(),
         &spec,
         &gate_on,
+        &ParallelOptions::from_env(),
     );
-    let off = explore_with(
+    let off = explore_with_parallel(
         request.alternatives(),
         MacroSpec::generate,
         &lib,
         &boundary(),
         &spec,
         &gate_off,
+        &ParallelOptions::from_env(),
     );
 
     assert_eq!(on.candidates.len(), off.candidates.len());

@@ -15,7 +15,9 @@
 //! latency, never bytes. Observability fields that would break replay
 //! comparison (global hit counters, timings) live in the `stats` op, not
 //! in work responses. The CI smoke byte-compares full response streams
-//! across `SMART_WORKERS=1/4` and across cold/warm restarts.
+//! across 1 and 4 workers (`SMART_WORKERS=1/4`, which the `smart` binary
+//! resolves into [`ServeOptions::parallel`]) and across cold/warm
+//! restarts.
 //!
 //! # Hit path
 //!
@@ -59,12 +61,12 @@ pub struct ServeOptions {
     /// Default per-request wall-clock budget (ms); a request's
     /// `budget_ms` field overrides it. `None` = unlimited.
     pub budget_ms: Option<u64>,
-    /// Worker-pool shape for `batch`/`explore` fan-out. `None` reads
-    /// `SMART_WORKERS`/`SMART_CHUNK` at construction
-    /// ([`ParallelOptions::from_env`]).
+    /// Worker-pool shape for `batch`/`explore` fan-out. `None` (the
+    /// default) is serial. The advisor never reads the environment; the
+    /// `smart` binary passes its `SMART_WORKERS` setting here.
     pub parallel: Option<ParallelOptions>,
     /// Trace collector receiving one `serve-request` span per work
-    /// request. Defaults to [`Trace::from_env`].
+    /// request. Disabled by default.
     pub trace: Trace,
 }
 
@@ -76,7 +78,7 @@ impl Default for ServeOptions {
             max_inflight: 32,
             budget_ms: None,
             parallel: None,
-            trace: Trace::from_env(),
+            trace: Trace::disabled(),
         }
     }
 }
@@ -129,6 +131,9 @@ pub struct Advisor {
     budget_ms: Option<u64>,
     max_inflight: usize,
     inflight: AtomicUsize,
+    /// Live socket connections; only the socket transports' accept loop
+    /// moves it, so it stays 0 in `--script` mode.
+    pub(crate) connections: AtomicUsize,
     /// Cancellation fences by request id: a `cancel` op trips (or
     /// pre-creates) the token under its id; a later work request with the
     /// same id observes it and is rejected deterministically, while every
@@ -165,9 +170,10 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     }
 }
 
-/// Decrements the in-flight counter on every exit path.
-struct InflightGuard<'a>(&'a AtomicUsize);
-impl Drop for InflightGuard<'_> {
+/// Decrements a live counter (in-flight requests, open connections) on
+/// every exit path.
+pub(crate) struct CountGuard<'a>(pub(crate) &'a AtomicUsize);
+impl Drop for CountGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }
@@ -181,10 +187,11 @@ impl Advisor {
             lib: ModelLibrary::reference(),
             cache: Arc::new(SizingCache::bounded(opts.shards, opts.capacity)),
             memo: Mutex::new(HashMap::new()),
-            par: opts.parallel.unwrap_or_else(ParallelOptions::from_env),
+            par: opts.parallel.unwrap_or_default(),
             budget_ms: opts.budget_ms,
             max_inflight: opts.max_inflight.max(1),
             inflight: AtomicUsize::new(0),
+            connections: AtomicUsize::new(0),
             cancels: Mutex::new(HashMap::new()),
             trace: opts.trace,
         }
@@ -269,7 +276,7 @@ impl Advisor {
                 &format!("too many requests in flight (max {})", self.max_inflight),
             );
         }
-        let _guard = InflightGuard(&self.inflight);
+        let _guard = CountGuard(&self.inflight);
 
         // Cancellation fence: a cancel op that arrived first (or during a
         // request still running under this id) rejects this request
@@ -583,9 +590,10 @@ impl Advisor {
         }
         let _ = write!(
             s,
-            ",\"memo_entries\":{},\"memo_cap\":{MEMO_CAP},\"fences\":{},\"fence_cap\":{FENCE_CAP}",
+            ",\"memo_entries\":{},\"memo_cap\":{MEMO_CAP},\"fences\":{},\"fence_cap\":{FENCE_CAP},\"connections\":{}",
             lock(&self.memo).len(),
-            lock(&self.cancels).len()
+            lock(&self.cancels).len(),
+            self.connections.load(Ordering::SeqCst)
         );
         s.push('}');
         s
@@ -733,6 +741,17 @@ fn batch_row(name: &str, result: Result<&SizingOutcome, (&str, String)>) -> (Str
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The library reads no environment: ci.sh runs this under
+    /// `SMART_WORKERS=4 SMART_TRACE=1`, and the defaults must still be a
+    /// disabled trace and a serial pool.
+    #[test]
+    fn option_defaults_ignore_the_environment() {
+        assert!(!SizingOptions::default().trace.is_enabled());
+        let opts = ServeOptions::default();
+        assert!(!opts.trace.is_enabled());
+        assert_eq!(Advisor::new(opts).par, ParallelOptions::serial());
+    }
 
     /// Two in-flight requests under one id share a fence. When the first
     /// finishes, the fence must survive, so a later `cancel` reaches the

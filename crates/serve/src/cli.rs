@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use smart_core::ParallelOptions;
 use smart_trace::Trace;
 
 use crate::advisor::{Advisor, ServeOptions};
@@ -27,7 +28,9 @@ fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 /// Runs `smart serve <flags>`; `trace` is the CLI's collector so serve
 /// request spans land in the same `SMART_TRACE` export as every other
-/// command. Returns the process exit code.
+/// command, and `parallel` is the worker-pool shape for `batch` and
+/// `explore` fan-out (the CLI's `SMART_WORKERS`). Returns the process
+/// exit code.
 ///
 /// ```text
 /// smart serve --script FILE          # replay NDJSON requests, respond on stdout
@@ -36,8 +39,9 @@ fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 ///     [--shards N] [--capacity N] [--max-inflight N] [--budget-ms N]
 ///     [--restore PATH]               # warm-start the cache before serving
 /// ```
-pub fn run_cli(args: &[String], trace: &Trace) -> i32 {
+pub fn run_cli(args: &[String], trace: &Trace, parallel: ParallelOptions) -> i32 {
     let mut opts = ServeOptions {
+        parallel: Some(parallel),
         trace: trace.clone(),
         ..ServeOptions::default()
     };

@@ -1,25 +1,32 @@
 //! Transports over [`Advisor::handle_line`]: TCP, Unix socket, and the
 //! in-process script replayer the CI smoke uses for byte-comparisons.
 //!
-//! Both socket servers are thread-per-connection over `std::net` /
-//! `std::os::unix::net` (the workspace's zero-dependency rule): each
-//! client reads newline-delimited JSON requests and writes one response
-//! line per request. A `shutdown` op flips a shared stop flag and pokes
-//! the listener with a loopback connection so the blocking `accept`
-//! observes it promptly. A request line longer than [`MAX_LINE`] bytes,
-//! or one that is not UTF-8, gets one `invalid-request` row and the
-//! connection stays open; the reader never buffers more than the cap.
+//! Both socket servers share one thread-per-connection accept loop over
+//! `std::net` / `std::os::unix::net` (the workspace's zero-dependency
+//! rule): each client reads newline-delimited JSON requests and writes
+//! one response line per request. At most [`MAX_CONNECTIONS`] clients
+//! are served at once; the `stats` op reports the live count. A
+//! `shutdown` op flips a shared stop flag and pokes the listener with a
+//! loopback connection so the blocking `accept` observes it promptly. A
+//! request line longer than [`MAX_LINE`] bytes, or one that is not
+//! UTF-8, gets one `invalid-request` row and the connection stays open;
+//! the reader never buffers more than the cap.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::advisor::{error_line, Advisor, Control, Reply};
+use crate::advisor::{error_line, Advisor, Control, CountGuard, Reply};
 
 /// Longest request line, in bytes without its `\n`, that a socket
 /// client may send.
 const MAX_LINE: usize = 1 << 20;
+
+/// Socket connections a daemon serves at once. One past the cap gets a
+/// single `budget` row and is closed, so idle clients cannot grow the
+/// daemon's threads without bound.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Replays a newline-delimited request script through `advisor`, writing
 /// one response line per request to `out`. Blank lines and `#` comment
@@ -96,29 +103,61 @@ fn rejected(detail: &str) -> Reply {
     }
 }
 
+/// The accept loop both socket transports share: each connection is
+/// served on its own thread, at most [`MAX_CONNECTIONS`] at once, until a
+/// client's `shutdown` op flips the stop flag. `poke` connects to the
+/// listener once so the blocked `accept` observes the flag promptly.
+fn accept_loop<S: Read + Write + Send + 'static>(
+    advisor: Arc<Advisor>,
+    incoming: impl Iterator<Item = std::io::Result<S>>,
+    poke: impl Fn() + Send + Sync + 'static,
+) {
+    let stop = Arc::new(AtomicBool::new(false));
+    let poke = Arc::new(poke);
+    for stream in incoming {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(mut stream) = stream else { continue };
+        // Only this loop raises the gauge, so no connection slips past the
+        // cap between the check and the increment.
+        if advisor.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+            let row = error_line(
+                "",
+                "",
+                "budget",
+                &format!("too many connections (max {MAX_CONNECTIONS})"),
+            );
+            let _ = stream
+                .write_all(row.as_bytes())
+                .and_then(|()| stream.write_all(b"\n"));
+            continue; // dropping the stream closes it
+        }
+        advisor.connections.fetch_add(1, Ordering::SeqCst);
+        let advisor = Arc::clone(&advisor);
+        let stop = Arc::clone(&stop);
+        let poke = Arc::clone(&poke);
+        std::thread::spawn(move || {
+            {
+                let _live = CountGuard(&advisor.connections);
+                serve_client(&advisor, stream, &stop);
+            }
+            if stop.load(Ordering::SeqCst) {
+                poke();
+            }
+        });
+    }
+}
+
 /// Serves `advisor` on a TCP address (e.g. `127.0.0.1:4870`) until a
 /// client sends `{"op":"shutdown"}`. Blocks the calling thread.
 pub fn serve_tcp(advisor: Arc<Advisor>, addr: &str) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     eprintln!("smart-serve: listening on {local}");
-    let stop = Arc::new(AtomicBool::new(false));
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let advisor = Arc::clone(&advisor);
-        let stop_flag = Arc::clone(&stop);
-        let stop_accept = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            serve_client(&advisor, stream, &stop_flag);
-            if stop_accept.load(Ordering::SeqCst) {
-                // Poke the accept loop awake so shutdown is prompt.
-                let _ = TcpStream::connect(local);
-            }
-        });
-    }
+    accept_loop(advisor, listener.incoming(), move || {
+        let _ = TcpStream::connect(local);
+    });
     Ok(())
 }
 
@@ -131,23 +170,10 @@ pub fn serve_unix(advisor: Arc<Advisor>, path: &std::path::Path) -> std::io::Res
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
     eprintln!("smart-serve: listening on {}", path.display());
-    let stop = Arc::new(AtomicBool::new(false));
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let advisor = Arc::clone(&advisor);
-        let stop_flag = Arc::clone(&stop);
-        let stop_accept = Arc::clone(&stop);
-        let poke = path.to_path_buf();
-        std::thread::spawn(move || {
-            serve_client(&advisor, stream, &stop_flag);
-            if stop_accept.load(Ordering::SeqCst) {
-                let _ = UnixStream::connect(&poke);
-            }
-        });
-    }
+    let poke = path.to_path_buf();
+    accept_loop(advisor, listener.incoming(), move || {
+        let _ = UnixStream::connect(&poke);
+    });
     let _ = std::fs::remove_file(path);
     Ok(())
 }

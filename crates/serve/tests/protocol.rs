@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use smart_core::ParallelOptions;
 use smart_serve::json::Json;
-use smart_serve::{run_script, Advisor, Control, ServeOptions, FENCE_CAP};
+use smart_serve::{run_script, Advisor, Control, ServeOptions, FENCE_CAP, MAX_CONNECTIONS};
 
 fn advisor_with_workers(workers: usize) -> Advisor {
     Advisor::new(ServeOptions {
@@ -302,4 +302,90 @@ fn tcp_round_trip_serves_and_shuts_down() {
         .join()
         .expect("server thread")
         .expect("server io");
+}
+
+/// A connection past [`MAX_CONNECTIONS`] gets one `budget` row and is
+/// closed; `stats` reports the live count, and a closed connection frees
+/// its slot.
+#[cfg(unix)]
+#[test]
+fn unix_connections_past_the_cap_get_one_budget_row() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    let sock = std::env::temp_dir().join(format!("smart-serve-cap-{}.sock", std::process::id()));
+    let server = {
+        let advisor = Arc::new(advisor_with_workers(1));
+        let sock = sock.clone();
+        std::thread::spawn(move || smart_serve::serve_unix(advisor, &sock))
+    };
+    let connect = || {
+        for _ in 0..400 {
+            match UnixStream::connect(&sock) {
+                Ok(s) => return BufReader::new(s),
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+        panic!("daemon never listened on {}", sock.display());
+    };
+    let ask = |client: &mut BufReader<UnixStream>, request: &str| {
+        client
+            .get_mut()
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send");
+        let mut line = String::new();
+        client.read_line(&mut line).expect("recv");
+        line
+    };
+    let connections = |client: &mut BufReader<UnixStream>| {
+        let stats = ask(client, r#"{"op":"stats","id":"st"}"#);
+        Json::parse(&stats)
+            .ok()
+            .and_then(|v| v.get("connections").and_then(Json::as_usize))
+            .unwrap_or_else(|| panic!("no connections gauge: {stats}"))
+    };
+
+    // Fill every slot; a ping round trip proves each one is being served.
+    let mut live: Vec<_> = (0..MAX_CONNECTIONS)
+        .map(|i| {
+            let mut client = connect();
+            let reply = ask(&mut client, &format!(r#"{{"op":"ping","id":"{i}"}}"#));
+            assert!(reply.starts_with(r#"{"ok":true,"op":"ping""#), "{reply}");
+            client
+        })
+        .collect();
+    assert_eq!(connections(&mut live[0]), MAX_CONNECTIONS);
+
+    let mut over = connect().into_inner();
+    over.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut text = String::new();
+    over.read_to_string(&mut text)
+        .expect("the daemon answers and closes an over-cap connection");
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(
+        text.contains(r#""error":"budget""#) && text.contains("too many connections"),
+        "{text}"
+    );
+
+    // Closing a connection frees its slot once the daemon sees the EOF.
+    drop(live.pop());
+    let mut freed = false;
+    for _ in 0..400 {
+        if connections(&mut live[0]) == MAX_CONNECTIONS - 1 {
+            freed = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(freed, "a closed connection must release its slot");
+    let mut again = connect();
+    let reply = ask(&mut again, r#"{"op":"ping","id":"again"}"#);
+    assert!(reply.starts_with(r#"{"ok":true,"op":"ping""#), "{reply}");
+
+    let reply = ask(&mut live[0], r#"{"op":"shutdown","id":"bye"}"#);
+    assert!(reply.starts_with(r#"{"ok":true,"op":"shutdown""#), "{reply}");
+    server.join().expect("server thread").expect("server io");
+    assert!(!sock.exists(), "the socket file is unlinked on exit");
 }

@@ -250,8 +250,8 @@ impl Trace {
 
     /// Reads the `SMART_TRACE` environment knob: `1`, `true` or `on`
     /// (case-insensitive) enable tracing; anything else — including unset
-    /// — is disabled. This is how the flow's default options pick up
-    /// tracing without an API change.
+    /// — is disabled. Binaries call this once at start-up and pass the
+    /// collector into the flow's options; no library crate calls it.
     pub fn from_env() -> Self {
         match std::env::var("SMART_TRACE") {
             Ok(v) if matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on") => {

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use smart_datapath::chaos::{FaultPlan, FaultSite};
-use smart_datapath::core::{explore_with, DelaySpec, SizingOptions};
+use smart_datapath::core::{explore_with_parallel, DelaySpec, ParallelOptions, SizingOptions};
 use smart_datapath::macros::{MacroSpec, MuxTopology};
 use smart_datapath::models::ModelLibrary;
 use smart_datapath::sta::Boundary;
@@ -48,13 +48,14 @@ fn main() {
     opts.budget.wall_clock = Some(Duration::from_secs(3600));
     opts.chaos = Some(Arc::clone(&plan));
 
-    let table = explore_with(
+    let table = explore_with_parallel(
         specs,
         MacroSpec::generate,
         &lib,
         &boundary,
         &DelaySpec::uniform(450.0),
         &opts,
+        &ParallelOptions::from_env(),
     );
 
     println!("# chaos sweep, seed {seed:#x}, uniform fault rate 0.60\n");

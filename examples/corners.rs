@@ -17,7 +17,8 @@
 //! (DESIGN.md §14): worker count must never leak into robust sizing.
 
 use smart_datapath::core::{
-    explore_with, measure_phase_delays, size_circuit, DelaySpec, SizingOptions,
+    explore_with_parallel, measure_phase_delays, size_circuit, DelaySpec, ParallelOptions,
+    SizingOptions,
 };
 use smart_datapath::macros::{MacroSpec, MuxTopology};
 use smart_datapath::models::{CornerSet, ModelLibrary};
@@ -107,13 +108,14 @@ fn main() {
     .into_iter()
     .map(|topology| MacroSpec::Mux { topology, width: 4 })
     .collect();
-    let table = explore_with(
+    let table = explore_with_parallel(
         specs,
         |s| s.generate(),
         &lib,
         &boundary,
         &DelaySpec::uniform(360.0),
         &opts,
+        &ParallelOptions::from_env(),
     );
     for cand in &table.candidates {
         match &cand.result {

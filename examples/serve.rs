@@ -10,9 +10,8 @@ use smart_datapath::serve::{run_script, Advisor, ServeOptions};
 
 fn advisor() -> Advisor {
     Advisor::new(ServeOptions {
-        // Fixed pool shape so the printed replies do not depend on the
-        // SMART_WORKERS environment (the protocol is byte-identical at
-        // any worker count anyway — that's the point).
+        // Two workers so `batch` fans out (the protocol is
+        // byte-identical at any worker count — that's the point).
         parallel: Some(ParallelOptions::with_workers(2)),
         shards: 4,
         ..ServeOptions::default()

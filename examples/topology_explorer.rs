@@ -7,7 +7,7 @@
 //! cargo run --example topology_explorer [width] [load_units] [budget_ps]
 //! ```
 
-use smart_datapath::core::{explore, DelaySpec, SizingOptions};
+use smart_datapath::core::{explore_parallel, DelaySpec, ParallelOptions, SizingOptions};
 use smart_datapath::macros::{MacroSpec, MuxTopology};
 use smart_datapath::models::ModelLibrary;
 use smart_datapath::sta::Boundary;
@@ -28,7 +28,14 @@ fn main() {
     let spec = DelaySpec::uniform(budget);
 
     println!("# exploring {width}:1 mux, load {load}, budget {budget} ps\n");
-    let table = explore(&request, &lib, &boundary, &spec, &SizingOptions::default());
+    let table = explore_parallel(
+        &request,
+        &lib,
+        &boundary,
+        &spec,
+        &SizingOptions::default(),
+        &ParallelOptions::from_env(),
+    );
     println!(
         "{:<30} {:>10} {:>10} {:>10} {:>10} {:>8}",
         "topology", "width", "power", "clock", "delay ps", "devices"

@@ -16,7 +16,9 @@
 
 use std::sync::Arc;
 
-use smart_datapath::core::{explore, DelaySpec, SizingCache, SizingOptions};
+use smart_datapath::core::{
+    explore_parallel, DelaySpec, ParallelOptions, SizingCache, SizingOptions,
+};
 use smart_datapath::macros::{MacroSpec, MuxTopology};
 use smart_datapath::models::ModelLibrary;
 use smart_datapath::sta::Boundary;
@@ -37,13 +39,14 @@ fn traced_run() -> String {
     let spec = DelaySpec::uniform(320.0);
 
     let mut opts = SizingOptions::default();
-    // Explicit API toggle — the example must trace even without
-    // SMART_TRACE=1 in the environment.
+    // The library never reads SMART_TRACE: a caller that wants a trace
+    // passes an enabled collector.
     opts.trace = Trace::enabled();
     opts.cache = Some(Arc::new(SizingCache::new()));
 
-    let cold = explore(&request, &lib, &boundary, &spec, &opts);
-    let warm = explore(&request, &lib, &boundary, &spec, &opts);
+    let par = ParallelOptions::from_env();
+    let cold = explore_parallel(&request, &lib, &boundary, &spec, &opts, &par);
+    let warm = explore_parallel(&request, &lib, &boundary, &spec, &opts, &par);
     assert_eq!(cold.feasible_count(), warm.feasible_count());
 
     let report = opts.trace.collect();

@@ -23,8 +23,10 @@
 //! * [`core`] — the SMART flow: path compaction, constraint generation,
 //!   GP sizing loop, topology exploration, hand-design baseline.
 //! * [`trace`] — smart-trace, the zero-dependency structured tracing /
-//!   metrics layer over the explore → size → GP → STA flow
-//!   (`SMART_TRACE=1`).
+//!   metrics layer over the explore → size → GP → STA flow. The library
+//!   reads no environment: the `smart` binary turns tracing on with
+//!   `SMART_TRACE=1` and sets the worker count with `SMART_WORKERS`; the
+//!   examples and the bench bins read `SMART_WORKERS` themselves.
 //! * [`chaos`] — smart-chaos, the deterministic fault-injection plan,
 //!   virtual clock and candidate-scope plumbing behind the robustness
 //!   harness (`examples/chaos.rs`, DESIGN.md §13).

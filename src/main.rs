@@ -19,13 +19,15 @@
 use std::process::ExitCode;
 
 use smart_datapath::core::{
-    explore, size_circuit, tune_partition_point, DelaySpec, SizingOptions,
+    explore_parallel, size_circuit, tune_partition_point, DelaySpec, ParallelOptions,
+    SizingOptions,
 };
 use smart_datapath::macros::MacroSpec;
 use smart_datapath::models::ModelLibrary;
 use smart_datapath::netlist::spice::to_spice;
 use smart_datapath::netlist::text;
 use smart_datapath::sta::Boundary;
+use smart_datapath::trace::Trace;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -36,12 +38,26 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn flag(args: &[String], name: &str, default: f64) -> f64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The number after `name`, or `default` when the flag is absent. A
+/// missing or unparsable value is an error naming the flag and value.
+fn flag(args: &[String], name: &str, default: f64) -> Result<f64, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let raw = args.get(i + 1).map_or("", String::as_str);
+    raw.parse()
+        .map_err(|_| format!("{name} {raw:?}: not a number"))
+}
+
+/// `--load` (default 15 fF) and `--delay` (default `delay` ps); a bad
+/// value is reported on stderr and becomes the failure exit code.
+fn load_and_delay(args: &[String], delay: f64) -> Result<(f64, f64), ExitCode> {
+    flag(args, "--load", 15.0)
+        .and_then(|load| Ok((load, flag(args, "--delay", delay)?)))
+        .map_err(|e| {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        })
 }
 
 /// `--corners stf` turns on the slow/typical/fast robust-sizing preset;
@@ -112,7 +128,11 @@ fn main() -> ExitCode {
         return usage();
     };
     let lib = ModelLibrary::reference();
-    let opts = SizingOptions::default();
+    // The environment is read here and nowhere in the library.
+    let opts = SizingOptions {
+        trace: Trace::from_env(),
+        ..SizingOptions::default()
+    };
 
     // The CLI scope makes every command traced end to end: direct
     // sizing/analysis calls record into it via the thread-local context,
@@ -121,7 +141,9 @@ fn main() -> ExitCode {
     let scope = opts.trace.scope("cli", opts.trace.next_id(), 0);
     scope.begin("cli", &[("command", cmd.into())]);
     let guard = scope.enter();
-    let code = run(cmd, &args, &lib, &opts);
+    // Inside the scope, so an unusable SMART_WORKERS is traced here.
+    let par = ParallelOptions::from_env();
+    let code = run(cmd, &args, &lib, &opts, &par);
     drop(guard);
     scope.end("cli", &[]);
     drop(scope);
@@ -129,7 +151,13 @@ fn main() -> ExitCode {
     code
 }
 
-fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> ExitCode {
+fn run(
+    cmd: &str,
+    args: &[String],
+    lib: &ModelLibrary,
+    opts: &SizingOptions,
+    par: &ParallelOptions,
+) -> ExitCode {
     match cmd {
         "list" => {
             println!("built-in macro families (see `smart size <macro>`): ");
@@ -211,8 +239,10 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             let Some(spec) = args.get(1).and_then(|n| MacroSpec::parse(n)) else {
                 return usage();
             };
-            let load = flag(&args, "--load", 15.0);
-            let delay = flag(&args, "--delay", 300.0);
+            let (load, delay) = match load_and_delay(args, 300.0) {
+                Ok(v) => v,
+                Err(code) => return code,
+            };
             let opts = &match corner_opts(args, lib, opts) {
                 Ok(o) => o,
                 Err(bad) => {
@@ -224,8 +254,14 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             let boundary = boundary_for(&circuit, load);
             match cmd {
                 "explore" => {
-                    let table =
-                        explore(&spec, &lib, &boundary, &DelaySpec::uniform(delay), &opts);
+                    let table = explore_parallel(
+                        &spec,
+                        lib,
+                        &boundary,
+                        &DelaySpec::uniform(delay),
+                        opts,
+                        par,
+                    );
                     println!(
                         "{:<30} {:>10} {:>10} {:>10} {:>10}",
                         "topology", "width", "power", "clock", "delay"
@@ -287,8 +323,10 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             let Some(spec) = args.get(1).and_then(|n| MacroSpec::parse(n)) else {
                 return usage();
             };
-            let load = flag(&args, "--load", 15.0);
-            let delay = flag(&args, "--delay", 300.0);
+            let (load, delay) = match load_and_delay(args, 300.0) {
+                Ok(v) => v,
+                Err(code) => return code,
+            };
             let opts = &match corner_opts(args, lib, opts) {
                 Ok(o) => o,
                 Err(bad) => {
@@ -325,8 +363,10 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             let Some(width) = args.get(1).and_then(|v| v.parse::<usize>().ok()) else {
                 return usage();
             };
-            let load = flag(&args, "--load", 15.0);
-            let delay = flag(&args, "--delay", 350.0);
+            let (load, delay) = match load_and_delay(args, 350.0) {
+                Ok(v) => v,
+                Err(code) => return code,
+            };
             // A too-narrow width is rejected by the tuner before the probe
             // circuit exists, so build the boundary only on the Ok path.
             let sweep = if width < 3 {
@@ -364,7 +404,7 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             }
         }
         "serve" => {
-            if smart_datapath::serve::run_cli(&args[1..], &opts.trace) == 0 {
+            if smart_datapath::serve::run_cli(&args[1..], &opts.trace, *par) == 0 {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
