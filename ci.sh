@@ -53,10 +53,13 @@ cargo run -q --offline --release -p smart-bench --bin explore_scaling -- --smoke
 # Smoke-sized GP kernel bench: exercises the sparse-vs-dense trajectory
 # assertion and the warm-start ladder end to end. Writes to target/ci so
 # the committed full-run BENCH_gp.json is never clobbered by smoke data.
-echo "== gp_kernel smoke (sparse kernel parity + warm-start ladder) =="
+# `--check` fails the step if the GP build's deterministic counters
+# (constraints, final terms, term pushes) of the smoke entries differ
+# from the same entries in the committed full-run record.
+echo "== gp_kernel smoke (sparse kernel parity + warm-start ladder + build counters) =="
 mkdir -p target/ci
 cargo run -q --offline --release -p smart-bench --bin gp_kernel -- \
-  --smoke --out target/ci/BENCH_gp.json
+  --smoke --out target/ci/BENCH_gp.json --check BENCH_gp.json
 
 # The trace example runs a traced exploration (cold + warm out of the
 # sizing cache) and prints the stable JSON export. The bytes on stdout

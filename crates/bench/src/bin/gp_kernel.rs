@@ -17,13 +17,23 @@
 //!   macro and end-to-end audit+solve time vs solving the full system;
 //! * **explore_scaling** — the acceptance number: the full
 //!   representative sweep of `explore_scaling` at one worker, measured
-//!   here and compared against the recorded pre-PR baseline.
+//!   here and compared against the recorded pre-PR baseline;
+//! * **build** — `build_sizing_gp` over the whole representative
+//!   database (12 fF on every output, 1500 ps) at the single corner and
+//!   at slow/typical/fast: median wall time of the whole-database build,
+//!   heap allocations per GP (a counting global allocator), and the
+//!   deterministic counters — constraints, final terms, term pushes —
+//!   per entry, next to the numbers recorded before the term table.
 //!
 //! `--smoke` shrinks every section to CI size; `--out PATH` redirects
 //! the JSON (CI uses this so smoke numbers never clobber the committed
-//! full-run record).
+//! full-run record). `--check PATH` compares the build counters of the
+//! entries this run built with the same entries in the record at PATH
+//! and exits non-zero on any difference.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use smart_audit::{audit_problem, AuditConfig};
@@ -32,11 +42,42 @@ use smart_core::{
     compact, explore_parallel, DelaySpec, ParallelOptions, SizingOptions,
 };
 use smart_gp::SolverOptions;
-use smart_macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
+use smart_macros::{representative_database, MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::{CornerSet, ModelLibrary};
 use smart_posy::LogPosynomial;
 use smart_sta::Boundary;
+use smart_trace::json::Json;
 use smart_trace::{Trace, Value};
+
+/// Counts heap allocations (for the build section's allocations per GP).
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: forwards every call to the system allocator unchanged.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// `explore_scaling` full-sweep serial wall time (best of 3) measured at
 /// the commit before this kernel landed (c6d5b09, dense `Vec<Vec<f64>>`
@@ -324,6 +365,115 @@ fn bench_sweep(smoke: bool, iters: usize) -> f64 {
     best.as_secs_f64() * 1e3
 }
 
+/// Whole-database GP builds before the term table (this binary's build
+/// section run against the commit before it, e18bedd, on the same 2-core
+/// container class), per corner set: `(corners, median ms of the
+/// whole-database build, heap allocations per GP)`.
+const BUILD_BEFORE: [(&str, f64, f64); 2] = [("single", 212.6, 20787.0), ("stf", 593.1, 61614.0)];
+
+/// Deterministic counters of one database entry's GP build.
+struct BuildCase {
+    name: String,
+    corners: &'static str,
+    constraints: usize,
+    terms: usize,
+    pushes: usize,
+}
+
+/// One corner set's whole-database build.
+struct BuildRow {
+    corners: &'static str,
+    runs: usize,
+    median_ms: f64,
+    allocs_per_build: f64,
+    cases: Vec<BuildCase>,
+}
+
+/// Builds the sizing GP of every entry of `specs` (12 fF on every output,
+/// 1500 ps) `runs` times; compaction happens once, outside the clock.
+fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
+    let lib = ModelLibrary::reference();
+    let opts = SizingOptions {
+        corners: stf.then(|| CornerSet::slow_typical_fast(lib.process())),
+        ..SizingOptions::default()
+    };
+    let spec = DelaySpec::uniform(1500.0);
+    let inputs: Vec<_> = specs
+        .iter()
+        .map(|request| {
+            let circuit = request.generate();
+            let boundary = boundary_for(request, 12.0);
+            let (_, vars) = smart_models::label_vars(&circuit);
+            let extra = boundary_extra_loads(&circuit, &boundary);
+            let compaction = compact(&circuit, &lib, &vars, &extra, &opts)
+                .unwrap_or_else(|e| panic!("compaction: {e}"));
+            (request.to_string(), circuit, boundary, extra, compaction)
+        })
+        .collect();
+    let mut times = Vec::new();
+    let mut allocs = 0;
+    let mut cases = Vec::new();
+    for run in 0..runs {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let t0 = Instant::now();
+        for (name, circuit, boundary, extra, compaction) in &inputs {
+            let built = build_sizing_gp(circuit, &lib, compaction, boundary, extra, &spec, &opts)
+                .unwrap_or_else(|e| panic!("GP builds: {e}"));
+            if run == 0 {
+                cases.push(BuildCase {
+                    name: name.clone(),
+                    corners: if stf { "stf" } else { "single" },
+                    constraints: built.gp.constraints().len(),
+                    terms: std::iter::once(built.gp.objective())
+                        .chain(built.gp.constraints().iter().map(|c| &c.body))
+                        .map(|p| p.terms().len())
+                        .sum(),
+                    pushes: built.term_pushes,
+                });
+            }
+        }
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+        allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    }
+    times.sort_by(f64::total_cmp);
+    BuildRow {
+        corners: if stf { "stf" } else { "single" },
+        runs,
+        median_ms: times[times.len() / 2],
+        allocs_per_build: allocs as f64 / specs.len() as f64,
+        cases,
+    }
+}
+
+/// Compares the build counters of `rows` with the same entries of the
+/// record at `path`; returns one line per difference.
+fn check_build(rows: &[BuildRow], path: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let record = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    let entries = record
+        .get("build")
+        .and_then(|b| b.get("entries"))
+        .and_then(Json::as_array)
+        .unwrap_or(&[]);
+    let count = |e: &Json, key| e.get(key).and_then(Json::as_f64).map(|v| v as usize);
+    let mut diffs = Vec::new();
+    for case in rows.iter().flat_map(|r| &r.cases) {
+        let recorded = entries.iter().find(|e| {
+            e.get("case").and_then(Json::as_str) == Some(case.name.as_str())
+                && e.get("corners").and_then(Json::as_str) == Some(case.corners)
+        });
+        let got = (Some(case.constraints), Some(case.terms), Some(case.pushes));
+        match recorded.map(|e| (count(e, "constraints"), count(e, "terms"), count(e, "pushes"))) {
+            Some(want) if want == got => {}
+            want => diffs.push(format!(
+                "{} @{}: (constraints, terms, pushes) = {got:?}, recorded {want:?}",
+                case.name, case.corners
+            )),
+        }
+    }
+    diffs
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -499,6 +649,45 @@ fn main() {
         );
     }
 
+    // --- GP build over the representative database ---------------------
+    let database = representative_database();
+    let build_specs: Vec<MacroSpec> = if smoke {
+        [0, 7, 12].iter().map(|&i| database[i].clone()).collect()
+    } else {
+        database
+    };
+    let build_runs = if smoke { 1 } else { 7 };
+    let build_rows = [false, true].map(|stf| bench_build(&build_specs, stf, build_runs));
+    println!(
+        "\nGP build, {} database entries at 12 fF / 1500 ps (median of {build_runs}):",
+        build_specs.len()
+    );
+    for (row, (_, before_ms, before_allocs)) in build_rows.iter().zip(BUILD_BEFORE) {
+        let sum = |f: fn(&BuildCase) -> usize| row.cases.iter().map(f).sum::<usize>();
+        println!(
+            "  {:<6} {:>8.1}ms {:>9.0} allocs/GP  {:>6} constraints {:>7} terms {:>8} pushes{}",
+            row.corners,
+            row.median_ms,
+            row.allocs_per_build,
+            sum(|c| c.constraints),
+            sum(|c| c.terms),
+            sum(|c| c.pushes),
+            if smoke {
+                String::new()
+            } else {
+                format!("  (before: {before_ms:.1}ms, {before_allocs:.0} allocs/GP)")
+            }
+        );
+    }
+    if let Some(path) = args.iter().position(|a| a == "--check").and_then(|i| args.get(i + 1)) {
+        let diffs = check_build(&build_rows, path);
+        if !diffs.is_empty() {
+            eprintln!("GP build counters differ from {path}:\n{}", diffs.join("\n"));
+            std::process::exit(1);
+        }
+        println!("  build counters match {path}");
+    }
+
     // --- Machine-readable record ---------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -562,10 +751,56 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"explore_scaling_serial\": {{\n    \"pre_pr_baseline_ms\": {PRE_PR_BASELINE_MS},\n    \"measured_ms\": {sweep_ms:.1},\n    \"speedup\": {:.2},\n    \"full_sweep\": {}\n  }}",
+        "  \"explore_scaling_serial\": {{\n    \"pre_pr_baseline_ms\": {PRE_PR_BASELINE_MS},\n    \"measured_ms\": {sweep_ms:.1},\n    \"speedup\": {:.2},\n    \"full_sweep\": {}\n  }},",
         PRE_PR_BASELINE_MS / sweep_ms.max(1e-9),
         !smoke
     );
+    let _ = writeln!(json, "  \"build\": {{");
+    let _ = writeln!(json, "    \"inputs\": \"12 fF on every output, uniform 1500 ps\",");
+    let _ = writeln!(json, "    \"before\": [");
+    for (i, (corners, ms, allocs)) in BUILD_BEFORE.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "      {{\"corners\": \"{corners}\", \"median_ms\": {ms:.1}, \"allocs_per_build\": {allocs:.0}}}{}",
+            if i + 1 < BUILD_BEFORE.len() { "," } else { "" }
+        );
+    }
+    let _ = writeln!(json, "    ],");
+    let _ = writeln!(json, "    \"after\": [");
+    for (i, r) in build_rows.iter().enumerate() {
+        let sum = |f: fn(&BuildCase) -> usize| r.cases.iter().map(f).sum::<usize>();
+        let _ = writeln!(
+            json,
+            "      {{\"corners\": \"{}\", \"entries\": {}, \"runs\": {}, \"median_ms\": {:.1}, \
+             \"allocs_per_build\": {:.0}, \"constraints\": {}, \"terms\": {}, \"pushes\": {}}}{}",
+            r.corners,
+            r.cases.len(),
+            r.runs,
+            r.median_ms,
+            r.allocs_per_build,
+            sum(|c| c.constraints),
+            sum(|c| c.terms),
+            sum(|c| c.pushes),
+            if i + 1 < build_rows.len() { "," } else { "" }
+        );
+    }
+    let _ = writeln!(json, "    ],");
+    let _ = writeln!(json, "    \"entries\": [");
+    let cases: Vec<&BuildCase> = build_rows.iter().flat_map(|r| &r.cases).collect();
+    for (i, c) in cases.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "      {{\"case\": \"{}\", \"corners\": \"{}\", \"constraints\": {}, \"terms\": {}, \"pushes\": {}}}{}",
+            c.name,
+            c.corners,
+            c.constraints,
+            c.terms,
+            c.pushes,
+            if i + 1 < cases.len() { "," } else { "" }
+        );
+    }
+    let _ = writeln!(json, "    ]");
+    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     std::fs::write(&out_path, json)
         .unwrap_or_else(|e| panic!("write BENCH_gp.json: {e}"));

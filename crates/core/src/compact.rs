@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use smart_models::arcs::ArcPhase;
-use smart_models::ModelLibrary;
+use smart_models::{ModelLibrary, TermSum, TermTable};
 use smart_netlist::{Circuit, ComponentKind, LabelId, NetId};
 use smart_posy::{Posynomial, VarId};
 use smart_sta::{paths::count_paths, TNode, TimingGraph};
@@ -163,13 +163,12 @@ pub fn compact(
 
     // Pre-compute cap decompositions.
     let mut net_caps = Vec::with_capacity(circuit.net_count());
+    let mut table = TermTable::new();
+    let mut cap = TermSum::new();
     for (id, _) in circuit.nets() {
-        let mut posy = lib.net_cap_posy(circuit, id, vars);
         let extra = extra_loads.get(&id).copied().unwrap_or(0.0);
-        if extra > 0.0 {
-            posy += smart_posy::Monomial::new(extra);
-        }
-        net_caps.push(CapVec::from_posynomial(&posy));
+        lib.net_cap_terms(&mut table, circuit, id, vars, extra, &mut cap);
+        net_caps.push(CapVec::from_posynomial(&table.posynomial(cap.terms())));
     }
 
     // Intern cap signatures (exact coefficient maps).

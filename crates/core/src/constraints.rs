@@ -6,8 +6,8 @@ use std::collections::{HashMap, HashSet};
 
 use smart_gp::{GpError, GpProblem};
 use smart_models::arcs::Edge;
-use smart_models::{label_vars, ModelLibrary};
-use smart_netlist::{Circuit, ComponentKind, DeviceRole, NetId};
+use smart_models::{label_vars, ModelLibrary, TermId, TermSum, TermTable};
+use smart_netlist::{Circuit, ComponentKind, DeviceRole, LabelId, NetId, NetKind};
 use smart_posy::{Monomial, Posynomial, VarId};
 use smart_sta::Boundary;
 
@@ -94,6 +94,9 @@ pub struct SizingGp {
     pub timing_constraints: usize,
     /// Number of slope constraints emitted.
     pub slope_constraints: usize,
+    /// Terms pushed into posynomial sums while building (new terms and
+    /// merges alike): the build's deterministic work counter.
+    pub term_pushes: usize,
     /// Spec-independent halves of the timing constraints, kept so
     /// [`SizingGp::retarget`] can rescale them in place.
     timing: Vec<TimingEntry>,
@@ -103,12 +106,13 @@ pub struct SizingGp {
 /// by far the most expensive piece of GP assembly (capacitance and stage
 /// models evaluated along every compacted path), and retargeting only
 /// changes the scalar budget it is divided by — so the Fig.-4 loop keeps
-/// the undivided posynomial and re-divides instead of rebuilding.
+/// the undivided coefficients and re-divides instead of rebuilding.
 struct TimingEntry {
     /// Index of the constraint inside [`SizingGp::gp`].
     index: usize,
-    /// End-to-end path delay, *before* division by the budget.
-    delay: Posynomial,
+    /// Coefficients of the end-to-end path delay, *before* division by the
+    /// budget, in the order of the constraint body's terms.
+    delay: Vec<f64>,
     /// Selects the precharge budget instead of the data budget.
     is_precharge: bool,
     /// Segments the class was cut into (non-OTB mode); each segment
@@ -126,8 +130,8 @@ impl SizingGp {
     ///
     /// # Errors
     ///
-    /// Propagates [`GpError::EmptyConstraint`]; unreachable in practice
-    /// because every stored delay was nonzero at build time.
+    /// None today; the `Result` is kept for callers that chain it with the
+    /// fallible build.
     pub fn retarget(&mut self, spec: &DelaySpec) -> Result<(), GpError> {
         for e in &self.timing {
             let budget = if e.is_precharge {
@@ -135,30 +139,188 @@ impl SizingGp {
             } else {
                 spec.data
             };
-            let seg_budget = budget / e.seg_count as f64;
             self.gp
-                .replace_le(e.index, &e.delay, &Monomial::new(seg_budget))?;
+                .rescale_le(e.index, &e.delay, budget / e.seg_count as f64);
         }
         Ok(())
     }
 }
 
+/// Path-delay posynomials of one GP build, shared by [`build_sizing_gp`]
+/// and [`build_min_delay_gp`].
+///
+/// Every sum lives in one per-build [`TermTable`]. The same arc appears on
+/// many compacted paths (classes share prefixes and fanout cones), but its
+/// `R·C` product and output slope depend only on the arc, so both are
+/// built once per arc and corner and kept in `cached`; a path then only
+/// merges stage sums. The bits match a term-by-term `Posynomial` build
+/// because every step keeps its order: `R` terms × cap terms for `R·C`,
+/// the stage order of [`ModelLibrary::stage_delay_from_rc`], each stage
+/// merged into its own sum before that sum is merged into the path.
+struct PathDelays<'a> {
+    circuit: &'a Circuit,
+    compaction: &'a Compaction,
+    boundary: &'a Boundary,
+    extra_loads: &'a HashMap<NetId, f64>,
+    vars: &'a [VarId],
+    table: TermTable,
+    /// `[start, mid, end]` of arc `ai`'s sums in `cached` at the current
+    /// corner: `R·C` is `cached[start..mid]`, the output slope
+    /// `cached[mid..end]`.
+    arc_sums: Vec<Option<[usize; 3]>>,
+    cached: Vec<(TermId, f64)>,
+    cap: TermSum,
+    drive: TermSum,
+    rc: TermSum,
+    slope: TermSum,
+    stage: TermSum,
+    /// The last path built by [`PathDelays::delay`].
+    path: TermSum,
+}
 
-/// Posynomial capacitance of `net` including boundary load.
-fn cap_posy(
-    circuit: &Circuit,
-    lib: &ModelLibrary,
-    vars: &[VarId],
-    net: NetId,
-    extra_loads: &HashMap<NetId, f64>,
-) -> Posynomial {
-    let mut p = lib.net_cap_posy(circuit, net, vars);
-    if let Some(&e) = extra_loads.get(&net) {
-        if e > 0.0 {
-            p += Monomial::new(e);
+impl PathDelays<'_> {
+    /// Terms pushed into every sum so far.
+    fn pushes(&self) -> usize {
+        [&self.cap, &self.drive, &self.rc, &self.slope, &self.stage, &self.path]
+            .iter()
+            .map(|sum| sum.pushes())
+            .sum()
+    }
+}
+
+impl<'a> PathDelays<'a> {
+    fn new(
+        circuit: &'a Circuit,
+        compaction: &'a Compaction,
+        boundary: &'a Boundary,
+        extra_loads: &'a HashMap<NetId, f64>,
+        vars: &'a [VarId],
+    ) -> Self {
+        PathDelays {
+            circuit,
+            compaction,
+            boundary,
+            extra_loads,
+            vars,
+            table: TermTable::new(),
+            arc_sums: vec![None; compaction.graph.arcs.len()],
+            cached: Vec::new(),
+            cap: TermSum::new(),
+            drive: TermSum::new(),
+            rc: TermSum::new(),
+            slope: TermSum::new(),
+            stage: TermSum::new(),
+            path: TermSum::new(),
         }
     }
-    p
+
+    /// Forgets the per-arc sums, whose coefficients belong to the previous
+    /// corner. Rows do not depend on the corner, so the table stays.
+    fn next_corner(&mut self) {
+        self.arc_sums.fill(None);
+        self.cached.clear();
+    }
+
+    /// Arrival time and slope of the input port on `net`. The default
+    /// slope floor derates with the corner.
+    fn input_time(&self, net: NetId, clib: &ModelLibrary) -> (f64, f64) {
+        let default = (
+            0.0,
+            self.boundary.default_slope.unwrap_or(clib.process().slope_min),
+        );
+        self.circuit
+            .input_ports()
+            .find(|port| port.net == net)
+            .and_then(|port| self.boundary.input_times.get(&port.name).copied())
+            .unwrap_or(default)
+    }
+
+    /// The `[start, mid, end]` of arc `ai`'s `R·C` and output-slope sums in
+    /// `cached`, built on first use at this corner.
+    fn arc(&mut self, ai: usize, clib: &ModelLibrary) -> [usize; 3] {
+        if let Some(sums) = self.arc_sums[ai] {
+            return sums;
+        }
+        let arc = &self.compaction.graph.arcs[ai];
+        let comp = self.circuit.comp(arc.comp);
+        let extra = self.extra_loads.get(&arc.to.net).copied().unwrap_or(0.0);
+        let table = &mut self.table;
+        clib.net_cap_terms(table, self.circuit, arc.to.net, self.vars, extra, &mut self.cap);
+        clib.drive_terms(table, comp, arc.to.edge, self.vars, &mut self.drive);
+        self.rc.clear();
+        self.rc.add_product(table, self.drive.terms(), self.cap.terms());
+        clib.stage_slope_from_rc(self.rc.terms(), &mut self.slope);
+        let start = self.cached.len();
+        self.cached.extend_from_slice(self.rc.terms());
+        let mid = self.cached.len();
+        self.cached.extend_from_slice(self.slope.terms());
+        let sums = [start, mid, self.cached.len()];
+        self.arc_sums[ai] = Some(sums);
+        sums
+    }
+
+    /// Builds into `self.path` the delay of the arc sequence `arcs` leaving
+    /// the input on `source`: the source's arrival time when `launch` (the
+    /// first segment of a class), then each stage, the first driven by the
+    /// source's slope and every later one by the previous stage's.
+    fn delay(&mut self, clib: &ModelLibrary, source: NetId, arcs: &[usize], launch: bool) {
+        let (t0, s0) = self.input_time(source, clib);
+        self.path.clear();
+        if launch && t0 > 0.0 {
+            self.path.push(TermId::ONE, t0);
+        }
+        let input_slope = [(TermId::ONE, s0.max(1e-3))];
+        let mut slope_in = None;
+        for &ai in arcs {
+            let [start, mid, end] = self.arc(ai, clib);
+            let comp = self.circuit.comp(self.compaction.graph.arcs[ai].comp);
+            let slope = slope_in.map_or(&input_slope[..], |(a, b)| &self.cached[a..b]);
+            clib.stage_delay_from_rc(comp, &self.cached[start..mid], slope, &mut self.stage);
+            self.path.add_scaled(self.stage.terms(), 1.0);
+            slope_in = Some((mid, end));
+        }
+    }
+}
+
+/// The arcs that get an edge-rate rule, in arc order: one per physical
+/// stage, deduplicated on exact equality of (label bindings, component
+/// kind, output edge, output-net capacitance composition with
+/// coefficients by bits). None of these depends on the corner, so the
+/// choice is made once per build; each corner then emits one rule per
+/// chosen arc, since the slope posynomial carries corner coefficients.
+///
+/// Dynamic nodes are exempt from the static edge-rate rule: their
+/// discharge slope is set by the stack the topology chose (wide un-split
+/// dominos are inherently slow there — the reason the partitioned
+/// topology exists) and is already governed by the evaluate timing
+/// constraints plus the noise rule.
+fn slope_rule_arcs(circuit: &Circuit, compaction: &Compaction) -> Vec<usize> {
+    let mut kinds: Vec<&ComponentKind> = Vec::new();
+    let mut cap_ids: HashMap<(Vec<(LabelId, u64)>, u64), usize> = HashMap::new();
+    let mut cap_of_net: Vec<Option<usize>> = vec![None; compaction.net_caps.len()];
+    let mut seen = HashSet::new();
+    let mut chosen = Vec::new();
+    for (ai, arc) in compaction.graph.arcs.iter().enumerate() {
+        if circuit.net(arc.to.net).kind == NetKind::Dynamic {
+            continue;
+        }
+        let comp = circuit.comp(arc.comp);
+        let kind = kinds.iter().position(|&k| *k == comp.kind).unwrap_or_else(|| {
+            kinds.push(&comp.kind);
+            kinds.len() - 1
+        });
+        let net = arc.to.net.index();
+        let cap = *cap_of_net[net].get_or_insert_with(|| {
+            let cv = &compaction.net_caps[net];
+            let row = cv.coeffs.iter().map(|(&l, c)| (l, c.to_bits())).collect();
+            let next = cap_ids.len();
+            *cap_ids.entry((row, cv.constant.to_bits())).or_insert(next)
+        });
+        if seen.insert((comp.label_bindings(), kind, arc.to.edge, cap)) {
+            chosen.push(ai);
+        }
+    }
+    chosen
 }
 
 /// Assembles the sizing GP from a compaction.
@@ -198,45 +360,15 @@ pub fn build_sizing_gp(
     let mut gp = GpProblem::new(pool);
     gp.set_objective(cost_objective(circuit, lib, &vars, opts.cost));
 
-    // Input boundary: arrival time and slope per source net. The default
-    // slope floor derates with the corner being emitted.
-    let input_time = |net: NetId, clib: &ModelLibrary| -> (f64, f64) {
-        let default_slope = boundary.default_slope.unwrap_or(clib.process().slope_min);
-        for port in circuit.input_ports() {
-            if port.net == net {
-                return boundary
-                    .input_times
-                    .get(&port.name)
-                    .copied()
-                    .unwrap_or((0.0, default_slope));
-            }
-        }
-        (0.0, default_slope)
-    };
-
     let corner_libs = crate::spec::resolve_corner_libs(lib, opts);
     let multi = corner_libs.len() > 1;
     let mut timing_constraints = 0;
     let mut timing = Vec::new();
     let mut slope_constraints = 0;
-    // Per-arc posynomial caches. The same arc appears on many compacted
-    // paths (classes share prefixes and fanout cones), but its R·C product
-    // and output slope depend only on the arc itself — not on the path
-    // reaching it — so each is built once per corner and cloned on every
-    // revisit. The vectors are allocated once and re-`None`d between
-    // corners (cache contents are corner-specific; the slots are not).
-    let arc_count = compaction.graph.arcs.len();
-    let mut arc_rc: Vec<Option<Posynomial>> = vec![None; arc_count];
-    let mut arc_slope: Vec<Option<Posynomial>> = vec![None; arc_count];
-    for (corner_idx, (cname, clib)) in corner_libs.iter().enumerate() {
-        if corner_idx > 0 {
-            for slot in arc_rc.iter_mut() {
-                *slot = None;
-            }
-            for slot in arc_slope.iter_mut() {
-                *slot = None;
-            }
-        }
+    let slope_arcs = slope_rule_arcs(circuit, compaction);
+    let mut paths = PathDelays::new(circuit, compaction, boundary, extra_loads, &vars);
+    for (cname, clib) in &corner_libs {
+        paths.next_corner();
         // Timing constraints. With OTB (default, the paper's formulation)
         // each compacted class yields ONE end-to-end constraint, so slack
         // borrows freely across domino stage boundaries. Without OTB the
@@ -256,7 +388,7 @@ pub fn build_sizing_gp(
                 let mut start = 0;
                 for (k, &ai) in class.arcs.iter().enumerate() {
                     let to = compaction.graph.arcs[ai].to.net;
-                    if circuit.net(to).kind == smart_netlist::NetKind::Dynamic {
+                    if circuit.net(to).kind == NetKind::Dynamic {
                         segs.push(&class.arcs[start..=k]);
                         start = k + 1;
                     }
@@ -268,29 +400,7 @@ pub fn build_sizing_gp(
             };
             let seg_count = segments.len();
             for (si, seg) in segments.into_iter().enumerate() {
-                let (t0, s0) = input_time(class.source.net, clib);
-                let mut delay = Posynomial::zero();
-                if si == 0 && t0 > 0.0 {
-                    delay += Monomial::new(t0);
-                }
-                let mut slope_prev = Posynomial::constant(s0.max(1e-3));
-                for &ai in seg {
-                    let arc = &compaction.graph.arcs[ai];
-                    let comp = circuit.comp(arc.comp);
-                    if arc_rc[ai].is_none() {
-                        let cap = cap_posy(circuit, clib, &vars, arc.to.net, extra_loads);
-                        let rc = clib.stage_rc_posy(comp, arc.to.edge, &cap, &vars);
-                        arc_slope[ai] = Some(clib.stage_slope_from_rc(&rc));
-                        arc_rc[ai] = Some(rc);
-                    }
-                    let (Some(rc), Some(slope)) = (arc_rc[ai].as_ref(), arc_slope[ai].as_ref())
-                    else {
-                        unreachable!("arc cache filled above");
-                    };
-                    delay += clib.stage_delay_from_rc(comp, rc, Some(&slope_prev));
-                    slope_prev = slope.clone();
-                }
-                let seg_budget = budget / seg_count as f64;
+                paths.delay(clib, class.source.net, seg, si == 0);
                 // Labels stay byte-identical to the historical single-
                 // corner form unless the set actually has several members.
                 let label = if multi {
@@ -308,49 +418,25 @@ pub fn build_sizing_gp(
                         if class.is_precharge { "pre" } else { "eval" }
                     )
                 };
+                let delay = paths.path.terms();
                 timing.push(TimingEntry {
                     index: gp.constraints().len(),
-                    delay: delay.clone(),
+                    delay: delay.iter().map(|&(_, c)| c).collect(),
                     is_precharge: class.is_precharge,
                     seg_count,
                 });
-                gp.add_le(label, delay, Monomial::new(seg_budget))?;
+                let body = paths.table.posynomial(delay);
+                gp.add_le_const(label, body, budget / seg_count as f64)?;
                 timing_constraints += 1;
             }
         }
 
-        // Slope (reliability) constraints, deduplicated by (component
-        // labels, edge, cap composition) *within* each corner — the same
-        // physical stage gets one edge-rate rule per corner, since its
-        // slope posynomial carries corner coefficients.
-        let mut seen: HashSet<String> = HashSet::new();
-        for (ai, arc) in compaction.graph.arcs.iter().enumerate() {
-            // Dynamic nodes are exempt from the static edge-rate rule:
-            // their discharge slope is set by the stack the topology chose
-            // (wide un-split dominos are inherently slow there — the
-            // reason the partitioned topology exists) and is already
-            // governed by the evaluate timing constraints plus the noise
-            // rule.
-            if circuit.net(arc.to.net).kind == smart_netlist::NetKind::Dynamic {
-                continue;
-            }
+        // Slope (reliability) constraints, one per chosen arc per corner.
+        for &ai in &slope_arcs {
+            let arc = &compaction.graph.arcs[ai];
             let comp = circuit.comp(arc.comp);
-            let key = format!(
-                "{:?}|{:?}|{:?}|{:?}",
-                comp.label_bindings(),
-                comp.kind,
-                arc.to.edge,
-                compaction.net_caps[arc.to.net.index()]
-            );
-            if !seen.insert(key) {
-                continue;
-            }
-            let slope = if let Some(s) = arc_slope[ai].as_ref() {
-                s.clone()
-            } else {
-                let cap = cap_posy(circuit, clib, &vars, arc.to.net, extra_loads);
-                clib.stage_slope_posy(comp, arc.to.edge, &cap, &vars)
-            };
+            let [_, mid, end] = paths.arc(ai, clib);
+            let slope = paths.table.posynomial(&paths.cached[mid..end]);
             // Shared (multi-driver) nets — pass-gate and tri-state buses —
             // carry the junction load of every off driver, which puts a
             // floor on their edge rate; projects exempt such nodes from
@@ -362,10 +448,12 @@ pub fn build_sizing_gp(
             } else {
                 format!("slope {} {:?}", comp.path, arc.to.edge)
             };
-            gp.add_le(label, slope, Monomial::new(opts.slope_max * drivers))?;
+            gp.add_le_const(label, slope, opts.slope_max * drivers)?;
             slope_constraints += 1;
         }
     }
+
+    let term_pushes = paths.pushes();
 
     // Device size bounds.
     for (label, _) in circuit.labels().iter() {
@@ -448,6 +536,7 @@ pub fn build_sizing_gp(
         vars,
         timing_constraints,
         slope_constraints,
+        term_pushes,
         timing,
     })
 }
@@ -475,47 +564,28 @@ pub fn build_min_delay_gp(
     let t_var = gp.pool_mut().var("__T");
     gp.set_objective(Posynomial::var(t_var));
 
-    let input_time = |net: NetId, clib: &ModelLibrary| -> (f64, f64) {
-        let default_slope = boundary.default_slope.unwrap_or(clib.process().slope_min);
-        for port in circuit.input_ports() {
-            if port.net == net {
-                return boundary
-                    .input_times
-                    .get(&port.name)
-                    .copied()
-                    .unwrap_or((0.0, default_slope));
-            }
-        }
-        (0.0, default_slope)
-    };
-
     let corner_libs = crate::spec::resolve_corner_libs(lib, opts);
     let multi = corner_libs.len() > 1;
     let mut timing_constraints = 0;
+    let mut paths = PathDelays::new(circuit, compaction, boundary, extra_loads, &vars);
+    let per_t = [(paths.table.var(t_var, -1.0), 1.0)];
+    let mut bounded = TermSum::new();
     for (cname, clib) in &corner_libs {
+        paths.next_corner();
         for (ci, class) in compaction.classes.iter().enumerate() {
-            let (t0, s0) = input_time(class.source.net, clib);
-            let mut delay = Posynomial::zero();
-            if t0 > 0.0 {
-                delay += Monomial::new(t0);
-            }
-            let mut slope_prev = Posynomial::constant(s0.max(1e-3));
-            for &ai in &class.arcs {
-                let arc = &compaction.graph.arcs[ai];
-                let comp = circuit.comp(arc.comp);
-                let cap = cap_posy(circuit, clib, &vars, arc.to.net, extra_loads);
-                delay += clib.stage_delay_posy(comp, arc.to.edge, &cap, Some(&slope_prev), &vars);
-                slope_prev = clib.stage_slope_posy(comp, arc.to.edge, &cap, &vars);
-            }
+            paths.delay(clib, class.source.net, &class.arcs, true);
+            bounded.clear();
+            bounded.add_product(&mut paths.table, paths.path.terms(), &per_t);
             let label = if multi {
                 format!("path{ci} <= T @{cname}")
             } else {
                 format!("path{ci} <= T")
             };
-            gp.add_le(label, delay, Monomial::var(t_var))?;
+            gp.add_le_const(label, paths.table.posynomial(bounded.terms()), 1.0)?;
             timing_constraints += 1;
         }
     }
+    let term_pushes = paths.pushes() + bounded.pushes();
     for (label, _) in circuit.labels().iter() {
         let v = vars[label.index()];
         gp.add_lower_bound(v, lib.process().w_min);
@@ -536,6 +606,7 @@ pub fn build_min_delay_gp(
             vars,
             timing_constraints,
             slope_constraints: 0,
+            term_pushes,
             timing: Vec::new(),
         },
         t_var,

@@ -517,19 +517,26 @@ fn check_cancelled(opts: &SizingOptions, at: &str) -> Result<(), FlowError> {
 }
 
 /// The delay spec enters the GP as constraint coefficients, so a
-/// non-finite or non-positive budget would be a posynomial constructor
-/// panic downstream — reject it at flow entry instead.
+/// non-finite or non-positive budget would poison every timing row —
+/// reject it at flow entry instead: NaN/inf as `non-finite`, a finite
+/// budget ≤ 0 as an invalid `spec` request.
 fn validate_spec(spec: &DelaySpec) -> Result<(), FlowError> {
     let mut phases = vec![("data", spec.data)];
     if let Some(p) = spec.precharge {
         phases.push(("precharge", p));
     }
     for (phase, t) in phases {
-        if !(t.is_finite() && t > 0.0) {
+        if !t.is_finite() {
             return Err(FlowError::Gp(smart_gp::GpError::NonFinite {
                 stage: "spec",
                 detail: format!("{phase} delay budget is {t}; need finite > 0"),
             }));
+        }
+        if t <= 0.0 {
+            return Err(FlowError::InvalidRequest {
+                what: "spec",
+                detail: format!("{phase} delay budget is {t} ps; need > 0"),
+            });
         }
     }
     Ok(())
@@ -549,13 +556,21 @@ fn prepare(
 ) -> Result<Prepared, FlowError> {
     // Reject non-finite boundary conditions here, before they can reach
     // the posynomial layer (where a NaN coefficient is a constructor
-    // panic, not a typed error).
+    // panic, not a typed error). A negative load is refused too: the GP
+    // can only drop it (capacitance terms are positive) while STA would
+    // time with it, and the two must agree on the circuit they verify.
     for (name, &load) in &boundary.output_loads {
         if !load.is_finite() {
             return Err(FlowError::Sta(smart_sta::StaError::NonFiniteBoundary {
                 name: name.clone(),
                 value: load,
             }));
+        }
+        if load < 0.0 {
+            return Err(FlowError::InvalidRequest {
+                what: "boundary",
+                detail: format!("output load on {name} is {load} fF; need >= 0"),
+            });
         }
     }
     for (name, &(t, s)) in &boundary.input_times {

@@ -113,32 +113,52 @@ impl GpProblem {
         Ok(())
     }
 
-    /// Replaces the body of constraint `index` with `lhs ≤ rhs`, normalized
-    /// exactly like [`GpProblem::add_le`] — a replace reproduces, bit for
-    /// bit, the body a fresh `add_le` would build. This is what lets the
-    /// sizing loop retarget its timing constraints in place instead of
-    /// reassembling the whole problem every Fig.-4 iteration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
+    /// Adds `lhs ≤ rhs` for a constant `rhs > 0`: the body is `lhs` with
+    /// every coefficient multiplied by `1/rhs`, bit for bit what
+    /// [`GpProblem::add_le`] builds against `Monomial::new(rhs)`, in one
+    /// pass and without copying a term (dividing by a constant moves no
+    /// exponent row, so nothing can merge). A non-finite or non-positive
+    /// `rhs` is not rejected here; the solver's data validation reports
+    /// the coefficients it produces.
     ///
     /// # Errors
     ///
-    /// Returns [`GpError::EmptyConstraint`] if `lhs` is the zero posynomial.
-    pub fn replace_le(
+    /// Returns [`GpError::EmptyConstraint`] if `lhs` is the zero
+    /// posynomial.
+    pub fn add_le_const(
         &mut self,
-        index: usize,
-        lhs: &Posynomial,
-        rhs: &Monomial,
+        label: impl Into<String>,
+        mut lhs: Posynomial,
+        rhs: f64,
     ) -> Result<(), GpError> {
         if lhs.is_zero() {
-            return Err(GpError::EmptyConstraint {
-                label: self.constraints[index].label.clone(),
-            });
+            return Err(GpError::EmptyConstraint { label: label.into() });
         }
-        self.constraints[index].body = lhs.div_monomial(rhs);
+        let inv = 1.0 / rhs;
+        lhs.map_coeffs(|_, c| c * inv);
+        self.constraints.push(GpConstraint {
+            label: label.into(),
+            body: lhs,
+        });
         Ok(())
+    }
+
+    /// Rewrites constraint `index` in place to `lhs ≤ rhs`, where `lhs` has
+    /// the body's exponent rows and the coefficients `lhs_coeffs` in term
+    /// order: coefficient `k` becomes `lhs_coeffs[k]·(1/rhs)`, the rounding
+    /// of [`GpProblem::add_le_const`]. This is what lets the sizing loop
+    /// retarget its timing constraints every Fig.-4 iteration without
+    /// rebuilding a term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range or `lhs_coeffs` does not hold one
+    /// coefficient per term of the body.
+    pub fn rescale_le(&mut self, index: usize, lhs_coeffs: &[f64], rhs: f64) {
+        let body = &mut self.constraints[index].body;
+        assert_eq!(body.terms().len(), lhs_coeffs.len(), "one coefficient per term");
+        let inv = 1.0 / rhs;
+        body.map_coeffs(|k, _| lhs_coeffs[k] * inv);
     }
 
     /// Infallible insertion for bodies that are nonzero by construction.
@@ -240,6 +260,22 @@ mod tests {
         let body = &gp.constraints()[0].body;
         // x/4 at x=4 is exactly 1.
         assert!((body.eval(&[4.0]) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn constant_rhs_and_rescale_match_add_le_bit_for_bit() {
+        let mut pool = VarPool::new();
+        let w = pool.var("w");
+        let lhs = Posynomial::var(w) + Monomial::new(0.7).pow(w, -1.0) + Monomial::new(0.3);
+        let mut gp = GpProblem::new(pool);
+        gp.add_le("monomial", lhs.clone(), Monomial::new(3.7)).unwrap();
+        gp.add_le_const("const", lhs.clone(), 3.7).unwrap();
+        gp.add_le("other", lhs.clone(), Monomial::new(1.3)).unwrap();
+        assert_eq!(gp.constraints()[0].body, gp.constraints()[1].body);
+        let coeffs: Vec<f64> = lhs.terms().iter().map(Monomial::coeff).collect();
+        gp.rescale_le(1, &coeffs, 1.3);
+        assert_eq!(gp.constraints()[1].body, gp.constraints()[2].body);
+        assert!(gp.add_le_const("empty", Posynomial::zero(), 1.0).is_err());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   constraint generator so the two views cannot diverge.
 //! * [`ModelLibrary`] — evaluates stage delay/slope and net capacitance
 //!   both numerically (for `smart-sta`) and as posynomials over the label
-//!   width variables (for `smart-core`'s constraint generation).
+//!   width variables (for `smart-core`'s constraint generation), built
+//!   as [`TermSum`]s over a per-build [`TermTable`] of interned exponent
+//!   rows.
 //!
 //! The posynomial and numeric paths are tested against each other: for any
 //! sizing, `posy.eval(widths) == numeric` to float precision.
@@ -23,8 +25,10 @@ pub mod arcs;
 mod corners;
 mod library;
 mod process;
+mod terms;
 
 pub use arcs::{ArcPhase, ArcSpec, DriveTerm, Edge, Unate};
 pub use corners::{Corner, CornerSet, Derate};
 pub use library::{label_vars, width_from_solution, ModelLibrary, Timing};
 pub use process::Process;
+pub use terms::{TermId, TermSum, TermTable};

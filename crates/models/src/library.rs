@@ -13,9 +13,10 @@
 //! necessary constraint on our models is that they be posynomial").
 
 use smart_netlist::{Circuit, CompId, Component, LabelId, LoadKind, NetId, Sizing};
-use smart_posy::{Monomial, Posynomial, VarId, VarPool};
+use smart_posy::{VarId, VarPool};
 
 use crate::arcs::{drive, intrinsic_factor, Edge};
+use crate::terms::{TermId, TermSum, TermTable};
 use crate::Process;
 
 /// A numeric (delay, slope) pair in picoseconds.
@@ -60,20 +61,25 @@ impl ModelLibrary {
     }
 
     /// Posynomial capacitance of `net` over the width variables `vars`
-    /// (indexed by [`LabelId::index`]).
+    /// (indexed by [`LabelId::index`]) plus the constant boundary load
+    /// `extra`, written into `out` (cleared first).
     ///
-    /// Mirrors [`ModelLibrary::net_cap`] term by term; zero wire caps are
-    /// skipped so the result is a valid posynomial.
-    pub fn net_cap_posy(
+    /// Mirrors [`ModelLibrary::net_cap`] term by term: wire, receiver
+    /// loads, driver junctions, then `extra`. Zero wire and non-positive
+    /// `extra` are skipped so every coefficient is positive.
+    pub fn net_cap_terms(
         &self,
+        table: &mut TermTable,
         circuit: &Circuit,
         net: NetId,
         vars: &[VarId],
-    ) -> Posynomial {
-        let mut cap = Posynomial::zero();
+        extra: f64,
+        out: &mut TermSum,
+    ) {
+        out.clear();
         let wire = circuit.net(net).wire_cap;
         if wire > 0.0 {
-            cap += Monomial::new(wire);
+            out.push(TermId::ONE, wire);
         }
         for &(comp, pin) in circuit.loads_of(net) {
             let c = circuit.comp(comp);
@@ -82,17 +88,19 @@ impl ModelLibrary {
                     LoadKind::Gate => load.factor,
                     LoadKind::Diffusion => load.factor * self.process.diff_factor,
                 };
-                cap += Monomial::new(factor).pow(vars[c.label_of(load.role).index()], 1.0);
+                out.push(table.var(vars[c.label_of(load.role).index()], 1.0), factor);
             }
         }
         for &comp in circuit.drivers_of(net) {
             let c = circuit.comp(comp);
             for load in c.kind.output_self_load() {
-                cap += Monomial::new(load.factor * self.process.diff_factor)
-                    .pow(vars[c.label_of(load.role).index()], 1.0);
+                let id = table.var(vars[c.label_of(load.role).index()], 1.0);
+                out.push(id, load.factor * self.process.diff_factor);
             }
         }
-        cap
+        if extra > 0.0 {
+            out.push(TermId::ONE, extra);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -113,24 +121,29 @@ impl ModelLibrary {
         .sum()
     }
 
-    /// Posynomial drive resistance (same terms, `1/W` monomials).
-    pub fn drive_resistance_posy(
+    /// Posynomial drive resistance (same terms as
+    /// [`ModelLibrary::drive_resistance`], `1/W` rows), written into `out`
+    /// (cleared first). A stage's `R·C` is then
+    /// [`TermSum::add_product`] of these terms and the output net's
+    /// [`ModelLibrary::net_cap_terms`], in that order.
+    pub fn drive_terms(
         &self,
+        table: &mut TermTable,
         comp: &Component,
         edge: Edge,
         vars: &[VarId],
-    ) -> Posynomial {
-        let mut r = Posynomial::zero();
+        out: &mut TermSum,
+    ) {
+        out.clear();
         for t in drive(
             &comp.kind,
             edge,
             self.process.p_mobility,
             self.process.pass_drive,
         ) {
-            r += Monomial::new(t.factor * self.process.tau)
-                .pow(vars[comp.label_of(t.role).index()], -1.0);
+            let id = table.var(vars[comp.label_of(t.role).index()], -1.0);
+            out.push(id, t.factor * self.process.tau);
         }
-        r
     }
 
     // ------------------------------------------------------------------
@@ -158,75 +171,31 @@ impl ModelLibrary {
         }
     }
 
-    /// Posynomial stage delay: same equation with `c` and optional
-    /// `slope_in` as posynomials.
-    pub fn stage_delay_posy(
-        &self,
-        comp: &Component,
-        edge: Edge,
-        c: &Posynomial,
-        slope_in: Option<&Posynomial>,
-        vars: &[VarId],
-    ) -> Posynomial {
-        let rc = self.stage_rc_posy(comp, edge, c, vars);
-        self.stage_delay_from_rc(comp, &rc, slope_in)
-    }
-
-    /// The `R·C` posynomial of a stage — the slope-independent product
-    /// shared by [`ModelLibrary::stage_delay_posy`] and
-    /// [`ModelLibrary::stage_slope_posy`]. Timing builders cache it per
-    /// arc: the same arc appears on many timing paths, but its `R·C` (and
-    /// hence its output slope) depends only on the arc itself, so the
-    /// expensive posynomial product is paid once per arc instead of once
-    /// per path traversal.
-    pub fn stage_rc_posy(
-        &self,
-        comp: &Component,
-        edge: Edge,
-        c: &Posynomial,
-        vars: &[VarId],
-    ) -> Posynomial {
-        let r = self.drive_resistance_posy(comp, edge, vars);
-        r * c.clone()
-    }
-
-    /// Assembles the stage delay from a precomputed `R·C` product. Term
-    /// order matches [`ModelLibrary::stage_delay_posy`] exactly (intrinsic,
-    /// then `R·C`, then the slope contribution), so cached and uncached
-    /// paths build bit-identical posynomials.
+    /// Posynomial stage delay from the stage's `R·C` terms and the input
+    /// slope terms, written into `out` (cleared first). Term order is the
+    /// contract every timing builder relies on for bit-identical sums:
+    /// intrinsic, then each `R·C` term, then each input-slope term times
+    /// `slope_to_delay`.
     pub fn stage_delay_from_rc(
         &self,
         comp: &Component,
-        rc: &Posynomial,
-        slope_in: Option<&Posynomial>,
-    ) -> Posynomial {
-        let mut d = Posynomial::constant(self.process.intrinsic * intrinsic_factor(&comp.kind));
-        d += rc.clone();
-        if let Some(s) = slope_in {
-            if !s.is_zero() {
-                d += s.scale(self.process.slope_to_delay);
-            }
-        }
-        d
+        rc: &[(TermId, f64)],
+        slope_in: &[(TermId, f64)],
+        out: &mut TermSum,
+    ) {
+        out.clear();
+        out.push(TermId::ONE, self.process.intrinsic * intrinsic_factor(&comp.kind));
+        out.add_scaled(rc, 1.0);
+        out.add_scaled(slope_in, self.process.slope_to_delay);
     }
 
-    /// Posynomial output slope of a stage.
-    pub fn stage_slope_posy(
-        &self,
-        comp: &Component,
-        edge: Edge,
-        c: &Posynomial,
-        vars: &[VarId],
-    ) -> Posynomial {
-        let rc = self.stage_rc_posy(comp, edge, c, vars);
-        self.stage_slope_from_rc(&rc)
-    }
-
-    /// Assembles the stage output slope from a precomputed `R·C` product;
-    /// see [`ModelLibrary::stage_delay_from_rc`] for the ordering contract.
-    pub fn stage_slope_from_rc(&self, rc: &Posynomial) -> Posynomial {
-        Posynomial::constant(self.process.slope_min)
-            + rc.scale(self.process.slope_gain / self.process.tau)
+    /// Posynomial stage output slope from the stage's `R·C` terms, written
+    /// into `out` (cleared first): `slope_min`, then each `R·C` term times
+    /// `slope_gain / tau`.
+    pub fn stage_slope_from_rc(&self, rc: &[(TermId, f64)], out: &mut TermSum) {
+        out.clear();
+        out.push(TermId::ONE, self.process.slope_min);
+        out.add_scaled(rc, self.process.slope_gain / self.process.tau);
     }
 
     /// Numeric timing of one full arc through `comp`: looks up the output
@@ -303,8 +272,11 @@ mod tests {
         let lib = ModelLibrary::reference();
         let sizing = Sizing::from_widths(vec![2.0, 1.0, 4.0, 2.0]);
         let (_, vars) = label_vars(&c);
-        let posy = lib.net_cap_posy(&c, m, &vars);
-        let numeric = lib.net_cap(&c, m, &sizing);
+        let mut table = TermTable::new();
+        let mut cap = TermSum::new();
+        lib.net_cap_terms(&mut table, &c, m, &vars, 3.0, &mut cap);
+        let numeric = lib.net_cap(&c, m, &sizing) + 3.0;
+        let posy = table.posynomial(cap.terms());
         assert!((posy.eval(sizing.as_slice()) - numeric).abs() < 1e-9);
     }
 
@@ -316,19 +288,21 @@ mod tests {
         let (_, vars) = label_vars(&c);
         let u1 = c.find_comp("u1").unwrap();
         let comp = c.comp(u1);
+        let mut table = TermTable::new();
+        let [mut cap, mut r, mut rc, mut out] = std::array::from_fn(|_| TermSum::new());
+        lib.net_cap_terms(&mut table, &c, m, &vars, 0.0, &mut cap);
         for edge in [Edge::Rise, Edge::Fall] {
             let c_num = lib.net_cap(&c, m, &sizing);
             let numeric = lib.stage_timing(comp, edge, c_num, 10.0, &sizing);
-            let c_posy = lib.net_cap_posy(&c, m, &vars);
-            let slope_in = Posynomial::constant(10.0);
-            let posy =
-                lib.stage_delay_posy(comp, edge, &c_posy, Some(&slope_in), &vars);
-            assert!(
-                (posy.eval(sizing.as_slice()) - numeric.delay).abs() < 1e-9,
-                "{edge:?}"
-            );
-            let slope_posy = lib.stage_slope_posy(comp, edge, &c_posy, &vars);
-            assert!((slope_posy.eval(sizing.as_slice()) - numeric.slope).abs() < 1e-9);
+            lib.drive_terms(&mut table, comp, edge, &vars, &mut r);
+            rc.clear();
+            rc.add_product(&mut table, r.terms(), cap.terms());
+            lib.stage_delay_from_rc(comp, rc.terms(), &[(TermId::ONE, 10.0)], &mut out);
+            let delay = table.posynomial(out.terms()).eval(sizing.as_slice());
+            assert!((delay - numeric.delay).abs() < 1e-9, "{edge:?}");
+            lib.stage_slope_from_rc(rc.terms(), &mut out);
+            let slope = table.posynomial(out.terms()).eval(sizing.as_slice());
+            assert!((slope - numeric.slope).abs() < 1e-9);
         }
     }
 

@@ -4,9 +4,8 @@
 //! consistent. Deterministic (fixed seeds via `smart-prng`).
 
 use smart_models::arcs::{arcs, drive, Edge};
-use smart_models::{label_vars, ModelLibrary};
+use smart_models::{label_vars, ModelLibrary, TermId, TermSum, TermTable};
 use smart_netlist::{Circuit, ComponentKind, DeviceRole, Network, Sizing, Skew};
-use smart_posy::Posynomial;
 use smart_prng::Prng;
 
 const CASES: usize = 32;
@@ -86,23 +85,27 @@ fn posynomial_equals_numeric_for_every_kind() {
         let comp_id = circuit.find_comp("u").unwrap();
         let comp = circuit.comp(comp_id);
         let out = comp.output_net();
+        let mut table = TermTable::new();
+        let [mut cap, mut r, mut rc, mut posy] = std::array::from_fn(|_| TermSum::new());
         for edge in [Edge::Rise, Edge::Fall] {
             let cap_num = lib.net_cap(&circuit, out, &sizing);
-            let cap_posy = lib.net_cap_posy(&circuit, out, &vars);
-            assert!((cap_posy.eval(sizing.as_slice()) - cap_num).abs() < 1e-9);
+            lib.net_cap_terms(&mut table, &circuit, out, &vars, 0.0, &mut cap);
+            let at = |table: &TermTable, sum: &TermSum| table.posynomial(sum.terms()).eval(sizing.as_slice());
+            assert!((at(&table, &cap) - cap_num).abs() < 1e-9);
 
             let numeric = lib.stage_timing(comp, edge, cap_num, slope_in, &sizing);
-            let slope_posy_in = Posynomial::constant(slope_in);
-            let delay_posy =
-                lib.stage_delay_posy(comp, edge, &cap_posy, Some(&slope_posy_in), &vars);
+            lib.drive_terms(&mut table, comp, edge, &vars, &mut r);
+            rc.clear();
+            rc.add_product(&mut table, r.terms(), cap.terms());
+            lib.stage_delay_from_rc(comp, rc.terms(), &[(TermId::ONE, slope_in)], &mut posy);
             assert!(
-                (delay_posy.eval(sizing.as_slice()) - numeric.delay).abs() < 1e-9,
+                (at(&table, &posy) - numeric.delay).abs() < 1e-9,
                 "{:?} {:?}",
                 comp.kind,
                 edge
             );
-            let slope_posy = lib.stage_slope_posy(comp, edge, &cap_posy, &vars);
-            assert!((slope_posy.eval(sizing.as_slice()) - numeric.slope).abs() < 1e-9);
+            lib.stage_slope_from_rc(rc.terms(), &mut posy);
+            assert!((at(&table, &posy) - numeric.slope).abs() < 1e-9);
         }
     }
 }

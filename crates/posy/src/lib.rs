@@ -42,7 +42,7 @@ mod workspace;
 
 pub use error::PosyError;
 pub use logform::LogPosynomial;
-pub use monomial::Monomial;
+pub use monomial::{merge_coeff, mul_rows, Monomial};
 pub use posynomial::Posynomial;
 pub use vars::{VarId, VarPool};
 pub use workspace::{packed_index, packed_len, GradHessWorkspace};

@@ -1,13 +1,51 @@
 //! Monomials: `c · ∏ xᵢ^aᵢ` with `c > 0`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Div, Mul};
 
-use crate::{PosyError, VarId, VarPool};
+use crate::{PosyError, VarId};
 
 /// Tolerance under which exponents are treated as zero and dropped.
 const EXP_EPS: f64 = 1e-12;
+
+/// One `(variable, exponent)` entry of an exponent row.
+type Entry = (VarId, f64);
+
+/// Adds `e` to the exponent of `v` in the sorted `row`, dropping the entry
+/// when the sum is (numerically) zero. The one exponent rule every product
+/// — [`Monomial::pow`], `Monomial * Monomial`, [`mul_rows`] — goes through.
+fn add_exponent(row: &mut Vec<Entry>, v: VarId, e: f64) {
+    match row.binary_search_by_key(&v, |&(w, _)| w) {
+        Ok(i) => {
+            row[i].1 += e;
+            if row[i].1.abs() < EXP_EPS {
+                row.remove(i);
+            }
+        }
+        Err(i) if e.abs() >= EXP_EPS => row.insert(i, (v, e)),
+        Err(_) => {}
+    }
+}
+
+/// Writes the exponent row of `a · b` into `out` (cleared first): the row
+/// a `Monomial` product with those rows would carry, bit for bit. Reuses
+/// `out`'s capacity, so interning builders multiply rows without
+/// allocating.
+pub fn mul_rows(a: &[Entry], b: &[Entry], out: &mut Vec<Entry>) {
+    out.clear();
+    out.extend_from_slice(a);
+    for &(v, e) in b {
+        add_exponent(out, v, e);
+    }
+}
+
+/// The coefficient of a term after merging `m` into an exponent-identical
+/// term of coefficient `c`: `c·((c+m)/c)`. Every builder merges through
+/// this one expression, so merges made in the same order give the same
+/// bits whichever builder made them.
+pub fn merge_coeff(c: f64, m: f64) -> f64 {
+    c * ((c + m) / c)
+}
 
 /// A monomial `c · x₁^a₁ · x₂^a₂ · …` with strictly positive coefficient.
 ///
@@ -27,8 +65,9 @@ const EXP_EPS: f64 = 1e-12;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Monomial {
-    coeff: f64,
-    exps: BTreeMap<VarId, f64>,
+    pub(crate) coeff: f64,
+    /// Non-zero exponents, sorted by variable.
+    exps: Vec<Entry>,
 }
 
 impl Monomial {
@@ -55,8 +94,21 @@ impl Monomial {
         }
         Ok(Monomial {
             coeff,
-            exps: BTreeMap::new(),
+            exps: Vec::new(),
         })
+    }
+
+    /// A monomial from a coefficient and an exponent row that is already
+    /// sorted by variable with no zero exponent (a row another monomial or
+    /// [`mul_rows`] produced). Like `*`, it does not re-check the
+    /// coefficient; [`crate::Posynomial::validate`] does.
+    pub fn from_row(coeff: f64, row: &[(VarId, f64)]) -> Self {
+        debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row must be sorted");
+        debug_assert!(row.iter().all(|&(_, e)| e.abs() >= EXP_EPS), "row has a zero exponent");
+        Monomial {
+            coeff,
+            exps: row.to_vec(),
+        }
     }
 
     /// The constant monomial `1`.
@@ -77,45 +129,8 @@ impl Monomial {
     #[must_use]
     pub fn pow(mut self, v: VarId, e: f64) -> Self {
         assert!(e.is_finite(), "monomial exponent must be finite, got {e}");
-        let entry = self.exps.entry(v).or_insert(0.0);
-        *entry += e;
-        if entry.abs() < EXP_EPS {
-            self.exps.remove(&v);
-        }
+        add_exponent(&mut self.exps, v, e);
         self
-    }
-
-    /// Scales the coefficient by `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting coefficient is not finite and strictly
-    /// positive.
-    #[must_use]
-    pub fn scale(mut self, k: f64) -> Self {
-        let c = self.coeff * k;
-        assert!(
-            c.is_finite() && c > 0.0,
-            "scaled coefficient must stay finite and > 0, got {c}"
-        );
-        self.coeff = c;
-        self
-    }
-
-    /// In-place variant of [`Monomial::scale`], for merge paths that must
-    /// not clone the exponent map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting coefficient is not finite and strictly
-    /// positive.
-    pub fn scale_assign(&mut self, k: f64) {
-        let c = self.coeff * k;
-        assert!(
-            c.is_finite() && c > 0.0,
-            "scaled coefficient must stay finite and > 0, got {c}"
-        );
-        self.coeff = c;
     }
 
     /// The positive coefficient `c`.
@@ -125,13 +140,15 @@ impl Monomial {
 
     /// Exponent of variable `v` (zero if absent).
     pub fn exponent(&self, v: VarId) -> f64 {
-        self.exps.get(&v).copied().unwrap_or(0.0)
+        self.exps
+            .binary_search_by_key(&v, |&(w, _)| w)
+            .map_or(0.0, |i| self.exps[i].1)
     }
 
     /// Iterates over `(variable, exponent)` pairs with non-zero exponents, in
     /// variable order.
     pub fn exponents(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
-        self.exps.iter().map(|(&v, &e)| (v, e))
+        self.exps.iter().copied()
     }
 
     /// Whether the monomial is a pure constant (no variables).
@@ -141,10 +158,7 @@ impl Monomial {
 
     /// Largest dense variable index used, plus one (0 for constants).
     pub fn dimension(&self) -> usize {
-        self.exps
-            .keys()
-            .next_back()
-            .map_or(0, |v| v.index() + 1)
+        self.exps.last().map_or(0, |(v, _)| v.index() + 1)
     }
 
     /// Evaluates at the strictly positive point `x` (indexed by
@@ -174,7 +188,7 @@ impl Monomial {
             });
         }
         let mut acc = self.coeff;
-        for (&v, &e) in &self.exps {
+        for &(v, e) in &self.exps {
             let xi = x[v.index()];
             if !(xi.is_finite() && xi > 0.0) {
                 return Err(PosyError::NonPositivePoint {
@@ -193,7 +207,7 @@ impl Monomial {
     pub fn recip(&self) -> Self {
         Monomial {
             coeff: 1.0 / self.coeff,
-            exps: self.exps.iter().map(|(&v, &e)| (v, -e)).collect(),
+            exps: self.exps.iter().map(|&(v, e)| (v, -e)).collect(),
         }
     }
 
@@ -205,36 +219,15 @@ impl Monomial {
     #[must_use]
     pub fn powf(&self, p: f64) -> Self {
         assert!(p.is_finite(), "power must be finite, got {p}");
-        let mut exps = BTreeMap::new();
-        for (&v, &e) in &self.exps {
-            let ne = e * p;
-            if ne.abs() >= EXP_EPS {
-                exps.insert(v, ne);
-            }
-        }
         Monomial {
             coeff: self.coeff.powf(p),
-            exps,
+            exps: self
+                .exps
+                .iter()
+                .map(|&(v, e)| (v, e * p))
+                .filter(|&(_, e)| e.abs() >= EXP_EPS)
+                .collect(),
         }
-    }
-
-    /// Renders with names from `pool`, e.g. `0.69·C·W^-1`.
-    pub fn display_with<'a>(&'a self, pool: &'a VarPool) -> impl fmt::Display + 'a {
-        struct D<'a>(&'a Monomial, &'a VarPool);
-        impl fmt::Display for D<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{:.4}", self.0.coeff)?;
-                for (v, e) in self.0.exponents() {
-                    if (e - 1.0).abs() < EXP_EPS {
-                        write!(f, "·{}", self.1.name(v))?;
-                    } else {
-                        write!(f, "·{}^{}", self.1.name(v), e)?;
-                    }
-                }
-                Ok(())
-            }
-        }
-        D(self, pool)
     }
 }
 
@@ -257,11 +250,7 @@ impl Mul for Monomial {
     fn mul(mut self, rhs: Monomial) -> Monomial {
         self.coeff *= rhs.coeff;
         for (v, e) in rhs.exps {
-            let entry = self.exps.entry(v).or_insert(0.0);
-            *entry += e;
-            if entry.abs() < EXP_EPS {
-                self.exps.remove(&v);
-            }
+            add_exponent(&mut self.exps, v, e);
         }
         self
     }
@@ -285,6 +274,7 @@ impl Div for Monomial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VarPool;
 
     fn vars() -> (VarPool, VarId, VarId) {
         let mut pool = VarPool::new();
@@ -375,11 +365,13 @@ mod tests {
     }
 
     #[test]
-    fn display_names_variables() {
-        let (pool, a, b) = vars();
-        let m = Monomial::new(0.5).pow(a, 1.0).pow(b, -2.0);
-        let s = m.display_with(&pool).to_string();
-        assert!(s.contains("a"), "{s}");
-        assert!(s.contains("b^-2"), "{s}");
+    fn mul_rows_matches_monomial_product() {
+        let (_, a, b) = vars();
+        let m = Monomial::new(2.0).pow(a, 1.0).pow(b, -1.0);
+        let n = Monomial::new(3.0).pow(b, 1.0);
+        let mut row = Vec::new();
+        mul_rows(&m.exps, &n.exps, &mut row);
+        assert_eq!(row, (m * n).exps);
+        assert_eq!(row, vec![(a, 1.0)]);
     }
 }

@@ -3,14 +3,15 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul};
 
-use crate::{Monomial, PosyError, VarId, VarPool};
+use crate::monomial::merge_coeff;
+use crate::{Monomial, PosyError, VarId};
 
 /// A posynomial `Σₖ cₖ · ∏ xᵢ^aᵢₖ`, the modeling currency of the SMART sizer.
 ///
 /// Construction keeps the term list *normalized*: monomials with identical
-/// exponent vectors are merged by summing their coefficients, so structural
-/// equality is meaningful for normalized inputs and term counts reflect the
-/// true GP problem size.
+/// exponent rows (exact equality, no tolerance) are merged by summing their
+/// coefficients, so structural equality is meaningful for normalized inputs
+/// and term counts reflect the true GP problem size.
 ///
 /// ```
 /// use smart_posy::{Monomial, Posynomial, VarPool};
@@ -48,6 +49,13 @@ impl Posynomial {
     /// A bare variable `x` as a posynomial.
     pub fn var(v: VarId) -> Self {
         Posynomial::from(Monomial::var(v))
+    }
+
+    /// A posynomial from terms whose exponent rows are pairwise distinct
+    /// (a sum that was merged elsewhere), kept in the given order without
+    /// the per-term merge scan of [`Posynomial::push`].
+    pub fn from_distinct_terms(terms: Vec<Monomial>) -> Self {
+        Posynomial { terms }
     }
 
     /// The normalized term list.
@@ -124,16 +132,13 @@ impl Posynomial {
         Ok(acc)
     }
 
-    /// Scales every coefficient by `k > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not finite and strictly positive.
-    #[must_use]
-    pub fn scale(&self, k: f64) -> Self {
-        assert!(k.is_finite() && k > 0.0, "scale factor must be > 0, got {k}");
-        Posynomial {
-            terms: self.terms.iter().map(|t| t.clone().scale(k)).collect(),
+    /// Rewrites every coefficient in place: term `k`'s becomes
+    /// `f(k, coefficient)`. Exponent rows (and so the normalization) are
+    /// untouched. Like `*`, it does not re-check the result;
+    /// [`Posynomial::validate`] does.
+    pub fn map_coeffs(&mut self, mut f: impl FnMut(usize, f64) -> f64) {
+        for (k, t) in self.terms.iter_mut().enumerate() {
+            t.coeff = f(k, t.coeff);
         }
     }
 
@@ -149,65 +154,12 @@ impl Posynomial {
         out
     }
 
-    /// Adds a monomial term, merging exponent-identical terms.
+    /// Adds a monomial term, merging it into the term with the identical
+    /// exponent row if there is one.
     pub fn push(&mut self, m: Monomial) {
-        for t in &mut self.terms {
-            if same_exponents(t, &m) {
-                let merged = t.coeff() + m.coeff();
-                // Exponents are identical, so only the coefficient moves.
-                t.scale_assign(merged / t.coeff());
-                return;
-            }
-        }
-        self.terms.push(m);
-    }
-
-    /// Iterates over the variables referenced anywhere in this posynomial,
-    /// deduplicated, in ascending index order.
-    pub fn variables(&self) -> Vec<VarId> {
-        let mut ids: Vec<VarId> = self
-            .terms
-            .iter()
-            .flat_map(|t| t.exponents().map(|(v, _)| v))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Renders with names from `pool`.
-    pub fn display_with<'a>(&'a self, pool: &'a VarPool) -> impl fmt::Display + 'a {
-        struct D<'a>(&'a Posynomial, &'a VarPool);
-        impl fmt::Display for D<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                if self.0.terms.is_empty() {
-                    return write!(f, "0");
-                }
-                for (i, t) in self.0.terms.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " + ")?;
-                    }
-                    write!(f, "{}", t.display_with(self.1))?;
-                }
-                Ok(())
-            }
-        }
-        D(self, pool)
-    }
-}
-
-fn same_exponents(a: &Monomial, b: &Monomial) -> bool {
-    // Exponent maps iterate in ascending variable order already, so the
-    // pairs can be compared lockstep without collecting or sorting — this
-    // runs O(terms²) times during posynomial assembly and must stay
-    // allocation-free.
-    let mut ea = a.exponents();
-    let mut eb = b.exponents();
-    loop {
-        match (ea.next(), eb.next()) {
-            (None, None) => return true,
-            (Some((va, xa)), Some((vb, xb))) if va == vb && (xa - xb).abs() < 1e-12 => {}
-            _ => return false,
+        match self.terms.iter_mut().find(|t| t.exponents().eq(m.exponents())) {
+            Some(t) => t.coeff = merge_coeff(t.coeff, m.coeff),
+            None => self.terms.push(m),
         }
     }
 }
@@ -359,11 +311,12 @@ mod tests {
     }
 
     #[test]
-    fn variables_are_sorted_and_deduped() {
-        let (_, a, b) = vars();
-        let p = Posynomial::from(Monomial::new(1.0).pow(b, 1.0))
-            + Monomial::new(1.0).pow(a, 2.0).pow(b, -1.0);
-        assert_eq!(p.variables(), vec![a, b]);
+    fn merging_needs_an_exactly_equal_row() {
+        let (_, a, _) = vars();
+        let near = 1.0 + f64::EPSILON;
+        let p = Posynomial::var(a) + Monomial::new(1.0).pow(a, near) + Monomial::var(a);
+        assert_eq!(p.terms().len(), 2);
+        assert_eq!(p.terms()[0].coeff(), 2.0);
     }
 
     #[test]
@@ -372,10 +325,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_scales_every_term() {
+    fn map_coeffs_rescales_in_place() {
         let (_, a, _) = vars();
         let p = Posynomial::var(a) + Monomial::new(2.0);
-        let s = p.scale(3.0);
+        let mut s = p.clone();
+        s.map_coeffs(|_, c| c * 3.0);
         let x = [1.5];
         assert!((s.eval(&x) - 3.0 * p.eval(&x)).abs() < 1e-12);
     }

@@ -64,3 +64,21 @@ fn unusable_worker_count_is_traced_by_the_binary() {
         "{stderr}"
     );
 }
+
+/// A negative load or a non-positive delay is a typed invalid request:
+/// exit 1 with nothing sized. `--load -1` used to size (the GP dropped the
+/// load, STA timed with it) and `--delay -5` was called non-finite.
+#[test]
+fn negative_load_or_non_positive_delay_is_an_invalid_request() {
+    for (args, what) in [
+        (["size", "mux8", "--load", "-1"], "invalid boundary request"),
+        (["size", "mux8", "--delay", "-5"], "invalid spec request"),
+        (["size", "mux8", "--delay", "0"], "invalid spec request"),
+    ] {
+        let out = smart(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(what), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may be sized");
+    }
+}
