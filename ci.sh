@@ -9,8 +9,16 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== build (release, offline) =="
-cargo build --workspace --release --offline
+# Every target (libs, bins, tests, examples, benches) must build without a
+# single rustc warning. Cargo replays cached diagnostics on a warm build,
+# so the log is complete even when nothing recompiles.
+echo "== build (release, offline, all targets, warning-free) =="
+mkdir -p target/ci
+cargo build --workspace --all-targets --release --offline 2>&1 | tee target/ci/build.log
+if grep -q '^warning' target/ci/build.log; then
+  echo "the workspace build emitted warnings (see above)" >&2
+  exit 1
+fi
 
 # The benchmark is its own Cargo workspace built on the public APIs of
 # smart-core, smart-netlist and smart-serve; building it here catches a

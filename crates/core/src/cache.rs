@@ -145,7 +145,6 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
         timing_tolerance,
         slope_max,
         pinned,
-        path_limit,
         noise_constraints,
         otb,
         warm_start,
@@ -153,7 +152,7 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
         gp_retries,
         relaxation,
         corners,
-        // Budgets (and their clock) abort solves; aborts are never cached.
+        // Budgets abort solves; aborts are never cached.
         budget: _,
         // The store itself.
         cache: _,
@@ -185,7 +184,9 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
         h.write_str(name);
         h.write_f64_bits(w);
     }
-    h.write_usize(*path_limit);
+    // The compaction limit, hashed where the option used to be so that
+    // existing cache keys and snapshots stay valid.
+    h.write_usize(crate::compact::PATH_LIMIT);
     h.write_bool(*noise_constraints);
     h.write_bool(*otb);
     h.write_bool(*heuristic_dominance);

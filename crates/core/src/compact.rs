@@ -21,14 +21,21 @@
 //! path's constraint.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 
-use smart_models::arcs::ArcPhase;
-use smart_models::{ModelLibrary, TermSum, TermTable};
+use smart_models::arcs::{ArcPhase, Edge};
+use smart_models::{ModelLibrary, TermId, TermSum, TermTable};
 use smart_netlist::{Circuit, ComponentKind, LabelId, NetId};
-use smart_posy::{Posynomial, VarId};
+use smart_posy::VarId;
 use smart_sta::{paths::count_paths, TNode, TimingGraph};
 
+use crate::sizing::check_cancelled;
 use crate::{FlowError, SizingOptions};
+
+/// Cap on distinct suffix classes at any one timing node. A macro past it
+/// has a labeling that defeats the regularity merge, and compaction fails
+/// with [`FlowError::TooManyPaths`] instead of growing without bound.
+pub const PATH_LIMIT: usize = 20_000;
 
 /// Linear capacitance decomposition of a net: per-label width coefficients
 /// plus a constant (wire + boundary load).
@@ -41,21 +48,21 @@ pub struct CapVec {
 }
 
 impl CapVec {
-    /// Extracts the linear decomposition from a (linear) cap posynomial.
+    /// Extracts the linear decomposition from a (linear) cap sum over
+    /// `table`'s rows, as [`ModelLibrary::net_cap_terms`] writes it.
     ///
     /// # Panics
     ///
-    /// Panics if the posynomial has a term that is not a constant or a
-    /// single first-degree variable (net caps are linear by construction).
-    pub fn from_posynomial(p: &Posynomial) -> Self {
+    /// Panics if the sum has a term that is not a constant or a single
+    /// first-degree variable (net caps are linear by construction).
+    pub fn from_terms(table: &TermTable, terms: &[(TermId, f64)]) -> Self {
         let mut coeffs: BTreeMap<LabelId, f64> = BTreeMap::new();
         let mut constant = 0.0;
-        for m in p.terms() {
-            let exps: Vec<_> = m.exponents().collect();
-            match exps.as_slice() {
-                [] => constant += m.coeff(),
+        for &(id, c) in terms {
+            match table.row(id) {
+                [] => constant += c,
                 [(v, e)] if (*e - 1.0).abs() < 1e-9 => {
-                    *coeffs.entry(LabelId::from_index(v.index())).or_insert(0.0) += m.coeff();
+                    *coeffs.entry(LabelId::from_index(v.index())).or_insert(0.0) += c;
                 }
                 _ => panic!("net capacitance must be linear in label widths"),
             }
@@ -79,19 +86,6 @@ impl CapVec {
     pub fn score(&self) -> f64 {
         self.constant + self.coeffs.values().sum::<f64>()
     }
-}
-
-/// Symbolic step identity: two arcs with equal descriptors contribute an
-/// identical term to a path constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct StepKey {
-    /// Index of the component's kind among the circuit's distinct kinds
-    /// (equal kinds, by `==`, share an index).
-    kind: usize,
-    labels: Vec<LabelId>,
-    edge_fall: bool,
-    phase_tag: u8,
-    cap_sig: usize,
 }
 
 /// One compacted constraint path: the representative arc sequence.
@@ -124,6 +118,10 @@ pub struct Compaction {
     pub after_regularity: usize,
     /// Per-net capacitance decompositions (indexed by net).
     pub net_caps: Vec<CapVec>,
+    /// Per-arc component-kind id: equal ids mean `==` kinds.
+    pub(crate) arc_kinds: Vec<usize>,
+    /// Per-net cap id: equal ids mean bit-equal [`CapVec`]s.
+    pub(crate) net_cap_ids: Vec<usize>,
 }
 
 impl Compaction {
@@ -137,6 +135,21 @@ impl Compaction {
     }
 }
 
+/// The dense id of `key`, assigning the next one on first sight.
+fn intern<K: Eq + Hash>(ids: &mut HashMap<K, usize>, key: K) -> usize {
+    let next = ids.len();
+    *ids.entry(key).or_insert(next)
+}
+
+/// One representative suffix path in the arena: its first arc, the link
+/// of the rest (0 is the empty path) and whether any arc on it is a
+/// precharge arc.
+struct Link {
+    arc: usize,
+    next: usize,
+    has_precharge: bool,
+}
+
 /// Runs path extraction and compaction.
 ///
 /// `extra_loads` maps net → additional boundary capacitance (from output
@@ -146,8 +159,9 @@ impl Compaction {
 /// # Errors
 ///
 /// [`FlowError::TooManyPaths`] if the merged class count exceeds
-/// `opts.path_limit` at any node, and [`FlowError::NoEndpoints`] if the
-/// graph has no source-to-endpoint path at all.
+/// [`PATH_LIMIT`] at any node, [`FlowError::BudgetExceeded`] if the
+/// budget's cancellation token fires, and [`FlowError::NoEndpoints`] if
+/// the graph has no source-to-endpoint path at all.
 pub fn compact(
     circuit: &Circuit,
     lib: &ModelLibrary,
@@ -161,149 +175,136 @@ pub fn compact(
         .ok_or(FlowError::Sta(smart_sta::StaError::CombinationalLoop))?;
     let raw_paths = count_paths(&graph);
 
-    // Pre-compute cap decompositions.
+    // Cap decompositions, interned on exact (label, coefficient bits)
+    // rows plus the constant's bits.
     let mut net_caps = Vec::with_capacity(circuit.net_count());
+    let mut net_cap_ids = Vec::with_capacity(circuit.net_count());
+    let mut cap_ids = HashMap::new();
     let mut table = TermTable::new();
     let mut cap = TermSum::new();
     for (id, _) in circuit.nets() {
         let extra = extra_loads.get(&id).copied().unwrap_or(0.0);
         lib.net_cap_terms(&mut table, circuit, id, vars, extra, &mut cap);
-        net_caps.push(CapVec::from_posynomial(&table.posynomial(cap.terms())));
+        let cv = CapVec::from_terms(&table, cap.terms());
+        let row: Vec<(LabelId, u64)> = cv.coeffs.iter().map(|(&l, c)| (l, c.to_bits())).collect();
+        net_cap_ids.push(intern(&mut cap_ids, (row, cv.constant.to_bits())));
+        net_caps.push(cv);
     }
 
-    // Intern cap signatures (exact coefficient maps).
-    let mut cap_sig_ids: HashMap<String, usize> = HashMap::new();
-    let mut cap_sig_of_net = vec![0usize; circuit.net_count()];
-    for (i, cv) in net_caps.iter().enumerate() {
-        let key = format!("{cv:?}");
-        let next = cap_sig_ids.len();
-        let id = *cap_sig_ids.entry(key).or_insert(next);
-        cap_sig_of_net[i] = id;
-    }
-
-    // Arc descriptors. Component kinds are interned by exact equality,
-    // so two different kinds can never share a step identity.
+    // Step identity of each arc: its shape (component kind, sorted
+    // labels, output edge, phase) plus the cap id of the net it drives.
+    // Two arcs with equal step ids contribute an identical term to a path
+    // constraint. Kinds are interned by `==`, so two different kinds can
+    // never share an id.
     let mut kinds: Vec<&ComponentKind> = Vec::new();
-    let arc_desc: Vec<StepKey> = graph
-        .arcs
-        .iter()
-        .map(|arc| {
-            let comp = circuit.comp(arc.comp);
-            let kind = kinds.iter().position(|&k| *k == comp.kind).unwrap_or_else(|| {
-                kinds.push(&comp.kind);
-                kinds.len() - 1
-            });
-            let mut labels: Vec<LabelId> = comp
-                .label_bindings()
-                .iter()
-                .map(|&(_, l)| l)
-                .collect();
-            labels.sort_unstable();
-            StepKey {
-                kind,
-                labels,
-                edge_fall: matches!(arc.to.edge, smart_models::arcs::Edge::Fall),
-                phase_tag: match arc.phase {
-                    ArcPhase::Data => 0,
-                    ArcPhase::Precharge => 1,
-                    ArcPhase::ClockedEvaluate => 2,
-                },
-                cap_sig: cap_sig_of_net[arc.to.net.index()],
-            }
-        })
-        .collect();
-
-    // Suffix sets per node, built in reverse topological order.
-    #[derive(Clone)]
-    struct Suffix {
-        sig: Vec<u64>, // rolling per-step hashes of StepKey
-        arcs: Vec<usize>,
-        has_precharge: bool,
-    }
-    let mut step_hash: Vec<u64> = Vec::with_capacity(arc_desc.len());
-    {
-        let mut interner: HashMap<&StepKey, u64> = HashMap::new();
-        for d in &arc_desc {
-            let next = interner.len() as u64;
-            let id = *interner.entry(d).or_insert(next);
-            step_hash.push(id);
-        }
+    let mut shape_ids = HashMap::new();
+    let mut step_ids = HashMap::new();
+    let mut arc_kinds = Vec::with_capacity(graph.arcs.len());
+    let mut arc_shapes = Vec::with_capacity(graph.arcs.len());
+    let mut arc_steps = Vec::with_capacity(graph.arcs.len());
+    for arc in &graph.arcs {
+        let comp = circuit.comp(arc.comp);
+        let kind = kinds.iter().position(|&k| *k == comp.kind).unwrap_or_else(|| {
+            kinds.push(&comp.kind);
+            kinds.len() - 1
+        });
+        let mut labels: Vec<LabelId> = comp.label_bindings().iter().map(|&(_, l)| l).collect();
+        labels.sort_unstable();
+        let shape = intern(
+            &mut shape_ids,
+            (kind, labels, arc.to.edge == Edge::Fall, arc.phase),
+        );
+        arc_kinds.push(kind);
+        arc_shapes.push(shape);
+        let cap = net_cap_ids[arc.to.net.index()];
+        arc_steps.push(intern(&mut step_ids, (shape, cap)));
     }
 
-    let mut suffixes: Vec<Vec<Suffix>> = vec![Vec::new(); graph.node_count()];
+    // Suffix arena, built in reverse topological order. A signature id
+    // names a step sequence, interned on the exact pair (first step id,
+    // tail signature id); 0 is the empty sequence. Each node keeps one
+    // (signature, link) pair per distinct signature of the paths leaving
+    // it; the link is the first arrival in fanout order, which is the
+    // path the class keeps.
+    let mut sig_ids: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut links = vec![Link {
+        arc: usize::MAX,
+        next: 0,
+        has_precharge: false,
+    }];
+    // Per signature id: the last node that took it.
+    let mut taken_at = vec![usize::MAX];
+    let mut suffixes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); graph.node_count()];
     for node in order.iter().rev() {
+        check_cancelled(opts, "path compaction")?;
         let i = node.index();
         if graph.fanout[i].is_empty() {
-            suffixes[i] = vec![Suffix {
-                sig: Vec::new(),
-                arcs: Vec::new(),
-                has_precharge: false,
-            }];
+            suffixes[i] = vec![(0, 0)];
             continue;
         }
-        let mut merged: HashMap<Vec<u64>, Suffix> = HashMap::new();
+        let mut out = Vec::new();
         for &ai in &graph.fanout[i] {
             let to = graph.arcs[ai].to.index();
             let is_pre = graph.arcs[ai].phase == ArcPhase::Precharge;
-            for s in &suffixes[to] {
-                let mut sig = Vec::with_capacity(s.sig.len() + 1);
-                sig.push(step_hash[ai]);
-                sig.extend(&s.sig);
-                merged.entry(sig).or_insert_with(|| {
-                    let mut arcs = Vec::with_capacity(s.arcs.len() + 1);
-                    arcs.push(ai);
-                    arcs.extend(&s.arcs);
-                    Suffix {
-                        sig: Vec::new(), // filled below
-                        arcs,
-                        has_precharge: is_pre || s.has_precharge,
-                    }
+            for &(tail_sig, tail) in &suffixes[to] {
+                let sig = 1 + intern(&mut sig_ids, (arc_steps[ai], tail_sig));
+                if sig == taken_at.len() {
+                    taken_at.push(usize::MAX);
+                } else if taken_at[sig] == i {
+                    continue;
+                }
+                taken_at[sig] = i;
+                let has_precharge = is_pre || links[tail].has_precharge;
+                out.push((sig, links.len()));
+                links.push(Link {
+                    arc: ai,
+                    next: tail,
+                    has_precharge,
                 });
             }
         }
-        let mut out: Vec<Suffix> = merged
-            .into_iter()
-            .map(|(sig, mut s)| {
-                s.sig = sig;
-                s
-            })
-            .collect();
-        out.sort_by(|a, b| a.sig.cmp(&b.sig));
-        if out.len() > opts.path_limit {
+        if out.len() > PATH_LIMIT {
             return Err(FlowError::TooManyPaths {
                 classes: out.len(),
-                limit: opts.path_limit,
+                limit: PATH_LIMIT,
             });
         }
         suffixes[i] = out;
     }
 
-    // Collect full classes from source nodes, dedup across sources.
-    let mut classes_by_sig: HashMap<Vec<u64>, PathClass> = HashMap::new();
+    // Collect full classes from source nodes, dedup across sources by
+    // signature (the lowest-index source keeps the class), and spell out
+    // each kept class's arcs from its links.
+    let mut collected = vec![false; taken_at.len()];
+    let mut classes = Vec::new();
     #[allow(clippy::needless_range_loop)] // i is a timing-node id, not a position
     for i in 0..graph.node_count() {
         if !graph.fanin[i].is_empty() || graph.fanout[i].is_empty() {
             continue;
         }
-        let source = TNode::from_index(i);
-        for s in &suffixes[i] {
+        for &(sig, link) in &suffixes[i] {
+            if std::mem::replace(&mut collected[sig], true) {
+                continue;
+            }
+            let mut arcs = Vec::new();
+            let mut at = link;
+            while at != 0 {
+                arcs.push(links[at].arc);
+                at = links[at].next;
+            }
             // An empty suffix is a degenerate zero-arc path; it cannot
             // constrain anything, so drop it rather than panic.
-            let Some(&last_arc) = s.arcs.last() else {
+            let Some(&last_arc) = arcs.last() else {
                 continue;
             };
-            let endpoint = graph.arcs[last_arc].to;
-            classes_by_sig
-                .entry(s.sig.clone())
-                .or_insert_with(|| PathClass {
-                    arcs: s.arcs.clone(),
-                    source,
-                    endpoint,
-                    is_precharge: s.has_precharge,
-                });
+            classes.push(PathClass {
+                endpoint: graph.arcs[last_arc].to,
+                arcs,
+                source: TNode::from_index(i),
+                is_precharge: links[link].has_precharge,
+            });
         }
     }
-    let mut classes: Vec<PathClass> = classes_by_sig.into_values().collect();
     classes.sort_by(|a, b| a.arcs.cmp(&b.arcs));
     let after_regularity = classes.len();
     if classes.is_empty() {
@@ -312,20 +313,10 @@ pub fn compact(
 
     // Fanout-dominance pruning: group by cap-free shape; within a group,
     // drop classes whose per-step caps are pointwise dominated.
-    type ShapeKey = Vec<(usize, Vec<LabelId>, bool, u8)>;
-    let shape_of = |class: &PathClass| -> ShapeKey {
-        class
-            .arcs
-            .iter()
-            .map(|&ai| {
-                let d = &arc_desc[ai];
-                (d.kind, d.labels.clone(), d.edge_fall, d.phase_tag)
-            })
-            .collect()
-    };
-    let mut groups: HashMap<ShapeKey, Vec<usize>> = HashMap::new();
+    let mut groups: HashMap<Vec<usize>, Vec<usize>> = HashMap::new();
     for (idx, class) in classes.iter().enumerate() {
-        groups.entry(shape_of(class)).or_default().push(idx);
+        let shape = class.arcs.iter().map(|&ai| arc_shapes[ai]).collect();
+        groups.entry(shape).or_default().push(idx);
     }
     let mut keep = vec![true; classes.len()];
     if opts.heuristic_dominance {
@@ -391,5 +382,7 @@ pub fn compact(
         raw_paths,
         after_regularity,
         net_caps,
+        arc_kinds,
+        net_cap_ids,
     })
 }

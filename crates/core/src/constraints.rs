@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 use smart_gp::{GpError, GpProblem};
 use smart_models::arcs::Edge;
 use smart_models::{label_vars, ModelLibrary, TermId, TermSum, TermTable};
-use smart_netlist::{Circuit, ComponentKind, DeviceRole, LabelId, NetId, NetKind};
+use smart_netlist::{Circuit, ComponentKind, DeviceRole, NetId, NetKind};
 use smart_posy::{Monomial, Posynomial, VarId};
 use smart_sta::Boundary;
 
@@ -295,28 +295,15 @@ impl<'a> PathDelays<'a> {
 /// topology exists) and is already governed by the evaluate timing
 /// constraints plus the noise rule.
 fn slope_rule_arcs(circuit: &Circuit, compaction: &Compaction) -> Vec<usize> {
-    let mut kinds: Vec<&ComponentKind> = Vec::new();
-    let mut cap_ids: HashMap<(Vec<(LabelId, u64)>, u64), usize> = HashMap::new();
-    let mut cap_of_net: Vec<Option<usize>> = vec![None; compaction.net_caps.len()];
     let mut seen = HashSet::new();
     let mut chosen = Vec::new();
     for (ai, arc) in compaction.graph.arcs.iter().enumerate() {
         if circuit.net(arc.to.net).kind == NetKind::Dynamic {
             continue;
         }
-        let comp = circuit.comp(arc.comp);
-        let kind = kinds.iter().position(|&k| *k == comp.kind).unwrap_or_else(|| {
-            kinds.push(&comp.kind);
-            kinds.len() - 1
-        });
-        let net = arc.to.net.index();
-        let cap = *cap_of_net[net].get_or_insert_with(|| {
-            let cv = &compaction.net_caps[net];
-            let row = cv.coeffs.iter().map(|(&l, c)| (l, c.to_bits())).collect();
-            let next = cap_ids.len();
-            *cap_ids.entry((row, cv.constant.to_bits())).or_insert(next)
-        });
-        if seen.insert((comp.label_bindings(), kind, arc.to.edge, cap)) {
+        let bindings = circuit.comp(arc.comp).label_bindings();
+        let cap = compaction.net_cap_ids[arc.to.net.index()];
+        if seen.insert((bindings, compaction.arc_kinds[ai], arc.to.edge, cap)) {
             chosen.push(ai);
         }
     }

@@ -16,8 +16,8 @@ pub enum FlowError {
     /// Timing analysis failed (combinational loop, bad boundary).
     Sta(StaError),
     /// Path compaction still produced more classes than
-    /// [`crate::SizingOptions::path_limit`] — the macro's labeling defeats
-    /// regularity-based reduction.
+    /// [`crate::compact::PATH_LIMIT`] at one timing node — the macro's
+    /// labeling defeats regularity-based reduction.
     TooManyPaths {
         /// Compacted class count.
         classes: usize,

@@ -14,8 +14,9 @@
 //!   between outer iterations and cooperatively inside the GP solver).
 
 use std::borrow::Cow;
+use std::time::Instant;
 
-use smart_chaos::{ClockInstant, FaultSite};
+use smart_chaos::FaultSite;
 use smart_gp::{GpError, GpProblem, GpSolution, SolverOptions};
 use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, Sizing};
@@ -173,14 +174,11 @@ fn solve_with_retries(
     gp: &GpProblem,
     initial: Vec<f64>,
     opts: &SizingOptions,
-    deadline: Option<ClockInstant>,
+    deadline: Option<Instant>,
 ) -> Result<(GpSolution, usize), FlowError> {
     let solver_opts = |x0: Vec<f64>| SolverOptions {
         initial_x: Some(x0),
-        // The solver's per-Newton-step check only understands real
-        // instants; virtual deadlines are enforced at the outer loop's
-        // checkpoints instead.
-        deadline: deadline.and_then(|d| d.as_real()),
+        deadline,
         max_total_newton: opts.budget.max_gp_iters,
         cancel: opts.budget.cancel.clone(),
         ..Default::default()
@@ -340,7 +338,7 @@ pub fn size_lazily<'c>(
     spec: &DelaySpec,
     opts: &SizingOptions,
 ) -> Result<SizingOutcome, FlowError> {
-    let deadline = opts.budget.wall_clock.map(|d| opts.budget.clock.deadline_after(d));
+    let deadline = opts.budget.wall_clock.and_then(|d| Instant::now().checked_add(d));
     validate_spec(spec)?;
     check_cancelled(opts, "sizing entry")?;
     chaos_time_skew(opts)?;
@@ -506,7 +504,7 @@ fn chaos_measure(
 
 /// Cooperative cancellation check at flow-level checkpoints (the GP's
 /// Newton loop has its own per-step check via [`SolverOptions::cancel`]).
-fn check_cancelled(opts: &SizingOptions, at: &str) -> Result<(), FlowError> {
+pub(crate) fn check_cancelled(opts: &SizingOptions, at: &str) -> Result<(), FlowError> {
     if opts.budget.is_cancelled() {
         return Err(FlowError::BudgetExceeded {
             what: "cancelled",
@@ -611,7 +609,7 @@ fn size_to_spec(
     spec: &DelaySpec,
     opts: &SizingOptions,
     prepared: &Prepared,
-    deadline: Option<ClockInstant>,
+    deadline: Option<Instant>,
     chain: &mut Option<Vec<f64>>,
 ) -> Result<SizingOutcome, FlowError> {
     let compaction = &prepared.compaction;
@@ -625,8 +623,8 @@ fn size_to_spec(
     let mut restarts = 0usize;
     let mut gp_state: Option<crate::constraints::SizingGp> = None;
     for iter in 1..=opts.max_outer_iters {
-        if let Some(d) = &deadline {
-            if opts.budget.clock.has_passed(d) {
+        if let Some(d) = deadline {
+            if Instant::now() >= d {
                 return Err(FlowError::BudgetExceeded {
                     what: "wall-clock",
                     detail: format!("sizing loop reached outer iteration {iter}"),
@@ -767,7 +765,7 @@ pub fn minimize_delay(
     boundary: &Boundary,
     opts: &SizingOptions,
 ) -> Result<(f64, SizingOutcome), FlowError> {
-    let deadline = opts.budget.wall_clock.map(|d| opts.budget.clock.deadline_after(d));
+    let deadline = opts.budget.wall_clock.and_then(|d| Instant::now().checked_add(d));
     let prepared = prepare(circuit, lib, boundary, opts)?;
     let compaction = &prepared.compaction;
     let (built, t_var) =

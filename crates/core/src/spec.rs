@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use smart_chaos::{Clock, FaultPlan};
+use smart_chaos::FaultPlan;
 use smart_gp::CancelToken;
 use smart_models::CornerSet;
 use smart_netlist::Sizing;
@@ -93,14 +93,6 @@ pub struct FlowBudget {
     /// that are stable for the whole sweep (never cancelled, or cancelled
     /// before it starts).
     pub cancel: Option<Arc<CancelToken>>,
-    /// The time source the wall-clock budget runs against.
-    /// [`Clock::Real`] (the default) is the historical `Instant`-based
-    /// behavior; a [`Clock::Virtual`] lets tests cover hours of budget
-    /// time in microseconds. Virtual deadlines are enforced at the flow's
-    /// own checkpoints (outer iterations); the GP solver's
-    /// per-Newton-step deadline check only understands real instants and
-    /// simply does not see virtual ones.
-    pub clock: Clock,
 }
 
 impl FlowBudget {
@@ -121,7 +113,6 @@ impl PartialEq for FlowBudget {
         self.wall_clock == other.wall_clock
             && self.max_gp_iters == other.max_gp_iters
             && self.max_candidates == other.max_candidates
-            && self.clock == other.clock
             && match (&self.cancel, &other.cancel) {
                 (None, None) => true,
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -189,9 +180,6 @@ pub struct SizingOptions {
     /// designer should be allowed to control transistor sizes of portions
     /// of the macro").
     pub pinned: HashMap<String, f64>,
-    /// Cap on compacted constraint paths; exceeded ⇒ error, signalling a
-    /// macro whose labeling defeats compaction.
-    pub path_limit: usize,
     /// Enforce the dynamic-node noise rule (precharge keeps a minimum
     /// strength relative to the data pull-down).
     pub noise_constraints: bool,
@@ -324,7 +312,6 @@ impl Default for SizingOptions {
             timing_tolerance: 0.01,
             slope_max: 120.0,
             pinned: HashMap::new(),
-            path_limit: 20_000,
             noise_constraints: true,
             warm_start: None,
             otb: true,

@@ -150,3 +150,16 @@ fn exact_dominance_also_converges() {
         assert!(out.measured_delay <= relaxed.data * 1.01);
     }
 }
+
+/// Each suffix is O(1) in the compaction arena, so a 512-bit incrementor
+/// (over half a million raw paths) compacts in bounded memory; copying
+/// every suffix's step and arc lists ran out of memory here.
+#[test]
+fn inc512_compacts() {
+    let lib = ModelLibrary::reference();
+    let circuit = MacroSpec::Incrementor { width: 512 }.generate();
+    let c = compaction_stats(&circuit, &lib, &boundary_for(&circuit, 12.0), &SizingOptions::default())
+        .expect("inc512 compacts");
+    assert!(c.raw_paths > 500_000, "raw paths: {}", c.raw_paths);
+    assert!(!c.classes.is_empty());
+}

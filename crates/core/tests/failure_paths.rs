@@ -3,12 +3,15 @@
 //! boundaries, exhausted budgets) must become typed table rows or typed
 //! errors — never a dead sweep, never a panic escaping the flow.
 
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use smart_core::{
-    explore_parallel, explore_with_parallel, minimize_delay, size_circuit, DelaySpec, FlowBudget,
-    FlowError, LintGate, ParallelOptions, SizingOptions,
+    compact, explore_parallel, explore_with_parallel, minimize_delay, size_circuit, DelaySpec,
+    FlowBudget, FlowError, LintGate, ParallelOptions, SizingOptions,
 };
+use smart_gp::CancelToken;
 use smart_macros::{MacroSpec, MuxTopology};
 use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, ComponentKind, DeviceRole, Skew};
@@ -174,6 +177,22 @@ fn zero_wall_clock_budget_trips_budget_exceeded() {
         other => panic!("expected BudgetExceeded, got {other}"),
     }
     assert_eq!(err.taxonomy(), "budget");
+}
+
+#[test]
+fn compaction_stops_on_a_fired_cancellation_token() {
+    let circuit = MacroSpec::Incrementor { width: 64 }.generate();
+    let lib = ModelLibrary::reference();
+    let (_, vars) = smart_models::label_vars(&circuit);
+    let token = CancelToken::new();
+    token.cancel();
+    let mut opts = SizingOptions::default();
+    opts.budget.cancel = Some(Arc::new(token));
+    match compact(&circuit, &lib, &vars, &HashMap::new(), &opts) {
+        Err(FlowError::BudgetExceeded { what: "cancelled", .. }) => {}
+        Err(other) => panic!("expected a cancelled budget error, got {other}"),
+        Ok(c) => panic!("compaction ignored the token ({} classes)", c.classes.len()),
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! severity overrides and waivers.
 
 use smart_lint::{lint_circuit, lint_circuit_with, rules, LintConfig, Severity, Waiver};
-use smart_netlist::{Circuit, ComponentKind, DeviceRole, LabelId, NetId, NetKind, Network, Skew};
+use smart_netlist::{Circuit, ComponentKind, DeviceRole, NetId, NetKind, Network, Skew};
 
 fn inv(c: &mut Circuit, path: &str, a: NetId, y: NetId) {
     let p = c.label("P1");

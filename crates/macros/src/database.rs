@@ -21,6 +21,10 @@ use crate::shifter::{barrel_shifter, ShiftKind};
 use crate::zero_detect::{zero_detect, ZeroDetectStyle};
 use crate::adder::cla_adder;
 
+/// Largest bit width [`MacroSpec::supported`] accepts for incrementors,
+/// decrementors, zero-detects, comparators and register-file words.
+const MAX_WIDTH: usize = 1024;
+
 /// A fully parameterized macro request.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MacroSpec {
@@ -153,23 +157,28 @@ impl MacroSpec {
     /// callers holding untrusted parameters (the serve wire protocol,
     /// the CLI) can turn an out-of-range request into a typed error
     /// instead of a panic.
+    ///
+    /// Bit widths (and register-file word widths) are capped at 1024
+    /// (`MAX_WIDTH`): elaboration and path compaction grow with width, and
+    /// an untrusted request must not be able to ask for unbounded work.
     pub fn supported(&self) -> bool {
+        let width_ok = |w: &usize| (1..=MAX_WIDTH).contains(w);
         match self {
             MacroSpec::Mux { topology, width } => topology.supports_width(*width),
             MacroSpec::Incrementor { width }
             | MacroSpec::IncrementorCla { width }
-            | MacroSpec::Decrementor { width } => *width >= 1,
-            MacroSpec::ZeroDetect { width, .. } => *width >= 1,
+            | MacroSpec::Decrementor { width } => width_ok(width),
+            MacroSpec::ZeroDetect { width, .. } => width_ok(width),
             MacroSpec::Decoder { in_bits } => (1..=8).contains(in_bits),
             MacroSpec::PriorityEncoder { out_bits } | MacroSpec::OnehotEncoder { out_bits } => {
                 (1..=6).contains(out_bits)
             }
             MacroSpec::Comparator { width, variant } => {
-                *width >= 1 && width.is_multiple_of(variant.xorsum)
+                width_ok(width) && width.is_multiple_of(variant.xorsum)
             }
             MacroSpec::ClaAdder { width } => (1..=64).contains(width),
             MacroSpec::RegFileRead { words, bits } => {
-                words.is_power_of_two() && (2..=64).contains(words) && *bits >= 1
+                words.is_power_of_two() && (2..=64).contains(words) && width_ok(bits)
             }
             MacroSpec::BarrelShifter { width, .. } => {
                 width.is_power_of_two() && (2..=64).contains(width)
@@ -582,6 +591,18 @@ mod tests {
             let spec = MacroSpec::parse(name).expect(name);
             assert!(spec.supported(), "{name}");
             assert!(spec.generate().device_count() > 0, "{name}");
+        }
+    }
+
+    /// Widths are bounded, so no wire request can ask for unbounded
+    /// elaboration and compaction work.
+    #[test]
+    fn parse_bounds_widths_at_1024() {
+        for name in ["inc4096", "dec2048", "zd1025", "cmp2048", "rf16x4096"] {
+            assert_eq!(MacroSpec::parse(name), None, "{name} must be rejected");
+        }
+        for name in ["inc1024", "dec1024", "zd1024", "cmp1024", "rf16x1024"] {
+            assert!(MacroSpec::parse(name).is_some(), "{name} must be accepted");
         }
     }
 

@@ -244,6 +244,29 @@ fn nesting_bomb_is_a_typed_row_and_the_advisor_keeps_serving() {
     assert_eq!(ping.text, r#"{"ok":true,"op":"ping","id":"after"}"#);
 }
 
+/// A width past the generators' bound is refused at parse time with one
+/// typed row, before any elaboration or compaction could exhaust memory,
+/// and the daemon serves the next line.
+#[test]
+fn oversized_macro_is_one_typed_row_and_the_advisor_keeps_serving() {
+    let advisor = advisor_with_workers(1);
+    let script = "{\"op\":\"size\",\"id\":\"big\",\"macro\":\"inc4096\",\"delay\":5000}\n{\"op\":\"ping\",\"id\":\"after\"}\n";
+    let mut out = Vec::new();
+    let handled = run_script(&advisor, script, &mut out).expect("io");
+    assert_eq!(handled, 2);
+    let text = String::from_utf8(out).expect("utf8");
+    let rows: Vec<&str> = text.lines().collect();
+    assert_eq!(rows.len(), 2, "{text}");
+    assert!(
+        rows[0].starts_with("{\"ok\":false")
+            && rows[0].contains("\"id\":\"big\"")
+            && rows[0].contains("\"error\":\"invalid-request\""),
+        "{}",
+        rows[0]
+    );
+    assert_eq!(rows[1], r#"{"ok":true,"op":"ping","id":"after"}"#);
+}
+
 #[test]
 fn shutdown_stops_the_script_early() {
     let advisor = advisor_with_workers(1);

@@ -27,9 +27,8 @@
 //!   reads no environment: the `smart` binary turns tracing on with
 //!   `SMART_TRACE=1` and sets the worker count with `SMART_WORKERS`; the
 //!   examples and the bench bins read `SMART_WORKERS` themselves.
-//! * [`chaos`] — smart-chaos, the deterministic fault-injection plan,
-//!   virtual clock and candidate-scope plumbing behind the robustness
-//!   harness (`examples/chaos.rs`, DESIGN.md §13).
+//! * [`chaos`] — smart-chaos, the deterministic fault-injection plan
+//!   and candidate-scope plumbing behind the robustness harness (`examples/chaos.rs`, DESIGN.md §13).
 //! * [`serve`] — smart-serve, the resident advisory daemon: newline-
 //!   delimited JSON protocol over TCP/Unix sockets, cross-request sharded
 //!   sizing cache with snapshot/warm-restart, batch endpoints over the
