@@ -59,12 +59,14 @@ echo "== explore_scaling smoke (parallel + memoized sweeps) =="
 cargo run -q --offline --release -p smart-bench --bin explore_scaling -- --smoke
 
 # Smoke-sized GP kernel bench: exercises the sparse-vs-dense trajectory
-# assertion and the warm-start ladder end to end. Writes to target/ci so
-# the committed full-run BENCH_gp.json is never clobbered by smoke data.
-# `--check` fails the step if the GP build's deterministic counters
-# (constraints, final terms, term pushes) of the smoke entries differ
-# from the same entries in the committed full-run record.
-echo "== gp_kernel smoke (sparse kernel parity + warm-start ladder + build counters) =="
+# assertion on both evaluation sweeps (mux4 per posynomial, cla32 through
+# the term dictionary) and the warm-start ladder end to end. Writes to
+# target/ci so the committed full-run BENCH_gp.json is never clobbered by
+# smoke data. `--check` fails the step if the GP build's deterministic
+# counters (constraints, final terms, term pushes, distinct terms) of the
+# smoke entries differ from the same entries in the committed full-run
+# record.
+echo "== gp_kernel smoke (sparse kernel parity on both sweeps + warm-start ladder + build counters) =="
 mkdir -p target/ci
 cargo run -q --offline --release -p smart-bench --bin gp_kernel -- \
   --smoke --out target/ci/BENCH_gp.json --check BENCH_gp.json

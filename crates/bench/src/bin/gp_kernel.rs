@@ -6,8 +6,10 @@
 //! * **kernel** — per-macro sizing-GP solve wall time and Newton
 //!   steps/sec for the sparse production kernel vs the dense reference
 //!   oracle (`solve_reference`), same problems, same trajectories, with
-//!   each GP's term count and line-search trials per solve (the full run
-//!   adds `cla64`, the largest GP of the database);
+//!   each GP's term count, distinct-term count, which sweep the solver
+//!   picks for it (`grouped` over a term dictionary or `direct` per
+//!   posynomial) and line-search trials per solve (the full run adds
+//!   `cla64`, the largest GP of the database);
 //! * **warm_start** — phase-1 + phase-2 step counts and wall time across
 //!   a simulated relaxation ladder, with chaining (rung k+1 starts from
 //!   rung k's solution) vs without (every rung restarts from mid-range
@@ -22,8 +24,9 @@
 //!   database (12 fF on every output, 1500 ps) at the single corner and
 //!   at slow/typical/fast: median wall time of the whole-database build,
 //!   heap allocations per GP (a counting global allocator), and the
-//!   deterministic counters — constraints, final terms, term pushes —
-//!   per entry, next to the numbers recorded before the term table.
+//!   deterministic counters — constraints, final terms, term pushes,
+//!   distinct terms — per entry, next to the numbers recorded before the
+//!   term table.
 //!
 //! `--smoke` shrinks every section to CI size; `--out PATH` redirects
 //! the JSON (CI uses this so smoke numbers never clobber the committed
@@ -41,10 +44,10 @@ use smart_core::constraints::{boundary_extra_loads, build_sizing_gp, SizingGp};
 use smart_core::{
     compact, explore_parallel, DelaySpec, ParallelOptions, SizingOptions,
 };
-use smart_gp::SolverOptions;
+use smart_gp::{GpProblem, SolverOptions};
 use smart_macros::{representative_database, MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::{CornerSet, ModelLibrary};
-use smart_posy::LogPosynomial;
+use smart_posy::{LogPosynomial, TermDictionary};
 use smart_sta::Boundary;
 use smart_trace::json::Json;
 use smart_trace::{Trace, Value};
@@ -118,11 +121,43 @@ fn sizing_gp(request: &MacroSpec, load: f64, spec: &DelaySpec) -> SizingGp {
     sizing_gp_with(request, load, spec, &SizingOptions::default())
 }
 
+/// A GP's sharing: its term references, its distinct terms, and whether
+/// the solver sweeps it through a term dictionary.
+struct Sharing {
+    terms: usize,
+    distinct_terms: usize,
+    grouped: bool,
+}
+
+fn sharing(gp: &GpProblem) -> Sharing {
+    let dim = gp.dim();
+    let slots: Vec<LogPosynomial> = std::iter::once(gp.objective())
+        .chain(gp.constraints().iter().map(|c| &c.body))
+        .map(|p| LogPosynomial::from_posynomial(p, dim))
+        .collect();
+    let dict = TermDictionary::new(&slots);
+    Sharing {
+        terms: dict.references(),
+        distinct_terms: dict.distinct_terms(),
+        grouped: TermDictionary::if_shared(&slots).is_some(),
+    }
+}
+
+fn sweep_name(grouped: bool) -> &'static str {
+    if grouped {
+        "grouped"
+    } else {
+        "direct"
+    }
+}
+
 struct KernelRow {
     name: &'static str,
     dim: usize,
     constraints: usize,
     terms: usize,
+    distinct_terms: usize,
+    grouped: bool,
     newton_steps: usize,
     line_search_trials: usize,
     sparse_ms: f64,
@@ -175,16 +210,14 @@ fn bench_kernel(name: &'static str, built: &SizingGp, iters: usize) -> KernelRow
             "{name}: kernels walked different trajectories"
         );
     }
-    let dim = built.gp.dim();
-    let terms = std::iter::once(built.gp.objective())
-        .chain(built.gp.constraints().iter().map(|c| &c.body))
-        .map(|p| LogPosynomial::from_posynomial(p, dim).term_count())
-        .sum();
+    let shared = sharing(&built.gp);
     KernelRow {
         name,
-        dim,
+        dim: built.gp.dim(),
         constraints: built.gp.constraints().len(),
-        terms,
+        terms: shared.terms,
+        distinct_terms: shared.distinct_terms,
+        grouped: shared.grouped,
         newton_steps: steps,
         line_search_trials: line_search_trials(built, &opts),
         sparse_ms: sparse_best.as_secs_f64() * 1e3,
@@ -378,6 +411,7 @@ struct BuildCase {
     constraints: usize,
     terms: usize,
     pushes: usize,
+    distinct_terms: usize,
 }
 
 /// One corner set's whole-database build.
@@ -390,7 +424,8 @@ struct BuildRow {
 }
 
 /// Builds the sizing GP of every entry of `specs` (12 fF on every output,
-/// 1500 ps) `runs` times; compaction happens once, outside the clock.
+/// 1500 ps) `runs` times; compaction and one build per entry for its
+/// counters happen outside the clock.
 fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
     let lib = ModelLibrary::reference();
     let opts = SizingOptions {
@@ -410,27 +445,32 @@ fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
             (request.to_string(), circuit, boundary, extra, compaction)
         })
         .collect();
+    let build = |(_, circuit, boundary, extra, compaction): &(String, _, _, _, _)| {
+        build_sizing_gp(circuit, &lib, compaction, boundary, extra, &spec, &opts)
+            .unwrap_or_else(|e| panic!("GP builds: {e}"))
+    };
+    let cases = inputs
+        .iter()
+        .map(|input| {
+            let built = build(input);
+            let shared = sharing(&built.gp);
+            BuildCase {
+                name: input.0.clone(),
+                corners: if stf { "stf" } else { "single" },
+                constraints: built.gp.constraints().len(),
+                terms: shared.terms,
+                pushes: built.term_pushes,
+                distinct_terms: shared.distinct_terms,
+            }
+        })
+        .collect();
     let mut times = Vec::new();
     let mut allocs = 0;
-    let mut cases = Vec::new();
-    for run in 0..runs {
+    for _ in 0..runs {
         let before = ALLOCS.load(Ordering::Relaxed);
         let t0 = Instant::now();
-        for (name, circuit, boundary, extra, compaction) in &inputs {
-            let built = build_sizing_gp(circuit, &lib, compaction, boundary, extra, &spec, &opts)
-                .unwrap_or_else(|e| panic!("GP builds: {e}"));
-            if run == 0 {
-                cases.push(BuildCase {
-                    name: name.clone(),
-                    corners: if stf { "stf" } else { "single" },
-                    constraints: built.gp.constraints().len(),
-                    terms: std::iter::once(built.gp.objective())
-                        .chain(built.gp.constraints().iter().map(|c| &c.body))
-                        .map(|p| p.terms().len())
-                        .sum(),
-                    pushes: built.term_pushes,
-                });
-            }
+        for input in &inputs {
+            std::hint::black_box(build(input));
         }
         times.push(t0.elapsed().as_secs_f64() * 1e3);
         allocs = ALLOCS.load(Ordering::Relaxed) - before;
@@ -462,17 +502,36 @@ fn check_build(rows: &[BuildRow], path: &str) -> Vec<String> {
             e.get("case").and_then(Json::as_str) == Some(case.name.as_str())
                 && e.get("corners").and_then(Json::as_str) == Some(case.corners)
         });
-        let got = (Some(case.constraints), Some(case.terms), Some(case.pushes));
-        match recorded.map(|e| (count(e, "constraints"), count(e, "terms"), count(e, "pushes"))) {
+        let got = (
+            Some(case.constraints),
+            Some(case.terms),
+            Some(case.pushes),
+            Some(case.distinct_terms),
+        );
+        let want = recorded.map(|e| {
+            (
+                count(e, "constraints"),
+                count(e, "terms"),
+                count(e, "pushes"),
+                count(e, "distinct_terms"),
+            )
+        });
+        match want {
             Some(want) if want == got => {}
             want => diffs.push(format!(
-                "{} @{}: (constraints, terms, pushes) = {got:?}, recorded {want:?}",
+                "{} @{}: (constraints, terms, pushes, distinct_terms) = {got:?}, \
+                 recorded {want:?}",
                 case.name, case.corners
             )),
         }
     }
     diffs
 }
+
+/// About 1.3× `cla32`'s minimum delay at 12 fF: the smallest kernel case
+/// whose terms are shared enough for the grouped sweep.
+const CLA32: (&str, MacroSpec, f64, f64) =
+    ("cla32", MacroSpec::ClaAdder { width: 32 }, 12.0, 1283.0);
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -486,16 +545,21 @@ fn main() {
 
     // --- Kernel micro: sparse vs dense on real sizing GPs -------------
     // `(case, macro, output load fF, delay ps)`.
+    // The smoke set covers both sweeps: `mux4` is swept per posynomial,
+    // `cla32` through the term dictionary.
     let kernel_cases: Vec<(&'static str, MacroSpec, f64, f64)> = if smoke {
-        vec![(
-            "mux4",
-            MacroSpec::Mux {
-                topology: MuxTopology::StronglyMutexedPass,
-                width: 4,
-            },
-            20.0,
-            900.0,
-        )]
+        vec![
+            (
+                "mux4",
+                MacroSpec::Mux {
+                    topology: MuxTopology::StronglyMutexedPass,
+                    width: 4,
+                },
+                20.0,
+                900.0,
+            ),
+            CLA32,
+        ]
     } else {
         vec![
             (
@@ -518,25 +582,39 @@ fn main() {
             ),
             ("inc13", MacroSpec::Incrementor { width: 13 }, 20.0, 2600.0),
             ("inc8_cla", MacroSpec::IncrementorCla { width: 8 }, 20.0, 1500.0),
+            CLA32,
             // About 1.3× the minimum delay at 12 fF: 73 variables, 1,026
             // constraints, the GP that dominates the adder64 workload.
             ("cla64", MacroSpec::ClaAdder { width: 64 }, 12.0, 1469.0),
         ]
     };
     println!(
-        "{:<12} {:>5} {:>6} {:>7} {:>7} {:>7} {:>10} {:>10} {:>8} {:>12}",
-        "case", "dim", "cons", "terms", "steps", "trials", "sparse", "dense", "speedup", "steps/sec"
+        "{:<12} {:>5} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>10} {:>10} {:>8} {:>12}",
+        "case",
+        "dim",
+        "cons",
+        "terms",
+        "distinct",
+        "sweep",
+        "steps",
+        "trials",
+        "sparse",
+        "dense",
+        "speedup",
+        "steps/sec"
     );
     let mut kernel_rows = Vec::new();
     for (name, request, load, ps) in &kernel_cases {
         let built = sizing_gp(request, *load, &DelaySpec::uniform(*ps));
         let row = bench_kernel(name, &built, iters);
         println!(
-            "{:<12} {:>5} {:>6} {:>7} {:>7} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}x {:>12.0}",
+            "{:<12} {:>5} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}x {:>12.0}",
             row.name,
             row.dim,
             row.constraints,
             row.terms,
+            row.distinct_terms,
+            sweep_name(row.grouped),
             row.newton_steps,
             row.line_search_trials,
             row.sparse_ms,
@@ -698,13 +776,16 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"case\": \"{}\", \"dim\": {}, \"constraints\": {}, \
-             \"terms\": {}, \"newton_steps\": {}, \"line_search_trials\": {}, \
+             \"terms\": {}, \"distinct_terms\": {}, \"sweep\": \"{}\", \
+             \"newton_steps\": {}, \"line_search_trials\": {}, \
              \"sparse_ms\": {:.3}, \"dense_ms\": {:.3}, \
              \"dense_over_sparse\": {:.3}, \"steps_per_sec\": {:.0}}}{}",
             r.name,
             r.dim,
             r.constraints,
             r.terms,
+            r.distinct_terms,
+            sweep_name(r.grouped),
             r.newton_steps,
             r.line_search_trials,
             r.sparse_ms,
@@ -790,12 +871,14 @@ fn main() {
     for (i, c) in cases.iter().enumerate() {
         let _ = writeln!(
             json,
-            "      {{\"case\": \"{}\", \"corners\": \"{}\", \"constraints\": {}, \"terms\": {}, \"pushes\": {}}}{}",
+            "      {{\"case\": \"{}\", \"corners\": \"{}\", \"constraints\": {}, \"terms\": {}, \
+             \"pushes\": {}, \"distinct_terms\": {}}}{}",
             c.name,
             c.corners,
             c.constraints,
             c.terms,
             c.pushes,
+            c.distinct_terms,
             if i + 1 < cases.len() { "," } else { "" }
         );
     }

@@ -22,6 +22,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::time::Instant;
 
 use smart_models::arcs::{ArcPhase, Edge};
 use smart_models::{ModelLibrary, TermId, TermSum, TermTable};
@@ -29,7 +30,7 @@ use smart_netlist::{Circuit, ComponentKind, LabelId, NetId};
 use smart_posy::VarId;
 use smart_sta::{paths::count_paths, TNode, TimingGraph};
 
-use crate::sizing::check_cancelled;
+use crate::sizing::check_budget;
 use crate::{FlowError, SizingOptions};
 
 /// Cap on distinct suffix classes at any one timing node. A macro past it
@@ -169,6 +170,20 @@ pub fn compact(
     extra_loads: &HashMap<NetId, f64>,
     opts: &SizingOptions,
 ) -> Result<Compaction, FlowError> {
+    compact_within(circuit, lib, vars, extra_loads, opts, None)
+}
+
+/// [`compact`] under the sizing flow's wall-clock `deadline`, checked
+/// with the cancellation token once per timing node; past it, the error
+/// is [`FlowError::BudgetExceeded`] with budget `"wall-clock"`.
+pub(crate) fn compact_within(
+    circuit: &Circuit,
+    lib: &ModelLibrary,
+    vars: &[VarId],
+    extra_loads: &HashMap<NetId, f64>,
+    opts: &SizingOptions,
+    deadline: Option<Instant>,
+) -> Result<Compaction, FlowError> {
     let graph = TimingGraph::extract(circuit);
     let order = graph
         .topo_order()
@@ -236,7 +251,7 @@ pub fn compact(
     let mut taken_at = vec![usize::MAX];
     let mut suffixes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); graph.node_count()];
     for node in order.iter().rev() {
-        check_cancelled(opts, "path compaction")?;
+        check_budget(opts, deadline, "path compaction")?;
         let i = node.index();
         if graph.fanout[i].is_empty() {
             suffixes[i] = vec![(0, 0)];

@@ -3,6 +3,7 @@
 //! device-size bounds, noise rules and designer pins, all posynomial.
 
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 use smart_gp::{GpError, GpProblem};
 use smart_models::arcs::Edge;
@@ -12,6 +13,7 @@ use smart_posy::{Monomial, Posynomial, VarId};
 use smart_sta::Boundary;
 
 use crate::compact::Compaction;
+use crate::sizing::check_budget;
 use crate::{CostMetric, DelaySpec, FlowError, SizingOptions};
 
 /// Per-label coefficients of a cost objective.
@@ -343,6 +345,31 @@ pub fn build_sizing_gp(
     spec: &DelaySpec,
     opts: &SizingOptions,
 ) -> Result<SizingGp, FlowError> {
+    build_sizing_gp_within(
+        circuit,
+        lib,
+        compaction,
+        boundary,
+        extra_loads,
+        spec,
+        opts,
+        None,
+    )
+}
+
+/// [`build_sizing_gp`] under a wall-clock `deadline`, checked with the
+/// cancellation token once per path class.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_sizing_gp_within(
+    circuit: &Circuit,
+    lib: &ModelLibrary,
+    compaction: &Compaction,
+    boundary: &Boundary,
+    extra_loads: &HashMap<NetId, f64>,
+    spec: &DelaySpec,
+    opts: &SizingOptions,
+    deadline: Option<Instant>,
+) -> Result<SizingGp, FlowError> {
     let (pool, vars) = label_vars(circuit);
     let mut gp = GpProblem::new(pool);
     gp.set_objective(cost_objective(circuit, lib, &vars, opts.cost));
@@ -363,6 +390,7 @@ pub fn build_sizing_gp(
         // equal share of the budget — the conventional hard-boundary
         // discipline, kept for the ablation study.
         for (ci, class) in compaction.classes.iter().enumerate() {
+            check_budget(opts, deadline, "GP build")?;
             let budget = if class.is_precharge {
                 spec.precharge_budget()
             } else {

@@ -22,8 +22,10 @@ use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, Sizing};
 use smart_sta::{analyze, Boundary};
 
-use crate::compact::{compact, Compaction};
-use crate::constraints::{boundary_extra_loads, build_min_delay_gp, build_sizing_gp};
+use crate::compact::{compact_within, Compaction};
+use crate::constraints::{
+    boundary_extra_loads, build_min_delay_gp, build_sizing_gp, build_sizing_gp_within,
+};
 use crate::{DelaySpec, FlowError, SizingOptions};
 
 /// One corner's STA measurement of a sized circuit.
@@ -383,7 +385,7 @@ pub fn size_lazily<'c>(
 
     let circuit = elaborate();
     let circuit = circuit.as_ref();
-    let prepared = prepare(circuit, lib, boundary, opts)?;
+    let prepared = prepare(circuit, lib, boundary, opts, deadline)?;
 
     let mut last_err = None;
     // Warm-start chain in GP variable space: each rung inherits the last
@@ -502,6 +504,22 @@ fn chaos_measure(
     measure(circuit, lib, sizing, boundary, compaction)
 }
 
+/// Cooperative budget check inside a flow stage (`at` names it): the
+/// wall-clock `deadline`, then the cancellation token.
+pub(crate) fn check_budget(
+    opts: &SizingOptions,
+    deadline: Option<Instant>,
+    at: &str,
+) -> Result<(), FlowError> {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(FlowError::BudgetExceeded {
+            what: "wall-clock",
+            detail: format!("deadline passed during {at}"),
+        });
+    }
+    check_cancelled(opts, at)
+}
+
 /// Cooperative cancellation check at flow-level checkpoints (the GP's
 /// Newton loop has its own per-step check via [`SolverOptions::cancel`]).
 pub(crate) fn check_cancelled(opts: &SizingOptions, at: &str) -> Result<(), FlowError> {
@@ -551,6 +569,7 @@ fn prepare(
     lib: &ModelLibrary,
     boundary: &Boundary,
     opts: &SizingOptions,
+    deadline: Option<Instant>,
 ) -> Result<Prepared, FlowError> {
     // Reject non-finite boundary conditions here, before they can reach
     // the posynomial layer (where a NaN coefficient is a constructor
@@ -581,7 +600,7 @@ fn prepare(
     }
     let (_, vars) = smart_models::label_vars(circuit);
     let extra = boundary_extra_loads(circuit, boundary);
-    let compaction = compact(circuit, lib, &vars, &extra, opts)?;
+    let compaction = compact_within(circuit, lib, &vars, &extra, opts, deadline)?;
     smart_trace::emit_with("size/compact", || {
         vec![
             ("classes", compaction.classes.len().into()),
@@ -639,7 +658,7 @@ fn size_to_spec(
         if let Some(b) = gp_state.as_mut() {
             b.retarget(&working_spec)?;
         } else {
-            gp_state = Some(build_sizing_gp(
+            gp_state = Some(build_sizing_gp_within(
                 circuit,
                 lib,
                 compaction,
@@ -647,6 +666,7 @@ fn size_to_spec(
                 extra,
                 &working_spec,
                 opts,
+                deadline,
             )?);
         }
         let Some(built) = gp_state.as_ref() else {
@@ -766,7 +786,7 @@ pub fn minimize_delay(
     opts: &SizingOptions,
 ) -> Result<(f64, SizingOutcome), FlowError> {
     let deadline = opts.budget.wall_clock.and_then(|d| Instant::now().checked_add(d));
-    let prepared = prepare(circuit, lib, boundary, opts)?;
+    let prepared = prepare(circuit, lib, boundary, opts, deadline)?;
     let compaction = &prepared.compaction;
     let (built, t_var) =
         build_min_delay_gp(circuit, lib, compaction, boundary, &prepared.extra, opts)?;
@@ -827,7 +847,7 @@ pub fn audit_circuit(
     name: &str,
 ) -> Result<smart_audit::AuditOutcome, FlowError> {
     validate_spec(spec)?;
-    let prepared = prepare(circuit, lib, boundary, opts)?;
+    let prepared = prepare(circuit, lib, boundary, opts, None)?;
     let built = build_sizing_gp(
         circuit,
         lib,
@@ -860,7 +880,7 @@ pub fn measure_phase_delays(
     boundary: &Boundary,
     opts: &SizingOptions,
 ) -> Result<(f64, f64), FlowError> {
-    let prepared = prepare(circuit, lib, boundary, opts)?;
+    let prepared = prepare(circuit, lib, boundary, opts, None)?;
     measure(circuit, lib, sizing, boundary, &prepared.compaction)
 }
 
@@ -875,6 +895,6 @@ pub fn compaction_stats(
     boundary: &Boundary,
     opts: &SizingOptions,
 ) -> Result<Compaction, FlowError> {
-    let prepared = prepare(circuit, lib, boundary, opts)?;
+    let prepared = prepare(circuit, lib, boundary, opts, None)?;
     Ok(prepared.compaction)
 }

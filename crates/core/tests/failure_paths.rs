@@ -180,6 +180,32 @@ fn zero_wall_clock_budget_trips_budget_exceeded() {
 }
 
 #[test]
+fn wall_clock_budget_is_enforced_inside_compaction() {
+    // inc256 compacts in tens of milliseconds even in a release build, so
+    // a 1 ms budget expires inside compaction, long before the first
+    // outer iteration of the sizing loop.
+    let circuit = MacroSpec::Incrementor { width: 256 }.generate();
+    let lib = ModelLibrary::reference();
+    let mut opts = SizingOptions::default();
+    opts.budget.wall_clock = Some(Duration::from_millis(1));
+    let err = size_circuit(
+        &circuit,
+        &lib,
+        &Boundary::default(),
+        &DelaySpec::uniform(5000.0),
+        &opts,
+    )
+    .unwrap_err();
+    match &err {
+        FlowError::BudgetExceeded {
+            what: "wall-clock",
+            detail,
+        } => assert!(detail.contains("compaction"), "{detail}"),
+        other => panic!("expected a wall-clock budget error, got {other}"),
+    }
+}
+
+#[test]
 fn compaction_stops_on_a_fired_cancellation_token() {
     let circuit = MacroSpec::Incrementor { width: 64 }.generate();
     let lib = ModelLibrary::reference();

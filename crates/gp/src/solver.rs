@@ -19,14 +19,18 @@
 //! line-search trial sweeps every posynomial into an [`EvalRecord`]; when
 //! the trial is accepted its record is swapped in along with the point,
 //! and the next assembly stages straight from it. Only the first step of
-//! a phase evaluates at the current point. The historical dense path
+//! a phase evaluates at the current point. When the posynomials share
+//! their terms (path classes sharing stages), a [`TermDictionary`] built
+//! once per solve sweeps all of them at once, with one exponential per
+//! distinct term and shift instead of one per reference, writing the same
+//! bits into the record. The historical dense path
 //! survives as [`GpProblem::solve_reference`] (see `reference.rs`), the
 //! oracle the differential parity suite pins this kernel against.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use smart_posy::{GradHessWorkspace, LogPosynomial};
+use smart_posy::{GradHessWorkspace, LogPosynomial, TermDictionary};
 
 use crate::linalg::{axpy, dot, norm, solve_spd_ridged_packed};
 use crate::{CancelToken, GpError, GpProblem, KktReport};
@@ -186,6 +190,20 @@ impl EvalRecord {
         }
     }
 
+    /// Sweeps slots `first..` at `y` through the solve's term dictionary,
+    /// if it has one; returns whether it did. Without one, the caller
+    /// sweeps slot by slot with [`eval`](Self::eval).
+    fn sweep_grouped(
+        &mut self,
+        terms: &mut Option<TermDictionary>,
+        y: &[f64],
+        first: usize,
+    ) -> bool {
+        let Some(dict) = terms else { return false };
+        dict.sweep(y, first, &mut self.exps, &mut self.sums, &mut self.values);
+        true
+    }
+
     /// Sweeps posynomial `p` at `y` into slot `j`; returns its value.
     fn eval(&mut self, bounds: &[usize], j: usize, p: &LogPosynomial, y: &[f64]) -> f64 {
         let (value, sum) = p.shifted_exps(y, &mut self.exps[bounds[j]..bounds[j + 1]]);
@@ -225,6 +243,9 @@ struct NewtonWorkspace {
     /// The sweep at `trial`, filled by the line search; swapped with
     /// `at_y` when the trial is accepted.
     at_trial: EvalRecord,
+    /// The solve's distinct terms, when they are shared enough for the
+    /// grouped sweep to pay ([`TermDictionary::if_shared`]).
+    terms: Option<TermDictionary>,
 }
 
 impl NewtonWorkspace {
@@ -239,6 +260,7 @@ impl NewtonWorkspace {
             at_y: EvalRecord::new(&bounds),
             at_trial: EvalRecord::new(&bounds),
             bounds,
+            terms: TermDictionary::if_shared(std::iter::once(obj).chain(cons)),
             ..NewtonWorkspace::default()
         }
     }
@@ -408,6 +430,7 @@ fn phase1(
         bounds,
         at_y,
         at_trial,
+        terms,
     } = nw;
     let dim = start.len();
     let mut y = start;
@@ -419,8 +442,10 @@ fn phase1(
             .fold(f64::NEG_INFINITY, f64::max)
     };
     // The start sweep fills the record the first assembly stages from.
-    for (i, c) in cons.iter().enumerate() {
-        at_y.eval(bounds, i + 1, c, &y);
+    if !at_y.sweep_grouped(terms, &y, 1) {
+        for (i, c) in cons.iter().enumerate() {
+            at_y.eval(bounds, i + 1, c, &y);
+        }
     }
     let mut s = worst(at_y) + 1.0;
     if s - 1.0 < -opts.feasibility_margin {
@@ -488,8 +513,16 @@ fn phase1(
                 let sn = s + alpha * dir[dim];
                 let mut fv = t * sn;
                 let mut inside = true;
+                // A grouped sweep evaluates every slot up front; the walk
+                // below reads the same values in the same order.
+                let swept = at_trial.sweep_grouped(terms, trial, 1);
                 for (i, c) in cons.iter().enumerate() {
-                    let g = sn - at_trial.eval(bounds, i + 1, c, trial);
+                    let cv = if swept {
+                        at_trial.values[i + 1]
+                    } else {
+                        at_trial.eval(bounds, i + 1, c, trial)
+                    };
+                    let g = sn - cv;
                     if g <= 0.0 {
                         inside = false;
                         break;
@@ -584,6 +617,7 @@ fn phase2(
         bounds,
         at_y,
         at_trial,
+        terms,
     } = nw;
     let dim = y.len();
     let m = cons.len();
@@ -591,9 +625,11 @@ fn phase2(
 
     // The phase's one evaluation at a point it did not reach by a line
     // search; every later assembly stages from the accepted trial's sweep.
-    at_y.eval(bounds, 0, obj, &y);
-    for (i, c) in cons.iter().enumerate() {
-        at_y.eval(bounds, i + 1, c, &y);
+    if !at_y.sweep_grouped(terms, &y, 0) {
+        at_y.eval(bounds, 0, obj, &y);
+        for (i, c) in cons.iter().enumerate() {
+            at_y.eval(bounds, i + 1, c, &y);
+        }
     }
 
     loop {
@@ -638,10 +674,20 @@ fn phase2(
                 trial.clear();
                 trial.extend_from_slice(&y);
                 axpy(alpha, dir, trial);
-                let mut fv = t * at_trial.eval(bounds, 0, obj, trial);
+                let swept = at_trial.sweep_grouped(terms, trial, 0);
+                let f = if swept {
+                    at_trial.values[0]
+                } else {
+                    at_trial.eval(bounds, 0, obj, trial)
+                };
+                let mut fv = t * f;
                 let mut inside = true;
                 for (i, c) in cons.iter().enumerate() {
-                    let cv = at_trial.eval(bounds, i + 1, c, trial);
+                    let cv = if swept {
+                        at_trial.values[i + 1]
+                    } else {
+                        at_trial.eval(bounds, i + 1, c, trial)
+                    };
                     if cv >= 0.0 {
                         inside = false;
                         break;

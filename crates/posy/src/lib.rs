@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod dictionary;
 mod error;
 mod logform;
 mod monomial;
@@ -40,6 +41,7 @@ mod posynomial;
 mod vars;
 mod workspace;
 
+pub use dictionary::TermDictionary;
 pub use error::PosyError;
 pub use logform::LogPosynomial;
 pub use monomial::{merge_coeff, mul_rows, Monomial};

@@ -11,13 +11,21 @@ use crate::Posynomial;
 /// One entry of a term's exponent row: exponent `e` of variable `var`,
 /// which sits in slot `slot` of the posynomial's support.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct RowEntry {
+pub(crate) struct RowEntry {
     /// Index into [`LogPosynomial::support`].
     slot: u32,
     /// Dense variable index (`support[slot]`), kept beside the slot so the
     /// exponent dot gathers `y` without a second indirection.
-    var: u32,
-    exp: f64,
+    pub(crate) var: u32,
+    pub(crate) exp: f64,
+}
+
+/// The exponent dot `a·y + b` of the term with offset `b` and row `a`.
+/// Every sweep computes its dots through here, so a term shared by
+/// several posynomials gets the same bits wherever it is evaluated.
+#[inline]
+pub(crate) fn term_dot(offset: f64, row: &[RowEntry], y: &[f64]) -> f64 {
+    offset + row.iter().map(|r| r.exp * y[r.var as usize]).sum::<f64>()
 }
 
 /// A posynomial converted to log-space, ready for convex optimization.
@@ -124,19 +132,20 @@ impl LogPosynomial {
 
     /// Term `k`'s exponent row.
     #[inline]
-    fn row(&self, k: usize) -> &[RowEntry] {
+    pub(crate) fn row(&self, k: usize) -> &[RowEntry] {
         &self.rows[self.row_bounds[k] as usize..self.row_bounds[k + 1] as usize]
+    }
+
+    /// Term `k`'s offset `bₖ = log cₖ`.
+    #[inline]
+    pub(crate) fn offset(&self, k: usize) -> f64 {
+        self.offsets[k]
     }
 
     /// Term `k`'s exponent dot `aₖ·y + bₖ`.
     #[inline]
     fn term_dot(&self, k: usize, y: &[f64]) -> f64 {
-        self.offsets[k]
-            + self
-                .row(k)
-                .iter()
-                .map(|r| r.exp * y[r.var as usize])
-                .sum::<f64>()
+        term_dot(self.offsets[k], self.row(k), y)
     }
 
     /// Every term's exponent dot (the dense oracles' first step).
