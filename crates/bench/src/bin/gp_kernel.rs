@@ -8,7 +8,8 @@
 //!   oracle (`solve_reference`), same problems, same trajectories, with
 //!   each GP's term count, distinct-term count, which sweep the solver
 //!   picks for it (`grouped` over a term dictionary or `direct` per
-//!   posynomial) and line-search trials per solve (the full run adds
+//!   posynomial) and line-search trials per solve, with those rejected
+//!   for leaving the barrier domain (the full run adds
 //!   `cla64`, the largest GP of the database);
 //! * **warm_start** — phase-1 + phase-2 step counts and wall time across
 //!   a simulated relaxation ladder, with chaining (rung k+1 starts from
@@ -30,9 +31,10 @@
 //!
 //! `--smoke` shrinks every section to CI size; `--out PATH` redirects
 //! the JSON (CI uses this so smoke numbers never clobber the committed
-//! full-run record). `--check PATH` compares the build counters of the
-//! entries this run built with the same entries in the record at PATH
-//! and exits non-zero on any difference.
+//! full-run record). `--check PATH` compares the sweep of every kernel
+//! case and the build counters of every entry this run built with the
+//! same cases and entries in the record at PATH, and exits non-zero on
+//! any difference.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -160,29 +162,34 @@ struct KernelRow {
     grouped: bool,
     newton_steps: usize,
     line_search_trials: usize,
+    outside_trials: usize,
     sparse_ms: f64,
     dense_ms: f64,
     steps_per_sec: f64,
 }
 
-/// Line-search trials of one solve: the sum of the `trials` field of its
+/// Line-search trials of one solve and those rejected for leaving the
+/// barrier domain: the sums of the `trials` and `outside` fields of its
 /// `gp/newton` events, recorded in a traced run outside the timed ones.
-fn line_search_trials(built: &SizingGp, opts: &SolverOptions) -> usize {
+fn line_search_trials(built: &SizingGp, opts: &SolverOptions) -> (usize, usize) {
     let trace = Trace::enabled();
     {
         let scope = trace.scope("gp_kernel", 0, 0);
         let _current = scope.enter();
         built.gp.solve(opts).unwrap_or_else(|e| panic!("traced solve: {e}"));
     }
-    trace
-        .collect()
-        .events_named("gp/newton")
-        .flat_map(|e| &e.fields)
-        .map(|(name, v)| match (*name, v) {
-            ("trials", Value::U64(n)) => *n as usize,
-            _ => 0,
-        })
-        .sum()
+    let report = trace.collect();
+    let sum = |field| {
+        report
+            .events_named("gp/newton")
+            .flat_map(|e| &e.fields)
+            .map(|(name, v)| match v {
+                Value::U64(n) if *name == field => *n as usize,
+                _ => 0,
+            })
+            .sum()
+    };
+    (sum("trials"), sum("outside"))
 }
 
 /// Times `solve` and `solve_reference` on one sizing GP (best of
@@ -211,6 +218,7 @@ fn bench_kernel(name: &'static str, built: &SizingGp, iters: usize) -> KernelRow
         );
     }
     let shared = sharing(&built.gp);
+    let (line_search_trials, outside_trials) = line_search_trials(built, &opts);
     KernelRow {
         name,
         dim: built.gp.dim(),
@@ -219,7 +227,8 @@ fn bench_kernel(name: &'static str, built: &SizingGp, iters: usize) -> KernelRow
         distinct_terms: shared.distinct_terms,
         grouped: shared.grouped,
         newton_steps: steps,
-        line_search_trials: line_search_trials(built, &opts),
+        line_search_trials,
+        outside_trials,
         sparse_ms: sparse_best.as_secs_f64() * 1e3,
         dense_ms: dense_best.as_secs_f64() * 1e3,
         steps_per_sec: steps as f64 / sparse_best.as_secs_f64().max(1e-12),
@@ -485,11 +494,9 @@ fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
     }
 }
 
-/// Compares the build counters of `rows` with the same entries of the
-/// record at `path`; returns one line per difference.
-fn check_build(rows: &[BuildRow], path: &str) -> Vec<String> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let record = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+/// Compares the build counters of `rows` with the same entries of
+/// `record`; returns one line per difference.
+fn check_build(rows: &[BuildRow], record: &Json) -> Vec<String> {
     let entries = record
         .get("build")
         .and_then(|b| b.get("entries"))
@@ -528,10 +535,68 @@ fn check_build(rows: &[BuildRow], path: &str) -> Vec<String> {
     diffs
 }
 
-/// About 1.3× `cla32`'s minimum delay at 12 fF: the smallest kernel case
-/// whose terms are shared enough for the grouped sweep.
-const CLA32: (&str, MacroSpec, f64, f64) =
-    ("cla32", MacroSpec::ClaAdder { width: 32 }, 12.0, 1283.0);
+/// Kernel cases: `(case, macro, output load fF, delay ps, in the smoke
+/// set)`. The smoke set is a subset, so `--check` finds every smoke case
+/// in a full-run record. It covers both sweeps: `mux4` is swept per
+/// posynomial; `cla8` (at the sharing constant's crossover) and `cla32`
+/// through the term dictionary. The `cla*` delays are about 1.3× the
+/// minimum delay at 12 fF.
+const KERNEL_CASES: [(&str, MacroSpec, f64, f64, bool); 8] = [
+    (
+        "mux4",
+        MacroSpec::Mux {
+            topology: MuxTopology::StronglyMutexedPass,
+            width: 4,
+        },
+        20.0,
+        900.0,
+        true,
+    ),
+    (
+        "mux8_pass",
+        MacroSpec::Mux {
+            topology: MuxTopology::StronglyMutexedPass,
+            width: 8,
+        },
+        20.0,
+        900.0,
+        false,
+    ),
+    (
+        "zd16_domino",
+        MacroSpec::ZeroDetect {
+            width: 16,
+            style: ZeroDetectStyle::Domino,
+        },
+        20.0,
+        900.0,
+        false,
+    ),
+    ("inc13", MacroSpec::Incrementor { width: 13 }, 20.0, 2600.0, false),
+    ("inc8_cla", MacroSpec::IncrementorCla { width: 8 }, 20.0, 1500.0, false),
+    ("cla8", MacroSpec::ClaAdder { width: 8 }, 12.0, 920.0, true),
+    ("cla32", MacroSpec::ClaAdder { width: 32 }, 12.0, 1283.0, true),
+    // 73 variables, 1,026 constraints: the GP that dominates the adder64
+    // workload.
+    ("cla64", MacroSpec::ClaAdder { width: 64 }, 12.0, 1469.0, false),
+];
+
+/// Compares each kernel row's sweep with the same case of `record`;
+/// returns one line per difference.
+fn check_kernel(rows: &[KernelRow], record: &Json) -> Vec<String> {
+    let entries = record.get("kernel").and_then(Json::as_array).unwrap_or(&[]);
+    rows.iter()
+        .filter_map(|row| {
+            let recorded = entries
+                .iter()
+                .find(|e| e.get("case").and_then(Json::as_str) == Some(row.name))
+                .and_then(|e| e.get("sweep").and_then(Json::as_str));
+            let got = sweep_name(row.grouped);
+            (recorded != Some(got))
+                .then(|| format!("{}: sweep {got}, recorded {recorded:?}", row.name))
+        })
+        .collect()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -544,52 +609,9 @@ fn main() {
     let iters = if smoke { 1 } else { 3 };
 
     // --- Kernel micro: sparse vs dense on real sizing GPs -------------
-    // `(case, macro, output load fF, delay ps)`.
-    // The smoke set covers both sweeps: `mux4` is swept per posynomial,
-    // `cla32` through the term dictionary.
-    let kernel_cases: Vec<(&'static str, MacroSpec, f64, f64)> = if smoke {
-        vec![
-            (
-                "mux4",
-                MacroSpec::Mux {
-                    topology: MuxTopology::StronglyMutexedPass,
-                    width: 4,
-                },
-                20.0,
-                900.0,
-            ),
-            CLA32,
-        ]
-    } else {
-        vec![
-            (
-                "mux8_pass",
-                MacroSpec::Mux {
-                    topology: MuxTopology::StronglyMutexedPass,
-                    width: 8,
-                },
-                20.0,
-                900.0,
-            ),
-            (
-                "zd16_domino",
-                MacroSpec::ZeroDetect {
-                    width: 16,
-                    style: ZeroDetectStyle::Domino,
-                },
-                20.0,
-                900.0,
-            ),
-            ("inc13", MacroSpec::Incrementor { width: 13 }, 20.0, 2600.0),
-            ("inc8_cla", MacroSpec::IncrementorCla { width: 8 }, 20.0, 1500.0),
-            CLA32,
-            // About 1.3× the minimum delay at 12 fF: 73 variables, 1,026
-            // constraints, the GP that dominates the adder64 workload.
-            ("cla64", MacroSpec::ClaAdder { width: 64 }, 12.0, 1469.0),
-        ]
-    };
+    let kernel_cases = KERNEL_CASES.iter().filter(|case| case.4 || !smoke);
     println!(
-        "{:<12} {:>5} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>10} {:>10} {:>8} {:>12}",
+        "{:<12} {:>5} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>7} {:>10} {:>10} {:>8} {:>12}",
         "case",
         "dim",
         "cons",
@@ -598,17 +620,18 @@ fn main() {
         "sweep",
         "steps",
         "trials",
+        "outside",
         "sparse",
         "dense",
         "speedup",
         "steps/sec"
     );
     let mut kernel_rows = Vec::new();
-    for (name, request, load, ps) in &kernel_cases {
+    for (name, request, load, ps, _) in kernel_cases {
         let built = sizing_gp(request, *load, &DelaySpec::uniform(*ps));
         let row = bench_kernel(name, &built, iters);
         println!(
-            "{:<12} {:>5} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}x {:>12.0}",
+            "{:<12} {:>5} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}x {:>12.0}",
             row.name,
             row.dim,
             row.constraints,
@@ -617,6 +640,7 @@ fn main() {
             sweep_name(row.grouped),
             row.newton_steps,
             row.line_search_trials,
+            row.outside_trials,
             row.sparse_ms,
             row.dense_ms,
             row.dense_ms / row.sparse_ms.max(1e-9),
@@ -758,12 +782,18 @@ fn main() {
         );
     }
     if let Some(path) = args.iter().position(|a| a == "--check").and_then(|i| args.get(i + 1)) {
-        let diffs = check_build(&build_rows, path);
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let record = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+        let mut diffs = check_kernel(&kernel_rows, &record);
+        diffs.extend(check_build(&build_rows, &record));
         if !diffs.is_empty() {
-            eprintln!("GP build counters differ from {path}:\n{}", diffs.join("\n"));
+            eprintln!(
+                "kernel sweeps or GP build counters differ from {path}:\n{}",
+                diffs.join("\n")
+            );
             std::process::exit(1);
         }
-        println!("  build counters match {path}");
+        println!("  kernel sweeps and build counters match {path}");
     }
 
     // --- Machine-readable record ---------------------------------------
@@ -777,7 +807,7 @@ fn main() {
             json,
             "    {{\"case\": \"{}\", \"dim\": {}, \"constraints\": {}, \
              \"terms\": {}, \"distinct_terms\": {}, \"sweep\": \"{}\", \
-             \"newton_steps\": {}, \"line_search_trials\": {}, \
+             \"newton_steps\": {}, \"line_search_trials\": {}, \"outside_trials\": {}, \
              \"sparse_ms\": {:.3}, \"dense_ms\": {:.3}, \
              \"dense_over_sparse\": {:.3}, \"steps_per_sec\": {:.0}}}{}",
             r.name,
@@ -788,6 +818,7 @@ fn main() {
             sweep_name(r.grouped),
             r.newton_steps,
             r.line_search_trials,
+            r.outside_trials,
             r.sparse_ms,
             r.dense_ms,
             r.dense_ms / r.sparse_ms.max(1e-9),

@@ -8,12 +8,14 @@
 //! same sums in the same order, so the differential parity suite can pin
 //! the sparse path against this one to near machine precision. Use it
 //! only in tests — it is the O(m·n²) path the production kernel exists to
-//! avoid.
+//! avoid. Its line search is the plain walk over every constraint, and it
+//! emits the same `gp/newton` events, so a test can compare the two line
+//! searches trial for trial.
 
 use smart_posy::LogPosynomial;
 
 use crate::linalg::{axpy, dot, norm, solve_spd_ridged};
-use crate::solver::{check_budget, finalize, prepare, MAX_STEP, Y_BOUND};
+use crate::solver::{check_budget, emit_newton, finalize, prepare, MAX_STEP, Y_BOUND};
 use crate::{GpError, GpProblem, GpSolution, SolverOptions};
 
 impl GpProblem {
@@ -121,20 +123,25 @@ fn phase1_dense(
             let mut alpha = (MAX_STEP / norm(&d)).min(1.0);
             let slope = dot(&grad, &d);
             let mut accepted = false;
+            let (mut trials, mut outside) = (0usize, 0usize);
             for _ in 0..60 {
+                trials += 1;
                 let mut yn = y.clone();
                 axpy(alpha, &d[..dim], &mut yn);
                 let sn = s + alpha * d[dim];
-                if let Some(fv) = value(&yn, sn) {
-                    if fv <= f0 + 0.25 * alpha * slope {
+                match value(&yn, sn) {
+                    Some(fv) if fv <= f0 + 0.25 * alpha * slope => {
                         y = yn;
                         s = sn;
                         accepted = true;
                         break;
                     }
+                    Some(_) => {}
+                    None => outside += 1,
                 }
                 alpha *= 0.5;
             }
+            emit_newton("phase1", *steps, decrement2 / 2.0, alpha, trials, outside, accepted);
             if !accepted {
                 break;
             }
@@ -229,18 +236,24 @@ fn phase2_dense(
             let slope = dot(&grad, &d);
             let mut alpha = (MAX_STEP / norm(&d)).min(1.0);
             let mut accepted = false;
+            let (mut trials, mut outside) = (0usize, 0usize);
             for _ in 0..60 {
+                trials += 1;
                 let mut yn = y.clone();
                 axpy(alpha, &d, &mut yn);
-                if let Some(fv) = value(&yn, t) {
-                    if fv <= f0 + 0.25 * alpha * slope {
+                match value(&yn, t) {
+                    Some(fv) if fv <= f0 + 0.25 * alpha * slope => {
                         y = yn;
                         accepted = true;
                         break;
                     }
+                    Some(_) => {}
+                    None => outside += 1,
                 }
                 alpha *= 0.5;
             }
+            let residual = decrement2.abs() / 2.0;
+            emit_newton("phase2", *steps, residual, alpha, trials, outside, accepted);
             if !accepted {
                 break;
             }

@@ -23,7 +23,9 @@
 //! their terms (path classes sharing stages), a [`TermDictionary`] built
 //! once per solve sweeps all of them at once, with one exponential per
 //! distinct term and shift instead of one per reference, writing the same
-//! bits into the record. The historical dense path
+//! bits into the record. Before either sweep, a trial evaluates the
+//! constraint that last left the barrier domain and is rejected at once
+//! if that constraint leaves it again. The historical dense path
 //! survives as [`GpProblem::solve_reference`] (see `reference.rs`), the
 //! oracle the differential parity suite pins this kernel against.
 
@@ -118,6 +120,31 @@ pub(crate) fn check_budget(
         budget,
         spent_newton,
     })
+}
+
+/// Emits one Newton step's `gp/newton` event: its line search took
+/// `trials` trials, `outside` of them rejected for leaving the barrier
+/// domain, and ended at step length `alpha`.
+pub(crate) fn emit_newton(
+    stage: &'static str,
+    step: usize,
+    residual: f64,
+    alpha: f64,
+    trials: usize,
+    outside: usize,
+    accepted: bool,
+) {
+    smart_trace::emit_with("gp/newton", || {
+        vec![
+            ("stage", stage.into()),
+            ("step", step.into()),
+            ("residual", residual.into()),
+            ("alpha", alpha.into()),
+            ("trials", trials.into()),
+            ("outside", outside.into()),
+            ("accepted", accepted.into()),
+        ]
+    });
 }
 
 /// Largest-magnitude coordinate without relying on a total order over
@@ -246,6 +273,10 @@ struct NewtonWorkspace {
     /// The solve's distinct terms, when they are shared enough for the
     /// grouped sweep to pay ([`TermDictionary::if_shared`]).
     terms: Option<TermDictionary>,
+    /// The constraint that last left the barrier domain in a line-search
+    /// walk. Each trial evaluates it first and is rejected on the spot if
+    /// it is outside again, before the full sweep and walk.
+    sentinel: Option<usize>,
 }
 
 impl NewtonWorkspace {
@@ -431,6 +462,7 @@ fn phase1(
         at_y,
         at_trial,
         terms,
+        sentinel,
     } = nw;
     let dim = start.len();
     let mut y = start;
@@ -504,32 +536,41 @@ fn phase1(
             let mut alpha = (MAX_STEP / norm(dir)).min(1.0);
             let slope = dot(ws.grad(), dir);
             let mut accepted = false;
-            let mut trials = 0usize;
+            let (mut trials, mut outside) = (0usize, 0usize);
             for _ in 0..60 {
                 trials += 1;
                 trial.clear();
                 trial.extend_from_slice(&y);
                 axpy(alpha, &dir[..dim], trial);
                 let sn = s + alpha * dir[dim];
+                let leaves = |cv: f64| sn - cv <= 0.0;
                 let mut fv = t * sn;
-                let mut inside = true;
-                // A grouped sweep evaluates every slot up front; the walk
-                // below reads the same values in the same order.
-                let swept = at_trial.sweep_grouped(terms, trial, 1);
-                for (i, c) in cons.iter().enumerate() {
-                    let cv = if swept {
-                        at_trial.values[i + 1]
-                    } else {
-                        at_trial.eval(bounds, i + 1, c, trial)
-                    };
-                    let g = sn - cv;
-                    if g <= 0.0 {
-                        inside = false;
-                        break;
+                // A trial with any constraint outside the domain is
+                // rejected whatever the others give, so testing the
+                // sentinel first changes no trial's outcome.
+                let mut inside = sentinel
+                    .is_none_or(|i| !leaves(at_trial.eval(bounds, i + 1, &cons[i], trial)));
+                if inside {
+                    // A grouped sweep evaluates every slot up front; the
+                    // walk below reads the same values in the same order.
+                    let swept = at_trial.sweep_grouped(terms, trial, 1);
+                    for (i, c) in cons.iter().enumerate() {
+                        let cv = if swept || *sentinel == Some(i) {
+                            at_trial.values[i + 1]
+                        } else {
+                            at_trial.eval(bounds, i + 1, c, trial)
+                        };
+                        if leaves(cv) {
+                            inside = false;
+                            *sentinel = Some(i);
+                            break;
+                        }
+                        fv -= (sn - cv).ln();
                     }
-                    fv -= g.ln();
                 }
-                if inside && fv <= f0 + 0.25 * alpha * slope {
+                if !inside {
+                    outside += 1;
+                } else if fv <= f0 + 0.25 * alpha * slope {
                     std::mem::swap(&mut y, trial);
                     std::mem::swap(at_y, at_trial);
                     s = sn;
@@ -538,16 +579,7 @@ fn phase1(
                 }
                 alpha *= 0.5;
             }
-            smart_trace::emit_with("gp/newton", || {
-                vec![
-                    ("stage", "phase1".into()),
-                    ("step", (*steps).into()),
-                    ("residual", (decrement2 / 2.0).into()),
-                    ("alpha", alpha.into()),
-                    ("trials", trials.into()),
-                    ("accepted", accepted.into()),
-                ]
-            });
+            emit_newton("phase1", *steps, decrement2 / 2.0, alpha, trials, outside, accepted);
             if !accepted {
                 break; // stalled; outer loop will tighten or fail
             }
@@ -591,9 +623,16 @@ fn phase1(
         }
         t *= opts.mu;
     }
-    Err(GpError::Infeasible {
-        worst_violation: worst(at_y).exp(),
-    })
+    // `finalize` emits `gp/solve` only for a solve that succeeds; this
+    // event accounts for the Newton steps of one that phase I gave up on.
+    let worst_violation = worst(at_y).exp();
+    smart_trace::emit_with("gp/infeasible", || {
+        vec![
+            ("phase1_steps", (*steps).into()),
+            ("worst_violation", worst_violation.into()),
+        ]
+    });
+    Err(GpError::Infeasible { worst_violation })
 }
 
 /// Phase II: barrier method on `t·F₀(y) − Σ log(−Fᵢ(y))` from a strictly
@@ -618,6 +657,7 @@ fn phase2(
         at_y,
         at_trial,
         terms,
+        sentinel,
     } = nw;
     let dim = y.len();
     let m = cons.len();
@@ -668,33 +708,42 @@ fn phase2(
             let slope = dot(ws.grad(), dir);
             let mut alpha = (MAX_STEP / norm(dir)).min(1.0);
             let mut accepted = false;
-            let mut trials = 0usize;
+            let (mut trials, mut outside) = (0usize, 0usize);
             for _ in 0..60 {
                 trials += 1;
                 trial.clear();
                 trial.extend_from_slice(&y);
                 axpy(alpha, dir, trial);
-                let swept = at_trial.sweep_grouped(terms, trial, 0);
-                let f = if swept {
-                    at_trial.values[0]
-                } else {
-                    at_trial.eval(bounds, 0, obj, trial)
-                };
-                let mut fv = t * f;
-                let mut inside = true;
-                for (i, c) in cons.iter().enumerate() {
-                    let cv = if swept {
-                        at_trial.values[i + 1]
+                let leaves = |cv: f64| cv >= 0.0;
+                // The sentinel first, as in phase I.
+                let mut inside = sentinel
+                    .is_none_or(|i| !leaves(at_trial.eval(bounds, i + 1, &cons[i], trial)));
+                let mut fv = 0.0;
+                if inside {
+                    let swept = at_trial.sweep_grouped(terms, trial, 0);
+                    let f = if swept {
+                        at_trial.values[0]
                     } else {
-                        at_trial.eval(bounds, i + 1, c, trial)
+                        at_trial.eval(bounds, 0, obj, trial)
                     };
-                    if cv >= 0.0 {
-                        inside = false;
-                        break;
+                    fv = t * f;
+                    for (i, c) in cons.iter().enumerate() {
+                        let cv = if swept || *sentinel == Some(i) {
+                            at_trial.values[i + 1]
+                        } else {
+                            at_trial.eval(bounds, i + 1, c, trial)
+                        };
+                        if leaves(cv) {
+                            inside = false;
+                            *sentinel = Some(i);
+                            break;
+                        }
+                        fv -= (-cv).ln();
                     }
-                    fv -= (-cv).ln();
                 }
-                if inside && fv <= f0 + 0.25 * alpha * slope {
+                if !inside {
+                    outside += 1;
+                } else if fv <= f0 + 0.25 * alpha * slope {
                     std::mem::swap(&mut y, trial);
                     std::mem::swap(at_y, at_trial);
                     accepted = true;
@@ -702,16 +751,8 @@ fn phase2(
                 }
                 alpha *= 0.5;
             }
-            smart_trace::emit_with("gp/newton", || {
-                vec![
-                    ("stage", "phase2".into()),
-                    ("step", (*steps).into()),
-                    ("residual", (decrement2.abs() / 2.0).into()),
-                    ("alpha", alpha.into()),
-                    ("trials", trials.into()),
-                    ("accepted", accepted.into()),
-                ]
-            });
+            let residual = decrement2.abs() / 2.0;
+            emit_newton("phase2", *steps, residual, alpha, trials, outside, accepted);
             if !accepted {
                 break;
             }

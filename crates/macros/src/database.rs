@@ -21,8 +21,9 @@ use crate::shifter::{barrel_shifter, ShiftKind};
 use crate::zero_detect::{zero_detect, ZeroDetectStyle};
 use crate::adder::cla_adder;
 
-/// Largest bit width [`MacroSpec::supported`] accepts for incrementors,
-/// decrementors, zero-detects, comparators and register-file words.
+/// Largest bit width [`MacroSpec::supported`] accepts for muxes,
+/// incrementors, decrementors, zero-detects, comparators and
+/// register-file words.
 const MAX_WIDTH: usize = 1024;
 
 /// A fully parameterized macro request.
@@ -158,13 +159,16 @@ impl MacroSpec {
     /// the CLI) can turn an out-of-range request into a typed error
     /// instead of a panic.
     ///
-    /// Bit widths (and register-file word widths) are capped at 1024
-    /// (`MAX_WIDTH`): elaboration and path compaction grow with width, and
-    /// an untrusted request must not be able to ask for unbounded work.
+    /// Bit widths, mux input counts and register-file word widths are
+    /// capped at 1024 (`MAX_WIDTH`): elaboration and path compaction grow
+    /// with width, and an untrusted request must not be able to ask for
+    /// unbounded work.
     pub fn supported(&self) -> bool {
         let width_ok = |w: &usize| (1..=MAX_WIDTH).contains(w);
         match self {
-            MacroSpec::Mux { topology, width } => topology.supports_width(*width),
+            MacroSpec::Mux { topology, width } => {
+                topology.supports_width(*width) && width_ok(width)
+            }
             MacroSpec::Incrementor { width }
             | MacroSpec::IncrementorCla { width }
             | MacroSpec::Decrementor { width } => width_ok(width),
@@ -598,10 +602,19 @@ mod tests {
     /// elaboration and compaction work.
     #[test]
     fn parse_bounds_widths_at_1024() {
-        for name in ["inc4096", "dec2048", "zd1025", "cmp2048", "rf16x4096"] {
+        for name in [
+            "inc4096",
+            "dec2048",
+            "zd1025",
+            "cmp2048",
+            "rf16x4096",
+            "mux1025",
+            "mux1025:dom",
+            "mux100000000",
+        ] {
             assert_eq!(MacroSpec::parse(name), None, "{name} must be rejected");
         }
-        for name in ["inc1024", "dec1024", "zd1024", "cmp1024", "rf16x1024"] {
+        for name in ["inc1024", "dec1024", "zd1024", "cmp1024", "rf16x1024", "mux1024"] {
             assert!(MacroSpec::parse(name).is_some(), "{name} must be accepted");
         }
     }

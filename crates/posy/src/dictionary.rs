@@ -23,14 +23,15 @@ use crate::logform::{term_dot, RowEntry};
 use crate::LogPosynomial;
 
 /// Term references per distinct term from which the solver takes the
-/// grouped sweep. Measured crossover (both sweeps forced, one sizing-GP
-/// solve at default options, 2-core x86-64 host): `mux8` (`K/T` 1.4) and
-/// `shift32:rol` (3.2) solve about 2× slower grouped, `cla8` (6.9) 27%
-/// faster, `cla32` (21.5) and `cla64` (40.5) about 2× faster. The
-/// threshold sits above that crossover so that GPs with `K/T` up to 10
-/// (every GP of the database sweeps) keep the per-posynomial sweep and
-/// its early exit; DESIGN.md §12 has the table.
-const GROUPED_SWEEP_MIN_SHARING: usize = 12;
+/// grouped sweep. Measured with both sweeps forced, on every database
+/// GP at the single and slow/typical/fast corners (three sizing-GP solves
+/// each, 2-core x86-64 host): GPs with `K/T` 6.9 and up (`cla8`,
+/// `inc32-cla`, `cla64`) take 27–61% less time grouped, and no database GP
+/// has `K/T` between 3.8 and 6.9. With the line search's domain sentinel
+/// the grouped sweep also wins from `K/T` ≈ 2, but moving those GPs makes
+/// the serve benchmark's own memory grow past its bound (DESIGN.md §12
+/// has the table and the reason).
+const GROUPED_SWEEP_MIN_SHARING: usize = 6;
 
 /// Whether `references` term references over `distinct` distinct terms
 /// share enough for the grouped sweep to pay:
@@ -158,7 +159,7 @@ impl TermDictionary {
     }
 
     /// The dictionary of `slots` when they share enough for the grouped
-    /// sweep to pay (at least 12 term references per distinct term), else
+    /// sweep to pay (at least 6 term references per distinct term), else
     /// `None`.
     ///
     /// Terms within one posynomial have distinct rows, so there are at
@@ -493,6 +494,10 @@ mod tests {
         let t = 100;
         assert!(grouped_sweep_pays(GROUPED_SWEEP_MIN_SHARING * t, t));
         assert!(!grouped_sweep_pays(GROUPED_SWEEP_MIN_SHARING * t - 1, t));
+        // The measured crossover: `cla8` (`K/T` 6.9) takes the grouped
+        // sweep, the stf `inc8-cla` GP (3.8) keeps the per-posynomial one.
+        assert!(grouped_sweep_pays(4092, 596));
+        assert!(!grouped_sweep_pays(1968, 518));
         assert!(TermDictionary::if_shared(&shared_problem()).is_some());
 
         // Posynomials with no term in common: one reference per term.

@@ -267,6 +267,24 @@ fn oversized_macro_is_one_typed_row_and_the_advisor_keeps_serving() {
     assert_eq!(rows[1], r#"{"ok":true,"op":"ping","id":"after"}"#);
 }
 
+/// Mux widths are bounded like every other width: a `size` request for
+/// a hundred-million-input mux gets a typed row, and the advisor never
+/// reaches the sizing cache (it would have elaborated the macro first).
+#[test]
+fn oversized_mux_is_refused_before_any_elaboration() {
+    let advisor = advisor_with_workers(1);
+    let reply = advisor
+        .handle_line(r#"{"op":"size","id":"wide","macro":"mux100000000","delay":5000}"#)
+        .text;
+    assert!(
+        reply.starts_with("{\"ok\":false")
+            && reply.contains("\"id\":\"wide\"")
+            && reply.contains("\"error\":\"invalid-request\""),
+        "{reply}"
+    );
+    assert_eq!(advisor.cache().stats(), (0, 0), "no sizing was attempted");
+}
+
 #[test]
 fn shutdown_stops_the_script_early() {
     let advisor = advisor_with_workers(1);
