@@ -66,7 +66,8 @@ cargo run -q --offline --release -p smart-bench --bin explore_scaling -- --smoke
 # the step if a kernel case's sweep (grouped or direct) or the GP build's
 # deterministic counters (constraints, final terms, term pushes, distinct
 # terms) of the smoke entries differ from the same cases and entries in
-# the committed full-run record.
+# the committed full-run record, or if a smoke entry's GP build allocates
+# more than its recorded `allocs_per_build` (a deterministic count).
 echo "== gp_kernel smoke (sparse kernel parity on both sweeps + warm-start ladder + pinned sweeps and build counters) =="
 mkdir -p target/ci
 cargo run -q --offline --release -p smart-bench --bin gp_kernel -- \

@@ -38,6 +38,7 @@
 use std::collections::BTreeSet;
 
 use smart_gp::GpProblem;
+use smart_posy::TermId;
 
 use crate::interval::Interval;
 use crate::report::AuditConfig;
@@ -122,9 +123,9 @@ impl Certificate {
 /// posynomial term of one constraint.
 struct Row {
     constraint: usize,
-    /// `(variable index, exponent)` pairs, in variable order, exponents
-    /// nonzero.
-    coeffs: Vec<(usize, f64)>,
+    /// The term's exponent row in the problem's table: the `aⱼ`, in
+    /// variable order, exponents nonzero.
+    id: TermId,
     rhs: f64,
 }
 
@@ -175,11 +176,11 @@ fn build_rows(gp: &GpProblem, filter: Option<&BTreeSet<usize>>) -> (Vec<Row>, Ve
     // tie-break is a function of labels, not of insertion order.
     order.sort_by(|&a, &b| gp.constraints()[a].label.cmp(&gp.constraints()[b].label));
     for &ci in &order {
-        let body = &gp.constraints()[ci].body;
+        let body = gp.body(&gp.constraints()[ci]);
         let mut const_sum = 0.0;
-        for term in body.terms() {
-            if term.is_constant() {
-                const_sum += term.coeff();
+        for &(id, c) in body.terms() {
+            if id == TermId::ONE {
+                const_sum += c;
             }
         }
         const_sums[ci] = const_sum;
@@ -193,18 +194,14 @@ fn build_rows(gp: &GpProblem, filter: Option<&BTreeSet<usize>>) -> (Vec<Row>, Ve
         } else {
             0.0
         };
-        for term in body.terms() {
-            if term.is_constant() {
-                continue;
+        for &(id, c) in body.terms() {
+            if id != TermId::ONE {
+                rows.push(Row {
+                    constraint: ci,
+                    id,
+                    rhs: slack_log - c.ln(),
+                });
             }
-            rows.push(Row {
-                constraint: ci,
-                coeffs: term
-                    .exponents()
-                    .map(|(v, e)| (v.index(), e))
-                    .collect(),
-                rhs: slack_log - term.coeff().ln(),
-            });
         }
     }
     (rows, const_sums)
@@ -230,6 +227,7 @@ pub(crate) fn propagate(
     cfg: &AuditConfig,
 ) -> Propagation {
     let dim = gp.dim();
+    let table = gp.table();
     let (rows, const_sums) = build_rows(gp, filter);
     let mut bounds = vec![Interval::top(); dim];
     let mut prov: Vec<[Prov; 2]> = vec![[Prov::new(), Prov::new()]; dim];
@@ -285,15 +283,16 @@ pub(crate) fn propagate(
             // bound on that term's variable to be derivable.
             let mut finite_sum = 0.0f64;
             let mut inf_count = 0usize;
-            for &(v, a) in &row.coeffs {
-                let (c, _) = min_contrib(a, &bounds[v]);
+            for &(v, a) in table.row(row.id) {
+                let (c, _) = min_contrib(a, &bounds[v.index()]);
                 if c == f64::NEG_INFINITY {
                     inf_count += 1;
                 } else {
                     finite_sum += c;
                 }
             }
-            for &(v, a) in &row.coeffs {
+            for &(v, a) in table.row(row.id) {
+                let v = v.index();
                 let (c, _) = min_contrib(a, &bounds[v]);
                 let rest = if inf_count == 0 {
                     finite_sum - c
@@ -343,7 +342,8 @@ pub(crate) fn propagate(
                 let row = &rows[p.row];
                 let mut set = Prov::new();
                 set.insert(row.constraint);
-                for &(u, a) in &row.coeffs {
+                for &(u, a) in table.row(row.id) {
+                    let u = u.index();
                     if u == v {
                         continue;
                     }
@@ -402,16 +402,16 @@ pub(crate) fn propagate(
             if filter.is_some_and(|keep| !keep.contains(&ci)) {
                 continue;
             }
-            let body = &constraint.body;
+            let body = gp.body(constraint);
             let mut img = const_sums[ci];
             let mut support = Prov::new();
             support.insert(ci);
-            for term in body.terms() {
-                if term.is_constant() {
+            for &(id, c) in body.terms() {
+                if id == TermId::ONE {
                     continue;
                 }
-                let mut aff = term.coeff().ln();
-                for (vid, a) in term.exponents() {
+                let mut aff = c.ln();
+                for &(vid, a) in body.row(id) {
                     let v = vid.index();
                     let (c, used_side) = min_contrib(a, &bounds[v]);
                     aff += c;

@@ -114,16 +114,18 @@ pub fn audit_problem(gp: &GpProblem, problem: &str, cfg: &AuditConfig) -> AuditO
     let dim = gp.dim();
     let mut in_constraint = vec![false; dim];
     for c in gp.constraints() {
-        for t in c.body.terms() {
-            for (v, _) in t.exponents() {
+        let body = gp.body(c);
+        for &(id, _) in body.terms() {
+            for (v, _) in body.row(id) {
                 in_constraint[v.index()] = true;
             }
         }
     }
     let mut obj_pos = vec![false; dim]; // has a positive objective exponent
     let mut obj_any = vec![false; dim];
-    for t in gp.objective().terms() {
-        for (v, e) in t.exponents() {
+    let objective = gp.objective();
+    for &(id, _) in objective.terms() {
+        for &(v, e) in objective.row(id) {
             obj_any[v.index()] = true;
             if e > 0.0 {
                 obj_pos[v.index()] = true;
@@ -161,11 +163,11 @@ pub fn audit_problem(gp: &GpProblem, problem: &str, cfg: &AuditConfig) -> AuditO
 
     // SA005 — exponent spread per constraint.
     for c in gp.constraints() {
-        let spread = c
-            .body
+        let body = gp.body(c);
+        let spread = body
             .terms()
             .iter()
-            .flat_map(|t| t.exponents().map(|(_, e)| e.abs()))
+            .flat_map(|&(id, _)| body.row(id).iter().map(|(_, e)| e.abs()))
             .fold(0.0f64, f64::max);
         if spread > cfg.spread_limit {
             findings.push(Finding {

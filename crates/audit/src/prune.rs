@@ -26,14 +26,14 @@
 //!
 //! # Determinism
 //!
-//! Matching is by exact exponent bit patterns, grouping uses ordered
-//! maps, and the keep/drop tie-break on *equal* coefficient vectors is
-//! the constraint label — so the pruned set is a function of the
-//! constraint multiset, not of its order.
-
-use std::collections::BTreeMap;
+//! Matching is by exact exponent bit patterns (a row's id in the
+//! problem's term table), grouping sorts constraints by their id lists,
+//! and the keep/drop tie-break on *equal* coefficient vectors is the
+//! constraint label — so the pruned set is a function of the constraint
+//! multiset, not of its order.
 
 use smart_gp::GpProblem;
+use smart_posy::TermId;
 
 /// One pruning decision: `dropped` is term-wise dominated by `kept`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,33 +44,6 @@ pub struct Dominance {
     pub dropped: usize,
 }
 
-/// A constraint's monomial structure: sorted exponent rows (bit-exact)
-/// with the coefficient of each row. Two constraints are comparable iff
-/// their row lists are identical.
-fn signature(gp: &GpProblem, ci: usize) -> (Vec<Vec<(u32, u64)>>, Vec<f64>) {
-    let mut rows: Vec<(Vec<(u32, u64)>, f64)> = gp.constraints()[ci]
-        .body
-        .terms()
-        .iter()
-        .map(|t| {
-            let row: Vec<(u32, u64)> = t
-                .exponents()
-                .map(|(v, e)| (v.index() as u32, e.to_bits()))
-                .collect();
-            (row, t.coeff())
-        })
-        .collect();
-    // Same-row terms cannot merge here (the posynomial representation
-    // already canonicalizes), but sort rows so structurally equal bodies
-    // built in different term orders compare equal.
-    rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    rows.into_iter().unzip()
-}
-
-/// Exponent-row structure of a constraint family: one sorted
-/// `(variable, exponent-bits)` row per non-constant term.
-type FamilyKey = Vec<Vec<(u32, u64)>>;
-
 /// Finds every term-wise dominated constraint. Within a family of
 /// constraints sharing the same exponent rows, constraint `B` is dropped
 /// iff some other member `A` has `coeff_A ≥ coeff_B` componentwise with
@@ -78,43 +51,55 @@ type FamilyKey = Vec<Vec<(u32, u64)>>;
 /// (true duplicates), the lexicographically smaller label. Each drop
 /// records the kept witness; results are sorted by dropped index.
 pub(crate) fn find_dominated(gp: &GpProblem) -> Vec<Dominance> {
-    // Group constraints by exponent-row structure.
-    let mut families: BTreeMap<FamilyKey, Vec<(usize, Vec<f64>)>> = BTreeMap::new();
-    for ci in 0..gp.constraints().len() {
-        let (rows, coeffs) = signature(gp, ci);
-        families.entry(rows).or_default().push((ci, coeffs));
+    // Every body's terms sorted by row id, back to back. The problem's
+    // table names each exact exponent row by one id, so two constraints
+    // have the same rows iff their sorted id lists are equal, and then
+    // their coefficients pair up position by position.
+    let mut terms: Vec<(TermId, f64)> = Vec::new();
+    let mut spans = Vec::with_capacity(gp.constraints().len());
+    for c in gp.constraints() {
+        let start = terms.len();
+        terms.extend_from_slice(gp.body(c).terms());
+        terms[start..].sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        spans.push(start..terms.len());
     }
+    let ids = |ci: usize| terms[spans[ci].clone()].iter().map(|t| t.0);
+    let coeffs = |ci: usize| terms[spans[ci].clone()].iter().map(|t| t.1);
 
+    // Families: constraints ordered by id list (stably, so each family
+    // lists its members in index order), equal neighbours grouped.
+    let mut order: Vec<usize> = (0..gp.constraints().len()).collect();
+    order.sort_by(|&a, &b| ids(a).cmp(ids(b)));
     let label = |i: usize| &gp.constraints()[i].label;
     let mut out = Vec::new();
-    for members in families.values() {
+    for members in order.chunk_by(|&a, &b| ids(a).eq(ids(b))) {
         if members.len() < 2 {
             continue;
         }
-        for (b, cb) in members {
+        for &b in members {
             // The best dominating witness for `b`, by (label) — stable
             // under constraint reorder.
             let mut witness: Option<usize> = None;
-            for (a, ca) in members {
+            for &a in members {
                 if a == b {
                     continue;
                 }
-                let ge = ca.iter().zip(cb).all(|(x, y)| x >= y);
+                let ge = coeffs(a).zip(coeffs(b)).all(|(x, y)| x >= y);
                 if !ge {
                     continue;
                 }
-                let strict = ca.iter().zip(cb).any(|(x, y)| x > y);
+                let strict = coeffs(a).zip(coeffs(b)).any(|(x, y)| x > y);
                 // On exact duplicates keep the label-smaller constraint,
                 // so exactly one side of each duplicate pair survives.
-                if strict || label(*a) < label(*b) {
-                    let better = witness.is_none_or(|w| label(*a) < label(w));
+                if strict || label(a) < label(b) {
+                    let better = witness.is_none_or(|w| label(a) < label(w));
                     if better {
-                        witness = Some(*a);
+                        witness = Some(a);
                     }
                 }
             }
             if let Some(kept) = witness {
-                out.push(Dominance { kept, dropped: *b });
+                out.push(Dominance { kept, dropped: b });
             }
         }
     }

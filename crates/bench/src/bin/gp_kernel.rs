@@ -18,23 +18,19 @@
 //! * **audit** — dominance pruning on the multi-corner
 //!   (slow/typical/fast) constraint system: pruned-constraint counts per
 //!   macro and end-to-end audit+solve time vs solving the full system;
-//! * **explore_scaling** — the acceptance number: the full
-//!   representative sweep of `explore_scaling` at one worker, measured
-//!   here and compared against the recorded pre-PR baseline;
 //! * **build** — `build_sizing_gp` over the whole representative
 //!   database (12 fF on every output, 1500 ps) at the single corner and
 //!   at slow/typical/fast: median wall time of the whole-database build,
-//!   heap allocations per GP (a counting global allocator), and the
-//!   deterministic counters — constraints, final terms, term pushes,
-//!   distinct terms — per entry, next to the numbers recorded before the
-//!   term table.
+//!   and the deterministic counters per entry — constraints, final terms,
+//!   term pushes, distinct terms, and the heap allocations of one build
+//!   (a counting global allocator).
 //!
 //! `--smoke` shrinks every section to CI size; `--out PATH` redirects
 //! the JSON (CI uses this so smoke numbers never clobber the committed
 //! full-run record). `--check PATH` compares the sweep of every kernel
 //! case and the build counters of every entry this run built with the
 //! same cases and entries in the record at PATH, and exits non-zero on
-//! any difference.
+//! any difference or on an entry that allocates more than its record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -44,12 +40,12 @@ use std::time::{Duration, Instant};
 use smart_audit::{audit_problem, AuditConfig};
 use smart_core::constraints::{boundary_extra_loads, build_sizing_gp, SizingGp};
 use smart_core::{
-    compact, explore_parallel, DelaySpec, ParallelOptions, SizingOptions,
+    compact, DelaySpec, SizingOptions,
 };
 use smart_gp::{GpProblem, SolverOptions};
 use smart_macros::{representative_database, MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::{CornerSet, ModelLibrary};
-use smart_posy::{LogPosynomial, TermDictionary};
+use smart_posy::TermDictionary;
 use smart_sta::Boundary;
 use smart_trace::json::Json;
 use smart_trace::{Trace, Value};
@@ -83,12 +79,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// `explore_scaling` full-sweep serial wall time (best of 3) measured at
-/// the commit before this kernel landed (c6d5b09, dense `Vec<Vec<f64>>`
-/// Newton steps, no warm-start chaining), on the same container class CI
-/// uses. The acceptance criterion is ≥ 2× against this number.
-const PRE_PR_BASELINE_MS: f64 = 168.3;
 
 fn boundary_for(request: &MacroSpec, load: f64) -> Boundary {
     let mut b = Boundary::default();
@@ -132,11 +122,7 @@ struct Sharing {
 }
 
 fn sharing(gp: &GpProblem) -> Sharing {
-    let dim = gp.dim();
-    let slots: Vec<LogPosynomial> = std::iter::once(gp.objective())
-        .chain(gp.constraints().iter().map(|c| &c.body))
-        .map(|p| LogPosynomial::from_posynomial(p, dim))
-        .collect();
+    let slots = gp.log_form();
     let dict = TermDictionary::new(&slots);
     Sharing {
         terms: dict.references(),
@@ -352,67 +338,6 @@ fn bench_audit(name: &'static str, request: &MacroSpec, load: f64, ps: f64, iter
     }
 }
 
-/// The acceptance sweep: `explore_scaling`'s full case set at one worker
-/// (smoke mode shrinks it), best of `iters`.
-fn bench_sweep(smoke: bool, iters: usize) -> f64 {
-    let cases: Vec<(MacroSpec, f64)> = if smoke {
-        vec![(
-            MacroSpec::Mux {
-                topology: MuxTopology::StronglyMutexedPass,
-                width: 4,
-            },
-            400.0,
-        )]
-    } else {
-        vec![
-            (
-                MacroSpec::Mux {
-                    topology: MuxTopology::StronglyMutexedPass,
-                    width: 8,
-                },
-                450.0,
-            ),
-            (
-                MacroSpec::ZeroDetect {
-                    width: 16,
-                    style: ZeroDetectStyle::Domino,
-                },
-                450.0,
-            ),
-            (MacroSpec::Incrementor { width: 13 }, 900.0),
-        ]
-    };
-    let loads: &[f64] = if smoke { &[12.0, 20.0] } else { &[8.0, 16.0, 32.0] };
-    let lib = ModelLibrary::reference();
-    let opts = SizingOptions::default();
-    let par = ParallelOptions::with_workers(1);
-    let mut best = Duration::MAX;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        for (request, ps) in &cases {
-            for &load in loads {
-                let boundary = boundary_for(request, load);
-                let _ = explore_parallel(
-                    request,
-                    &lib,
-                    &boundary,
-                    &DelaySpec::uniform(*ps),
-                    &opts,
-                    &par,
-                );
-            }
-        }
-        best = best.min(t0.elapsed());
-    }
-    best.as_secs_f64() * 1e3
-}
-
-/// Whole-database GP builds before the term table (this binary's build
-/// section run against the commit before it, e18bedd, on the same 2-core
-/// container class), per corner set: `(corners, median ms of the
-/// whole-database build, heap allocations per GP)`.
-const BUILD_BEFORE: [(&str, f64, f64); 2] = [("single", 212.6, 20787.0), ("stf", 593.1, 61614.0)];
-
 /// Deterministic counters of one database entry's GP build.
 struct BuildCase {
     name: String,
@@ -421,6 +346,8 @@ struct BuildCase {
     terms: usize,
     pushes: usize,
     distinct_terms: usize,
+    /// Heap allocations of one build (after a first, warming build).
+    allocs: usize,
 }
 
 /// One corner set's whole-database build.
@@ -433,8 +360,9 @@ struct BuildRow {
 }
 
 /// Builds the sizing GP of every entry of `specs` (12 fF on every output,
-/// 1500 ps) `runs` times; compaction and one build per entry for its
-/// counters happen outside the clock.
+/// 1500 ps) `runs` times; compaction and two builds per entry for its
+/// counters (the second counting its allocations) happen outside the
+/// clock.
 fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
     let lib = ModelLibrary::reference();
     let opts = SizingOptions {
@@ -458,10 +386,13 @@ fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
         build_sizing_gp(circuit, &lib, compaction, boundary, extra, &spec, &opts)
             .unwrap_or_else(|e| panic!("GP builds: {e}"))
     };
-    let cases = inputs
+    let cases: Vec<BuildCase> = inputs
         .iter()
         .map(|input| {
             let built = build(input);
+            let before = ALLOCS.load(Ordering::Relaxed);
+            std::hint::black_box(build(input));
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
             let shared = sharing(&built.gp);
             BuildCase {
                 name: input.0.clone(),
@@ -470,32 +401,32 @@ fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
                 terms: shared.terms,
                 pushes: built.term_pushes,
                 distinct_terms: shared.distinct_terms,
+                allocs,
             }
         })
         .collect();
     let mut times = Vec::new();
-    let mut allocs = 0;
     for _ in 0..runs {
-        let before = ALLOCS.load(Ordering::Relaxed);
         let t0 = Instant::now();
         for input in &inputs {
             std::hint::black_box(build(input));
         }
         times.push(t0.elapsed().as_secs_f64() * 1e3);
-        allocs = ALLOCS.load(Ordering::Relaxed) - before;
     }
     times.sort_by(f64::total_cmp);
     BuildRow {
         corners: if stf { "stf" } else { "single" },
         runs,
         median_ms: times[times.len() / 2],
-        allocs_per_build: allocs as f64 / specs.len() as f64,
+        allocs_per_build: cases.iter().map(|c| c.allocs).sum::<usize>() as f64 / specs.len() as f64,
         cases,
     }
 }
 
 /// Compares the build counters of `rows` with the same entries of
-/// `record`; returns one line per difference.
+/// `record`; returns one line per difference, and one per entry that
+/// allocates more than its recorded `allocs_per_build`. Allocation counts
+/// are deterministic, so this is a counter gate, not a timing one.
 fn check_build(rows: &[BuildRow], record: &Json) -> Vec<String> {
     let entries = record
         .get("build")
@@ -530,6 +461,13 @@ fn check_build(rows: &[BuildRow], record: &Json) -> Vec<String> {
                  recorded {want:?}",
                 case.name, case.corners
             )),
+        }
+        let allowed = recorded.and_then(|e| count(e, "allocs_per_build"));
+        if allowed.is_none_or(|a| case.allocs > a) {
+            diffs.push(format!(
+                "{} @{}: {} allocations per build, recorded at most {allowed:?}",
+                case.name, case.corners, case.allocs
+            ));
         }
     }
     diffs
@@ -739,18 +677,6 @@ fn main() {
         audit_full_ms / audit_pruned_ms.max(1e-9)
     );
 
-    // --- Acceptance sweep ----------------------------------------------
-    let sweep_ms = bench_sweep(smoke, iters);
-    if smoke {
-        println!("\nexplore sweep (smoke subset, 1 worker): {sweep_ms:.1}ms");
-    } else {
-        println!(
-            "\nexplore_scaling full sweep, 1 worker: {sweep_ms:.1}ms \
-             (pre-PR baseline {PRE_PR_BASELINE_MS}ms, {:.2}x)",
-            PRE_PR_BASELINE_MS / sweep_ms.max(1e-9)
-        );
-    }
-
     // --- GP build over the representative database ---------------------
     let database = representative_database();
     let build_specs: Vec<MacroSpec> = if smoke {
@@ -764,21 +690,16 @@ fn main() {
         "\nGP build, {} database entries at 12 fF / 1500 ps (median of {build_runs}):",
         build_specs.len()
     );
-    for (row, (_, before_ms, before_allocs)) in build_rows.iter().zip(BUILD_BEFORE) {
+    for row in &build_rows {
         let sum = |f: fn(&BuildCase) -> usize| row.cases.iter().map(f).sum::<usize>();
         println!(
-            "  {:<6} {:>8.1}ms {:>9.0} allocs/GP  {:>6} constraints {:>7} terms {:>8} pushes{}",
+            "  {:<6} {:>8.1}ms {:>9.0} allocs/GP  {:>6} constraints {:>7} terms {:>8} pushes",
             row.corners,
             row.median_ms,
             row.allocs_per_build,
             sum(|c| c.constraints),
             sum(|c| c.terms),
             sum(|c| c.pushes),
-            if smoke {
-                String::new()
-            } else {
-                format!("  (before: {before_ms:.1}ms, {before_allocs:.0} allocs/GP)")
-            }
         );
     }
     if let Some(path) = args.iter().position(|a| a == "--check").and_then(|i| args.get(i + 1)) {
@@ -861,24 +782,9 @@ fn main() {
          \"audit_plus_pruned_ms\": {audit_pruned_ms:.3}, \"speedup\": {:.3}}},",
         audit_full_ms / audit_pruned_ms.max(1e-9)
     );
-    let _ = writeln!(
-        json,
-        "  \"explore_scaling_serial\": {{\n    \"pre_pr_baseline_ms\": {PRE_PR_BASELINE_MS},\n    \"measured_ms\": {sweep_ms:.1},\n    \"speedup\": {:.2},\n    \"full_sweep\": {}\n  }},",
-        PRE_PR_BASELINE_MS / sweep_ms.max(1e-9),
-        !smoke
-    );
     let _ = writeln!(json, "  \"build\": {{");
     let _ = writeln!(json, "    \"inputs\": \"12 fF on every output, uniform 1500 ps\",");
-    let _ = writeln!(json, "    \"before\": [");
-    for (i, (corners, ms, allocs)) in BUILD_BEFORE.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"corners\": \"{corners}\", \"median_ms\": {ms:.1}, \"allocs_per_build\": {allocs:.0}}}{}",
-            if i + 1 < BUILD_BEFORE.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"after\": [");
+    let _ = writeln!(json, "    \"totals\": [");
     for (i, r) in build_rows.iter().enumerate() {
         let sum = |f: fn(&BuildCase) -> usize| r.cases.iter().map(f).sum::<usize>();
         let _ = writeln!(
@@ -903,13 +809,14 @@ fn main() {
         let _ = writeln!(
             json,
             "      {{\"case\": \"{}\", \"corners\": \"{}\", \"constraints\": {}, \"terms\": {}, \
-             \"pushes\": {}, \"distinct_terms\": {}}}{}",
+             \"pushes\": {}, \"distinct_terms\": {}, \"allocs_per_build\": {}}}{}",
             c.name,
             c.corners,
             c.constraints,
             c.terms,
             c.pushes,
             c.distinct_terms,
+            c.allocs,
             if i + 1 < cases.len() { "," } else { "" }
         );
     }

@@ -28,7 +28,6 @@ use smart_core::{
 };
 use smart_macros::{ComparatorVariant, MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::ModelLibrary;
-use smart_power::{estimate, ActivityProfile};
 use smart_sta::{max_delay, Boundary};
 
 /// One row of a Fig.-5-style comparison: baseline ("original") vs SMART
@@ -418,7 +417,3 @@ pub fn paths52(lib: &ModelLibrary, opts: &SizingOptions, width: usize) -> PathSt
     }
 }
 
-/// Quick power snapshot used by examples/tests.
-pub fn power_of(circuit: &smart_netlist::Circuit, lib: &ModelLibrary, sizing: &smart_netlist::Sizing) -> f64 {
-    estimate(circuit, lib, sizing, &ActivityProfile::default()).total()
-}

@@ -12,9 +12,9 @@
 //!   [`ModelLibrary`] — every model coefficient, so a cache shared across
 //!   sweeps at different corners can never replay the wrong corner's
 //!   solution),
-//! * the quantized delay spec (ps budgets rounded to a 2⁻¹² ps grid, far
-//!   below timing meaning, so float noise from spec arithmetic cannot
-//!   split otherwise-identical entries),
+//! * the delay spec's exact bits (a spec one ulp away is another key, so
+//!   a hit always replays the sizing of the very spec it was computed
+//!   for),
 //! * the boundary conditions (exact bit patterns, sorted by port name),
 //! * a fingerprint of every [`SizingOptions`] knob that can change the
 //!   solution (cost metric, iteration caps, tolerances, pins, OTB,
@@ -24,12 +24,9 @@
 //!
 //! Only successful outcomes are stored: failures may be budget- or
 //! timing-dependent and must be re-derived. Because the whole flow is
-//! deterministic, a hit is byte-identical to the cold solve it replaces
-//! for any inputs that map to the same key — which, given the spec
-//! quantization, means specs equal after rounding to the 2⁻¹² ps grid
-//! (sub-quantum spec differences are below any timing meaning by
-//! construction). The cache-correctness test suite asserts the bitwise
-//! replay.
+//! deterministic, a hit is byte-identical to the cold solve it replaces,
+//! so a warm and a cold process reply with the same bytes. The
+//! cache-correctness test suite asserts the bitwise replay.
 //!
 //! # Multi-client ownership
 //!
@@ -41,7 +38,10 @@
 //! recency stamps), and [`SizingCache::snapshot`] / [`SizingCache::restore`]
 //! persist the entries byte-stably (floats as bit patterns, entries
 //! sorted by key) so a warm restart replays exactly the outcomes the
-//! previous process computed. The same snapshot is how an interrupted
+//! previous process computed. A snapshot carries the
+//! [`FLOW_EPOCH`](crate::FLOW_EPOCH) it was written under and restores
+//! as "no snapshot" under any other, with the reason kept for
+//! [`SizingCache::restore_rejected`]. The same snapshot is how an interrupted
 //! exploration sweep resumes: restore it and re-run the sweep, and the
 //! rows it holds come back as cache hits. Per-sweep hit/miss attribution
 //! is the caller's job via [`CacheStats`] — the cache's own counters are
@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, StableHasher};
@@ -70,31 +70,15 @@ pub struct CacheKey {
     /// process corner: every delay/slope/power coefficient feeds the GP
     /// and STA, so corners must never share entries.
     pub process: u64,
-    /// Quantized data-phase budget.
+    /// Bits of the data-phase budget.
     pub spec_data: u64,
-    /// Quantized precharge budget (`u64::MAX` = unset, distinct from any
-    /// quantized value by construction).
+    /// Bits of the precharge budget (`u64::MAX`, a NaN pattern no
+    /// validated spec has, = unset).
     pub spec_precharge: u64,
     /// Fingerprint of the boundary conditions.
     pub boundary: u64,
     /// Fingerprint of the outcome-relevant sizing options.
     pub options: u64,
-}
-
-/// Spec budgets land on a 2⁻¹² ps grid: coarse enough to absorb float
-/// noise from spec arithmetic, ~5 orders of magnitude below any timing
-/// budget's meaningful resolution.
-fn quantize_ps(x: f64) -> u64 {
-    // Specs are validated finite and positive before keys are built; the
-    // saturating cast keeps a pathological value from wrapping.
-    let q = (x * 4096.0).round();
-    if q >= u64::MAX as f64 {
-        u64::MAX - 1
-    } else if q.is_finite() && q > 0.0 {
-        q as u64
-    } else {
-        0
-    }
 }
 
 pub(crate) fn boundary_fingerprint(boundary: &Boundary) -> u64 {
@@ -245,8 +229,8 @@ pub(crate) fn cache_key_for_structure(
     CacheKey {
         structure,
         process: lib.process().fingerprint(),
-        spec_data: quantize_ps(spec.data),
-        spec_precharge: spec.precharge.map_or(u64::MAX, quantize_ps),
+        spec_data: spec.data.to_bits(),
+        spec_precharge: spec.precharge.map_or(u64::MAX, f64::to_bits),
         boundary: boundary_fingerprint(boundary),
         options: options_fingerprint(opts),
     }
@@ -384,6 +368,9 @@ pub struct SizingCache {
     misses: AtomicUsize,
     poisoned: AtomicUsize,
     evicted: AtomicUsize,
+    /// Why the last restore loaded nothing (see
+    /// [`SizingCache::restore_rejected`]).
+    rejected: Mutex<Option<&'static str>>,
 }
 
 impl Default for SizingCache {
@@ -432,6 +419,7 @@ impl SizingCache {
             misses: AtomicUsize::new(0),
             poisoned: AtomicUsize::new(0),
             evicted: AtomicUsize::new(0),
+            rejected: Mutex::new(None),
         }
     }
 
@@ -634,30 +622,50 @@ impl SizingCache {
     /// Restores entries from a [`SizingCache::snapshot`] string into this
     /// cache, returning how many were loaded. The text is parsed with the
     /// workspace JSON parser and its fields decoded by name; it is then
-    /// accepted only if the decoded entries, re-rendered in input order,
-    /// reproduce it byte for byte (trailing newlines aside). All-or-nothing:
-    /// any deviation from the canonical form — truncation, a hand edit, an
-    /// entry whose stored checksum does not match its re-hashed content —
-    /// rejects the whole snapshot as `None` ("no snapshot"), so damage
-    /// can only ever cost warm starts, never correctness. Restored entries
-    /// go through the normal insert path (budget eviction applies);
-    /// counters are not touched.
+    /// accepted only if it was written under this
+    /// [`FLOW_EPOCH`](crate::FLOW_EPOCH) and the decoded entries,
+    /// re-rendered in input order, reproduce it byte for byte (trailing
+    /// newlines aside). All-or-nothing: another epoch, or any deviation
+    /// from the canonical form — truncation, a hand edit, an entry whose
+    /// stored checksum does not match its re-hashed content — rejects the
+    /// whole snapshot as `None` ("no snapshot"), so a stale or damaged
+    /// file can only ever cost warm starts, never correctness; the reason
+    /// is kept for [`SizingCache::restore_rejected`]. Restored entries go
+    /// through the normal insert path (budget eviction applies); counters
+    /// are not touched.
     pub fn restore(&self, text: &str) -> Option<usize> {
-        let doc = Json::parse(text).ok()?;
+        let restored = self.restore_entries(text);
+        *self.rejected.lock().unwrap_or_else(PoisonError::into_inner) = restored.err();
+        restored.ok()
+    }
+
+    fn restore_entries(&self, text: &str) -> Result<usize, &'static str> {
+        let doc = Json::parse(text).map_err(|_| "damaged")?;
+        if doc.get("epoch").and_then(Json::as_f64) != Some(f64::from(crate::FLOW_EPOCH)) {
+            return Err("other-epoch");
+        }
         let entries = doc
-            .get("entries")?
-            .as_array()?
-            .iter()
-            .map(decode_entry)
-            .collect::<Option<Vec<_>>>()?;
+            .get("entries")
+            .and_then(Json::as_array)
+            .and_then(|entries| entries.iter().map(decode_entry).collect::<Option<Vec<_>>>())
+            .ok_or("damaged")?;
         if render_snapshot(&entries).trim_end_matches('\n') != text.trim_end_matches('\n') {
-            return None;
+            return Err("damaged");
         }
         let n = entries.len();
         for (key, _, outcome) in entries {
             self.insert(key, outcome);
         }
-        Some(n)
+        Ok(n)
+    }
+
+    /// Why the last [`SizingCache::restore`] or
+    /// [`SizingCache::load_snapshot`] loaded nothing: `"missing"` (the
+    /// file could not be read), `"other-epoch"` (written under another
+    /// [`FLOW_EPOCH`](crate::FLOW_EPOCH), or none) or `"damaged"` (not a
+    /// canonical snapshot); `None` if it loaded one or none was attempted.
+    pub fn restore_rejected(&self) -> Option<&'static str> {
+        *self.rejected.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Writes a snapshot to `path` atomically (uniquely named temp file +
@@ -667,16 +675,26 @@ impl SizingCache {
     }
 
     /// Restores from a snapshot file; `None` for a missing, unreadable,
-    /// or non-canonical file (all equally "no snapshot").
+    /// stale-epoch or non-canonical file (all equally "no snapshot").
     pub fn load_snapshot(&self, path: &Path) -> Option<usize> {
-        self.restore(&std::fs::read_to_string(path).ok()?)
+        match std::fs::read_to_string(path) {
+            Ok(text) => self.restore(&text),
+            Err(_) => {
+                *self.rejected.lock().unwrap_or_else(PoisonError::into_inner) = Some("missing");
+                None
+            }
+        }
     }
 }
 
 /// The canonical snapshot text of `entries`, in the given order.
 fn render_snapshot(entries: &[(CacheKey, u64, SizingOutcome)]) -> String {
     let mut s = String::new();
-    s.push_str("{\"version\":1,\"kind\":\"sizing-cache\",\"entries\":[");
+    let _ = write!(
+        s,
+        "{{\"version\":1,\"epoch\":{},\"kind\":\"sizing-cache\",\"entries\":[",
+        crate::FLOW_EPOCH
+    );
     for (n, (key, checksum, outcome)) in entries.iter().enumerate() {
         if n > 0 {
             s.push(',');
@@ -988,7 +1006,31 @@ mod tests {
             assert!(fresh.is_empty(), "rejected snapshot must load nothing");
         }
         let missing = std::env::temp_dir().join("smart-cache-test-no-such-snapshot.json");
-        assert!(SizingCache::new().load_snapshot(&missing).is_none());
+        let fresh = SizingCache::new();
+        assert!(fresh.load_snapshot(&missing).is_none());
+        assert_eq!(fresh.restore_rejected(), Some("missing"));
+    }
+
+    #[test]
+    fn snapshots_of_another_flow_epoch_restore_as_no_snapshot() {
+        let cache = SizingCache::new();
+        cache.insert(key(1), outcome(1.0));
+        let snap = cache.snapshot();
+        let epoch = format!("\"epoch\":{},", crate::FLOW_EPOCH);
+        assert!(snap.starts_with(&format!("{{\"version\":1,{epoch}")));
+        let fresh = SizingCache::new();
+        assert_eq!(fresh.restore_rejected(), None);
+        for (text, why) in [
+            (snap.replacen(&epoch, "\"epoch\":0,", 1), "other-epoch"),
+            (snap.replacen(&epoch, "", 1), "other-epoch"),
+            (snap[..snap.len() / 2].to_owned(), "damaged"),
+        ] {
+            assert!(fresh.restore(&text).is_none());
+            assert!(fresh.is_empty());
+            assert_eq!(fresh.restore_rejected(), Some(why));
+        }
+        assert_eq!(fresh.restore(&snap), Some(1));
+        assert_eq!(fresh.restore_rejected(), None);
     }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {

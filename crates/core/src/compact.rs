@@ -25,9 +25,9 @@ use std::hash::Hash;
 use std::time::Instant;
 
 use smart_models::arcs::{ArcPhase, Edge};
-use smart_models::{ModelLibrary, TermId, TermSum, TermTable};
+use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, ComponentKind, LabelId, NetId};
-use smart_posy::VarId;
+use smart_posy::{TermId, TermSum, TermTable, VarId};
 use smart_sta::{paths::count_paths, TNode, TimingGraph};
 
 use crate::sizing::check_budget;

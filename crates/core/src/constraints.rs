@@ -7,9 +7,9 @@ use std::time::Instant;
 
 use smart_gp::{GpError, GpProblem};
 use smart_models::arcs::Edge;
-use smart_models::{label_vars, ModelLibrary, TermId, TermSum, TermTable};
+use smart_models::{label_vars, ModelLibrary};
 use smart_netlist::{Circuit, ComponentKind, DeviceRole, NetId, NetKind};
-use smart_posy::{Monomial, Posynomial, VarId};
+use smart_posy::{Monomial, Posynomial, TermId, TermSum, TermTable, VarId};
 use smart_sta::Boundary;
 
 use crate::compact::Compaction;
@@ -65,24 +65,25 @@ fn power_weights(circuit: &Circuit, lib: &ModelLibrary) -> Vec<f64> {
     w
 }
 
-/// Builds the cost objective posynomial.
+/// Builds the cost objective: `wᵢ·Wᵢ` for every label of positive
+/// weight, in label order, with rows interned in `table`.
 pub fn cost_objective(
     circuit: &Circuit,
     lib: &ModelLibrary,
     vars: &[VarId],
     cost: CostMetric,
-) -> Posynomial {
+    table: &mut TermTable,
+) -> Vec<(TermId, f64)> {
     let weights = match cost {
         CostMetric::Width => width_weights(circuit),
         CostMetric::Power => power_weights(circuit, lib),
     };
-    let mut obj = Posynomial::zero();
-    for (i, &w) in weights.iter().enumerate() {
-        if w > 0.0 {
-            obj += Monomial::new(w).pow(vars[i], 1.0);
-        }
-    }
-    obj
+    weights
+        .iter()
+        .zip(vars)
+        .filter(|(&w, _)| w > 0.0)
+        .map(|(&w, &v)| (table.var(v, 1.0), w))
+        .collect()
 }
 
 /// Everything needed to solve one sizing GP: the problem plus the
@@ -151,11 +152,12 @@ impl SizingGp {
 /// Path-delay posynomials of one GP build, shared by [`build_sizing_gp`]
 /// and [`build_min_delay_gp`].
 ///
-/// Every sum lives in one per-build [`TermTable`]. The same arc appears on
-/// many compacted paths (classes share prefixes and fanout cones), but its
-/// `R·C` product and output slope depend only on the arc, so both are
-/// built once per arc and corner and kept in `cached`; a path then only
-/// merges stage sums. The bits match a term-by-term `Posynomial` build
+/// Every sum lives in the GP's [`TermTable`], so a constraint body is
+/// written straight from its sum's `(TermId, coefficient)` pairs. The
+/// same arc appears on many compacted paths (classes share prefixes and
+/// fanout cones), but its `R·C` product and output slope depend only on
+/// the arc, so both are built once per arc and corner and kept in
+/// `cached`; a path then only merges stage sums. The bits match a term-by-term `Posynomial` build
 /// because every step keeps its order: `R` terms × cap terms for `R·C`,
 /// the stage order of [`ModelLibrary::stage_delay_from_rc`], each stage
 /// merged into its own sum before that sum is merged into the path.
@@ -165,7 +167,6 @@ struct PathDelays<'a> {
     boundary: &'a Boundary,
     extra_loads: &'a HashMap<NetId, f64>,
     vars: &'a [VarId],
-    table: TermTable,
     /// `[start, mid, end]` of arc `ai`'s sums in `cached` at the current
     /// corner: `R·C` is `cached[start..mid]`, the output slope
     /// `cached[mid..end]`.
@@ -204,7 +205,6 @@ impl<'a> PathDelays<'a> {
             boundary,
             extra_loads,
             vars,
-            table: TermTable::new(),
             arc_sums: vec![None; compaction.graph.arcs.len()],
             cached: Vec::new(),
             cap: TermSum::new(),
@@ -217,7 +217,7 @@ impl<'a> PathDelays<'a> {
     }
 
     /// Forgets the per-arc sums, whose coefficients belong to the previous
-    /// corner. Rows do not depend on the corner, so the table stays.
+    /// corner. Rows do not depend on the corner, so their ids stay valid.
     fn next_corner(&mut self) {
         self.arc_sums.fill(None);
         self.cached.clear();
@@ -238,15 +238,14 @@ impl<'a> PathDelays<'a> {
     }
 
     /// The `[start, mid, end]` of arc `ai`'s `R·C` and output-slope sums in
-    /// `cached`, built on first use at this corner.
-    fn arc(&mut self, ai: usize, clib: &ModelLibrary) -> [usize; 3] {
+    /// `cached`, built on first use at this corner with rows in `table`.
+    fn arc(&mut self, table: &mut TermTable, ai: usize, clib: &ModelLibrary) -> [usize; 3] {
         if let Some(sums) = self.arc_sums[ai] {
             return sums;
         }
         let arc = &self.compaction.graph.arcs[ai];
         let comp = self.circuit.comp(arc.comp);
         let extra = self.extra_loads.get(&arc.to.net).copied().unwrap_or(0.0);
-        let table = &mut self.table;
         clib.net_cap_terms(table, self.circuit, arc.to.net, self.vars, extra, &mut self.cap);
         clib.drive_terms(table, comp, arc.to.edge, self.vars, &mut self.drive);
         self.rc.clear();
@@ -265,7 +264,14 @@ impl<'a> PathDelays<'a> {
     /// the input on `source`: the source's arrival time when `launch` (the
     /// first segment of a class), then each stage, the first driven by the
     /// source's slope and every later one by the previous stage's.
-    fn delay(&mut self, clib: &ModelLibrary, source: NetId, arcs: &[usize], launch: bool) {
+    fn delay(
+        &mut self,
+        table: &mut TermTable,
+        clib: &ModelLibrary,
+        source: NetId,
+        arcs: &[usize],
+        launch: bool,
+    ) {
         let (t0, s0) = self.input_time(source, clib);
         self.path.clear();
         if launch && t0 > 0.0 {
@@ -274,7 +280,7 @@ impl<'a> PathDelays<'a> {
         let input_slope = [(TermId::ONE, s0.max(1e-3))];
         let mut slope_in = None;
         for &ai in arcs {
-            let [start, mid, end] = self.arc(ai, clib);
+            let [start, mid, end] = self.arc(table, ai, clib);
             let comp = self.circuit.comp(self.compaction.graph.arcs[ai].comp);
             let slope = slope_in.map_or(&input_slope[..], |(a, b)| &self.cached[a..b]);
             clib.stage_delay_from_rc(comp, &self.cached[start..mid], slope, &mut self.stage);
@@ -372,7 +378,8 @@ pub(crate) fn build_sizing_gp_within(
 ) -> Result<SizingGp, FlowError> {
     let (pool, vars) = label_vars(circuit);
     let mut gp = GpProblem::new(pool);
-    gp.set_objective(cost_objective(circuit, lib, &vars, opts.cost));
+    let objective = cost_objective(circuit, lib, &vars, opts.cost, gp.table_mut());
+    gp.set_objective_terms(&objective);
 
     let corner_libs = crate::spec::resolve_corner_libs(lib, opts);
     let multi = corner_libs.len() > 1;
@@ -415,7 +422,7 @@ pub(crate) fn build_sizing_gp_within(
             };
             let seg_count = segments.len();
             for (si, seg) in segments.into_iter().enumerate() {
-                paths.delay(clib, class.source.net, seg, si == 0);
+                paths.delay(gp.table_mut(), clib, class.source.net, seg, si == 0);
                 // Labels stay byte-identical to the historical single-
                 // corner form unless the set actually has several members.
                 let label = if multi {
@@ -440,8 +447,7 @@ pub(crate) fn build_sizing_gp_within(
                     is_precharge: class.is_precharge,
                     seg_count,
                 });
-                let body = paths.table.posynomial(delay);
-                gp.add_le_const(label, body, budget / seg_count as f64)?;
+                gp.add_le_terms(label, delay, budget / seg_count as f64)?;
                 timing_constraints += 1;
             }
         }
@@ -450,8 +456,8 @@ pub(crate) fn build_sizing_gp_within(
         for &ai in &slope_arcs {
             let arc = &compaction.graph.arcs[ai];
             let comp = circuit.comp(arc.comp);
-            let [_, mid, end] = paths.arc(ai, clib);
-            let slope = paths.table.posynomial(&paths.cached[mid..end]);
+            let [_, mid, end] = paths.arc(gp.table_mut(), ai, clib);
+            let slope = &paths.cached[mid..end];
             // Shared (multi-driver) nets — pass-gate and tri-state buses —
             // carry the junction load of every off driver, which puts a
             // floor on their edge rate; projects exempt such nodes from
@@ -463,7 +469,7 @@ pub(crate) fn build_sizing_gp_within(
             } else {
                 format!("slope {} {:?}", comp.path, arc.to.edge)
             };
-            gp.add_le_const(label, slope, opts.slope_max * drivers)?;
+            gp.add_le_terms(label, slope, opts.slope_max * drivers)?;
             slope_constraints += 1;
         }
     }
@@ -583,20 +589,20 @@ pub fn build_min_delay_gp(
     let multi = corner_libs.len() > 1;
     let mut timing_constraints = 0;
     let mut paths = PathDelays::new(circuit, compaction, boundary, extra_loads, &vars);
-    let per_t = [(paths.table.var(t_var, -1.0), 1.0)];
+    let per_t = [(gp.table_mut().var(t_var, -1.0), 1.0)];
     let mut bounded = TermSum::new();
     for (cname, clib) in &corner_libs {
         paths.next_corner();
         for (ci, class) in compaction.classes.iter().enumerate() {
-            paths.delay(clib, class.source.net, &class.arcs, true);
+            paths.delay(gp.table_mut(), clib, class.source.net, &class.arcs, true);
             bounded.clear();
-            bounded.add_product(&mut paths.table, paths.path.terms(), &per_t);
+            bounded.add_product(gp.table_mut(), paths.path.terms(), &per_t);
             let label = if multi {
                 format!("path{ci} <= T @{cname}")
             } else {
                 format!("path{ci} <= T")
             };
-            gp.add_le_const(label, paths.table.posynomial(bounded.terms()), 1.0)?;
+            gp.add_le_terms(label, bounded.terms(), 1.0)?;
             timing_constraints += 1;
         }
     }

@@ -58,6 +58,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The flow's algorithm epoch. Raise it with every change that moves a
+/// sizing bit (`tests/sizing_bits_golden.rs` records it beside its
+/// hashes and fails if one moves without the other). A cache snapshot
+/// carries the epoch it was written under, and one from another epoch
+/// restores as "no snapshot", so neither a warm-booted daemon nor a
+/// resumed sweep serves a sizing the current flow would not compute.
+pub const FLOW_EPOCH: u32 = 1;
+
 mod baseline;
 pub mod cache;
 pub mod compact;

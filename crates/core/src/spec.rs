@@ -218,7 +218,7 @@ pub struct SizingOptions {
     /// Optional sizing memoization cache, shared across runs (and across
     /// the threads of a parallel sweep) via `Arc`. When set,
     /// [`crate::size_circuit`] first looks up the (structural hash,
-    /// quantized spec, boundary, options) key and returns the cached
+    /// exact spec bits, boundary, options) key and returns the cached
     /// [`crate::SizingOutcome`] on a hit — repeated topologies across
     /// sweep points skip the whole GP/STA loop. `None` (the default)
     /// disables memoization.

@@ -16,7 +16,7 @@ use smart_gp::GpProblem;
 use smart_macros::{representative_database, MacroSpec};
 use smart_models::{CornerSet, ModelLibrary};
 use smart_netlist::{Circuit, StableHasher};
-use smart_posy::Posynomial;
+use smart_posy::PosyView;
 use smart_sta::Boundary;
 
 /// `(spec, single-corner hash, slow/typical/fast hash)` in database order.
@@ -119,13 +119,13 @@ impl Inputs {
     }
 }
 
-fn hash_posynomial(h: &mut StableHasher, p: &Posynomial) {
+fn hash_posynomial(h: &mut StableHasher, p: PosyView<'_>) {
     h.write_usize(p.terms().len());
-    for t in p.terms() {
-        h.write_f64_bits(t.coeff());
-        let row: Vec<_> = t.exponents().collect();
+    for &(id, c) in p.terms() {
+        h.write_f64_bits(c);
+        let row = p.row(id);
         h.write_usize(row.len());
-        for (v, e) in row {
+        for &(v, e) in row {
             h.write_usize(v.index());
             h.write_f64_bits(e);
         }
@@ -139,7 +139,7 @@ fn gp_hash(gp: &GpProblem) -> u64 {
     h.write_usize(gp.constraints().len());
     for c in gp.constraints() {
         h.write_str(&c.label);
-        hash_posynomial(&mut h, &c.body);
+        hash_posynomial(&mut h, gp.body(c));
     }
     h.finish()
 }

@@ -7,16 +7,24 @@
 //! goldens (`golden_regression.rs`, `sparse_dense_parity.rs`) would let
 //! such a drift pass unseen.
 //!
+//! The hashes were recorded under flow epoch [`GOLDEN_EPOCH`]. A change
+//! that moves them must raise [`FLOW_EPOCH`] (so snapshots of the old
+//! flow stop restoring) and re-record both; the test fails if the hashes
+//! move while the epoch stays, or the epoch moves while the hashes stay.
+//!
 //! Two entries, the weakly-mutexed `mux8` and `cmp64`, have no spec they
 //! meet at slow/typical/fast: an internal slope bound at the slow corner
 //! is certified infeasible before any solve. Their stf rows pin the
 //! error text instead, so the audit's verdict cannot move unseen either.
 
-use smart_core::{size_circuit, DelaySpec, SizingOptions};
+use smart_core::{size_circuit, DelaySpec, SizingOptions, FLOW_EPOCH};
 use smart_macros::representative_database;
 use smart_models::{CornerSet, ModelLibrary};
 use smart_netlist::StableHasher;
 use smart_sta::Boundary;
+
+/// The [`FLOW_EPOCH`] the hashes below were recorded under.
+const GOLDEN_EPOCH: u32 = 1;
 
 /// `(spec, single-corner delay ps, its hash, slow/typical/fast delay ps,
 /// its hash)` in database order; `cla64` has no stf row (`0.0`, `0`).
@@ -108,5 +116,16 @@ fn representative_database_sizings_are_bit_exact() {
             }
         }
     }
-    assert!(moved.is_empty(), "sizing bits moved:\n{}", moved.join("\n"));
+    let same_epoch = FLOW_EPOCH == GOLDEN_EPOCH;
+    assert!(
+        same_epoch || !moved.is_empty(),
+        "FLOW_EPOCH moved from {GOLDEN_EPOCH} to {FLOW_EPOCH} but no sizing bit did; \
+         a bit-exact change keeps the epoch"
+    );
+    assert!(
+        same_epoch && moved.is_empty(),
+        "sizing bits moved (flow epoch {FLOW_EPOCH}, golden epoch {GOLDEN_EPOCH}); a change \
+         that moves them raises FLOW_EPOCH and re-records GOLDEN and GOLDEN_EPOCH:\n{}",
+        moved.join("\n")
+    );
 }

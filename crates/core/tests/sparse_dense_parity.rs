@@ -1,8 +1,8 @@
 //! Differential parity suite for the sparse GP Newton kernel.
 //!
 //! The production solver assembles gradients and Hessians sparsely
-//! (`LogPosynomial::shifted_exps` + `stage_from_exps`, which
-//! `value_grad_hess_into` chains, + packed scatter) while the
+//! (`LogPosynomial::shifted_exps` + `stage_from_exps` + packed
+//! scatter) while the
 //! dense path (`value_grad_hess`, `GpProblem::solve_reference`) survives
 //! as the oracle. This suite pins the two against each other on the real
 //! sizing GPs of the representative macro database:
@@ -66,7 +66,9 @@ fn assert_kernel_parity(lp: &LogPosynomial, y: &[f64], what: &str) {
     let dim = lp.dim();
     let (val, grad, hess) = lp.value_grad_hess(y);
     let mut ws = GradHessWorkspace::new(dim);
-    let sval = lp.value_grad_hess_into(y, &mut ws);
+    let mut exps = vec![0.0; lp.term_count()];
+    let (sval, sum) = lp.shifted_exps(y, &mut exps);
+    lp.stage_from_exps(&exps, sum, &mut ws);
     ws.scatter_staged(1.0, 1.0, 0.0);
     let scale = val.abs().max(1.0);
     assert!(
@@ -103,14 +105,11 @@ fn kernel_parity_on_every_representative_macro() {
         let built = sizing_gp(&spec, &DelaySpec::uniform(900.0));
         let dim = built.gp.dim();
         let points = [jitter(dim, 0x5EED_0001), jitter(dim, 0xFACE_0002)];
-        let obj = LogPosynomial::from_posynomial(built.gp.objective(), dim);
-        for (pi, y) in points.iter().enumerate() {
-            assert_kernel_parity(&obj, y, &format!("{spec:?} objective @p{pi}"));
-        }
-        for c in built.gp.constraints() {
-            let lp = LogPosynomial::from_posynomial(&c.body, dim);
+        let slots = built.gp.log_form();
+        let labels = std::iter::once("objective").chain(built.gp.constraints().iter().map(|c| c.label.as_str()));
+        for (lp, label) in slots.iter().zip(labels) {
             for (pi, y) in points.iter().enumerate() {
-                assert_kernel_parity(&lp, y, &format!("{spec:?} '{}' @p{pi}", c.label));
+                assert_kernel_parity(lp, y, &format!("{spec:?} '{label}' @p{pi}"));
             }
         }
     }

@@ -1,18 +1,21 @@
 //! Geometric-program problem construction.
 
-use smart_posy::{Monomial, Posynomial, VarId, VarPool};
+use std::ops::Range;
+
+use smart_posy::{LogPosynomial, Monomial, PosyView, Posynomial, TermId, TermTable, VarId, VarPool};
 
 use crate::GpError;
 
 /// One inequality constraint `body ≤ 1` in normalized GP form, with a label
 /// for diagnostics (SMART uses labels like `"path p12 rise"` so the designer
-/// can see which timing constraint is binding).
+/// can see which timing constraint is binding). The body is stored in the
+/// problem; [`GpProblem::body`] reads it.
 #[derive(Debug, Clone)]
 pub struct GpConstraint {
     /// Human-readable origin of the constraint.
     pub label: String,
-    /// The posynomial body `f(x)`; the constraint is `f(x) ≤ 1`.
-    pub body: Posynomial,
+    /// The body's terms in the problem's term list.
+    terms: Range<usize>,
 }
 
 /// A geometric program in standard form:
@@ -27,6 +30,11 @@ pub struct GpConstraint {
 /// (`x/ub ≤ 1`, `lb·x⁻¹ ≤ 1`), exactly how the SMART sizer encodes device
 /// min/max size and designer-pinned sizes.
 ///
+/// Every exponent row of the problem is interned once in its
+/// [`TermTable`], and the objective and every constraint body are stored
+/// as `(TermId, coefficient)` pairs over it. The solver's log form reads
+/// the rows by id, and its term dictionary tells terms apart by id.
+///
 /// ```
 /// use smart_posy::{Monomial, Posynomial, VarPool};
 /// use smart_gp::GpProblem;
@@ -40,13 +48,18 @@ pub struct GpConstraint {
 ///           Monomial::new(1.0))?;                       // 2/W <= 1
 /// let sol = gp.solve(&Default::default())?;
 /// assert!((sol.x[w.index()] - 2.0).abs() < 1e-3);
+/// let c = &gp.constraints()[0];
+/// assert_eq!(gp.body(c).eval(&sol.x), 2.0 / sol.x[w.index()]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct GpProblem {
     pool: VarPool,
-    objective: Posynomial,
+    table: TermTable,
+    objective: Vec<(TermId, f64)>,
+    /// Every constraint body back to back, in constraint order.
+    terms: Vec<(TermId, f64)>,
     constraints: Vec<GpConstraint>,
 }
 
@@ -58,7 +71,9 @@ impl GpProblem {
     pub fn new(pool: VarPool) -> Self {
         GpProblem {
             pool,
-            objective: Posynomial::constant(1.0),
+            table: TermTable::new(),
+            objective: vec![(TermId::ONE, 1.0)],
+            terms: Vec::new(),
             constraints: Vec::new(),
         }
     }
@@ -73,24 +88,74 @@ impl GpProblem {
         &mut self.pool
     }
 
+    /// The table every row of the problem is interned in.
+    pub fn table(&self) -> &TermTable {
+        &self.table
+    }
+
+    /// Mutable access to the table, for interning the rows of bodies
+    /// added with [`GpProblem::add_le_terms`]. Interning only appends, so
+    /// the stored bodies keep their rows.
+    pub fn table_mut(&mut self) -> &mut TermTable {
+        &mut self.table
+    }
+
+    /// `p`'s terms, each monomial's row interned in the table.
+    fn intern(&mut self, p: &Posynomial) -> Vec<(TermId, f64)> {
+        p.terms()
+            .iter()
+            .map(|m| (self.table.intern(m), m.coeff()))
+            .collect()
+    }
+
     /// Sets the posynomial objective to minimize.
     ///
     /// # Panics
     ///
     /// Panics if `objective` is the zero posynomial.
     pub fn set_objective(&mut self, objective: Posynomial) {
-        assert!(!objective.is_zero(), "objective must be a nonzero posynomial");
-        self.objective = objective;
+        let objective = self.intern(&objective);
+        self.set_objective_terms(&objective);
+    }
+
+    /// [`GpProblem::set_objective`] for terms already interned in
+    /// [`GpProblem::table_mut`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `objective` has no term.
+    pub fn set_objective_terms(&mut self, objective: &[(TermId, f64)]) {
+        assert!(!objective.is_empty(), "objective must be a nonzero posynomial");
+        self.objective = objective.to_vec();
     }
 
     /// The current objective.
-    pub fn objective(&self) -> &Posynomial {
-        &self.objective
+    pub fn objective(&self) -> PosyView<'_> {
+        self.table.view(&self.objective)
     }
 
     /// The constraints added so far.
     pub fn constraints(&self) -> &[GpConstraint] {
         &self.constraints
+    }
+
+    /// The body of `c`, a constraint of this problem.
+    pub fn body(&self, c: &GpConstraint) -> PosyView<'_> {
+        self.table.view(&self.terms[c.terms.clone()])
+    }
+
+    /// The objective and every constraint body in log form, objective
+    /// first: the posynomials the solver sweeps, in its slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the problem has more than `u32::MAX` variables.
+    pub fn log_form(&self) -> Vec<LogPosynomial> {
+        let dim = self.dim();
+        std::iter::once(self.objective())
+            .chain(self.constraints.iter().map(|c| self.body(c)))
+            .map(|p| LogPosynomial::new(p, dim))
+            .collect()
     }
 
     /// Adds `lhs ≤ rhs` where `rhs` is a monomial; normalized internally to
@@ -106,20 +171,15 @@ impl GpProblem {
         lhs: Posynomial,
         rhs: Monomial,
     ) -> Result<(), GpError> {
-        if lhs.is_zero() {
-            return Err(GpError::EmptyConstraint { label: label.into() });
-        }
-        self.push_le(label.into(), lhs, rhs);
-        Ok(())
+        self.add_le_const(label, lhs.div_monomial(&rhs), 1.0)
     }
 
     /// Adds `lhs ≤ rhs` for a constant `rhs > 0`: the body is `lhs` with
     /// every coefficient multiplied by `1/rhs`, bit for bit what
-    /// [`GpProblem::add_le`] builds against `Monomial::new(rhs)`, in one
-    /// pass and without copying a term (dividing by a constant moves no
-    /// exponent row, so nothing can merge). A non-finite or non-positive
-    /// `rhs` is not rejected here; the solver's data validation reports
-    /// the coefficients it produces.
+    /// [`GpProblem::add_le`] builds against `Monomial::new(rhs)` (dividing
+    /// by a constant moves no exponent row, so nothing can merge). A
+    /// non-finite or non-positive `rhs` is not rejected here; the solver's
+    /// data validation reports the coefficients it produces.
     ///
     /// # Errors
     ///
@@ -128,18 +188,30 @@ impl GpProblem {
     pub fn add_le_const(
         &mut self,
         label: impl Into<String>,
-        mut lhs: Posynomial,
+        lhs: Posynomial,
         rhs: f64,
     ) -> Result<(), GpError> {
-        if lhs.is_zero() {
+        let lhs = self.intern(&lhs);
+        self.add_le_terms(label, &lhs, rhs)
+    }
+
+    /// [`GpProblem::add_le_const`] for a `lhs` already interned in
+    /// [`GpProblem::table_mut`], as distinct-id `(TermId, coefficient)`
+    /// pairs: the body is written without building a monomial.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GpError::EmptyConstraint`] if `lhs` has no term.
+    pub fn add_le_terms(
+        &mut self,
+        label: impl Into<String>,
+        lhs: &[(TermId, f64)],
+        rhs: f64,
+    ) -> Result<(), GpError> {
+        if lhs.is_empty() {
             return Err(GpError::EmptyConstraint { label: label.into() });
         }
-        let inv = 1.0 / rhs;
-        lhs.map_coeffs(|_, c| c * inv);
-        self.constraints.push(GpConstraint {
-            label: label.into(),
-            body: lhs,
-        });
+        self.push_body(label.into(), lhs, rhs);
         Ok(())
     }
 
@@ -155,28 +227,35 @@ impl GpProblem {
     /// Panics if `index` is out of range or `lhs_coeffs` does not hold one
     /// coefficient per term of the body.
     pub fn rescale_le(&mut self, index: usize, lhs_coeffs: &[f64], rhs: f64) {
-        let body = &mut self.constraints[index].body;
-        assert_eq!(body.terms().len(), lhs_coeffs.len(), "one coefficient per term");
+        let body = &mut self.terms[self.constraints[index].terms.clone()];
+        assert_eq!(body.len(), lhs_coeffs.len(), "one coefficient per term");
         let inv = 1.0 / rhs;
-        body.map_coeffs(|k, _| lhs_coeffs[k] * inv);
+        for ((_, c), &l) in body.iter_mut().zip(lhs_coeffs) {
+            *c = l * inv;
+        }
     }
 
-    /// Infallible insertion for bodies that are nonzero by construction.
-    fn push_le(&mut self, label: String, lhs: Posynomial, rhs: Monomial) {
+    /// Appends the constraint `lhs·(1/rhs) ≤ 1`.
+    fn push_body(&mut self, label: String, lhs: &[(TermId, f64)], rhs: f64) {
+        let inv = 1.0 / rhs;
+        let start = self.terms.len();
+        self.terms.extend(lhs.iter().map(|&(id, c)| (id, c * inv)));
         self.constraints.push(GpConstraint {
             label,
-            body: lhs.div_monomial(&rhs),
+            terms: start..self.terms.len(),
         });
     }
 
-    /// Adds an upper bound `x ≤ ub`.
+    /// Adds an upper bound `x ≤ ub` (encoded `(1/ub)·x ≤ 1`).
     ///
     /// # Panics
     ///
     /// Panics if `ub` is not finite and strictly positive.
     pub fn add_upper_bound(&mut self, v: VarId, ub: f64) {
+        assert!(ub.is_finite() && ub > 0.0, "upper bound must be finite and > 0, got {ub}");
         let name = format!("{} <= {ub}", self.pool.name(v));
-        self.push_le(name, Posynomial::var(v), Monomial::new(ub));
+        let row = self.table.var(v, 1.0);
+        self.push_body(name, &[(row, 1.0)], ub);
     }
 
     /// Adds a lower bound `x ≥ lb` (encoded `lb·x⁻¹ ≤ 1`).
@@ -185,9 +264,10 @@ impl GpProblem {
     ///
     /// Panics if `lb` is not finite and strictly positive.
     pub fn add_lower_bound(&mut self, v: VarId, lb: f64) {
+        assert!(lb.is_finite() && lb > 0.0, "lower bound must be finite and > 0, got {lb}");
         let name = format!("{} >= {lb}", self.pool.name(v));
-        let body = Posynomial::from(Monomial::new(lb).pow(v, -1.0));
-        self.push_le(name, body, Monomial::new(1.0));
+        let row = self.table.var(v, -1.0);
+        self.push_body(name, &[(row, lb)], 1.0);
     }
 
     /// Pins `x = value` (designer-controlled size, paper §2): both bounds at
@@ -214,24 +294,27 @@ impl GpProblem {
 
     /// A copy of the problem with the constraints at the given indices
     /// removed (out-of-range and duplicate indices are ignored). The pool,
-    /// objective, and surviving constraints — bodies, labels, relative
-    /// order — are untouched, so solving the copy is exactly solving the
-    /// original minus the dropped rows. This is the static-audit pruning
-    /// hook: the audit proves a constraint redundant, this drops it.
+    /// table, objective, and surviving constraints — bodies, labels,
+    /// relative order — are untouched, so solving the copy is exactly
+    /// solving the original minus the dropped rows. This is the
+    /// static-audit pruning hook: the audit proves a constraint redundant,
+    /// this drops it.
     #[must_use]
     pub fn without_constraints(&self, drop: &[usize]) -> GpProblem {
         let drop: std::collections::HashSet<usize> = drop.iter().copied().collect();
-        GpProblem {
+        let mut kept = GpProblem {
             pool: self.pool.clone(),
+            table: self.table.clone(),
             objective: self.objective.clone(),
-            constraints: self
-                .constraints
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !drop.contains(i))
-                .map(|(_, c)| c.clone())
-                .collect(),
+            terms: Vec::new(),
+            constraints: Vec::new(),
+        };
+        for (i, c) in self.constraints.iter().enumerate() {
+            if !drop.contains(&i) {
+                kept.push_body(c.label.clone(), &self.terms[c.terms.clone()], 1.0);
+            }
         }
+        kept
     }
 }
 
@@ -257,7 +340,7 @@ mod tests {
         let mut gp = GpProblem::new(pool);
         gp.add_le("c", Posynomial::var(w), Monomial::new(4.0))
             .unwrap();
-        let body = &gp.constraints()[0].body;
+        let body = gp.body(&gp.constraints()[0]);
         // x/4 at x=4 is exactly 1.
         assert!((body.eval(&[4.0]) - 1.0).abs() < 1e-12);
     }
@@ -271,11 +354,41 @@ mod tests {
         gp.add_le("monomial", lhs.clone(), Monomial::new(3.7)).unwrap();
         gp.add_le_const("const", lhs.clone(), 3.7).unwrap();
         gp.add_le("other", lhs.clone(), Monomial::new(1.3)).unwrap();
-        assert_eq!(gp.constraints()[0].body, gp.constraints()[1].body);
+        let bits = |gp: &GpProblem, i: usize| -> Vec<(TermId, u64)> {
+            let body = gp.body(&gp.constraints()[i]);
+            body.terms().iter().map(|&(id, c)| (id, c.to_bits())).collect()
+        };
+        assert_eq!(bits(&gp, 0), bits(&gp, 1));
         let coeffs: Vec<f64> = lhs.terms().iter().map(Monomial::coeff).collect();
         gp.rescale_le(1, &coeffs, 1.3);
-        assert_eq!(gp.constraints()[1].body, gp.constraints()[2].body);
+        assert_eq!(bits(&gp, 1), bits(&gp, 2));
         assert!(gp.add_le_const("empty", Posynomial::zero(), 1.0).is_err());
+        assert!(gp.add_le_terms("empty", &[], 1.0).is_err());
+
+        // Every row was interned once: `w`, `1/w` and the constant.
+        assert_eq!(gp.table().row_count(), 3);
+        let pruned = gp.without_constraints(&[0, 7]);
+        assert_eq!(pruned.constraints().len(), 2);
+        assert_eq!(bits(&pruned, 0), bits(&gp, 1));
+        assert_eq!(pruned.constraints()[1].label, "other");
+    }
+
+    #[test]
+    fn bounds_match_their_monomial_constraints_bit_for_bit() {
+        let mut pool = VarPool::new();
+        let w = pool.var("w");
+        let mut gp = GpProblem::new(pool);
+        gp.add_upper_bound(w, 3.7);
+        gp.add_le("ub", Posynomial::var(w), Monomial::new(3.7)).unwrap();
+        gp.add_lower_bound(w, 0.3);
+        gp.add_le("lb", Posynomial::from(Monomial::new(0.3).pow(w, -1.0)), Monomial::one())
+            .unwrap();
+        let c = gp.constraints();
+        for (a, b) in [(0, 1), (2, 3)] {
+            let (a, b) = (gp.body(&c[a]).terms(), gp.body(&c[b]).terms());
+            assert_eq!(a[0].0, b[0].0);
+            assert_eq!(a[0].1.to_bits(), b[0].1.to_bits());
+        }
     }
 
     #[test]
@@ -287,7 +400,7 @@ mod tests {
         assert_eq!(gp.constraints().len(), 2);
         // x=3 is strictly inside both.
         for c in gp.constraints() {
-            assert!(c.body.eval(&[3.0]) < 1.0);
+            assert!(gp.body(c).eval(&[3.0]) < 1.0);
         }
     }
 }

@@ -9,8 +9,8 @@
 //! the sparse path against this one to near machine precision. Use it
 //! only in tests — it is the O(m·n²) path the production kernel exists to
 //! avoid. Its line search is the plain walk over every constraint, and it
-//! emits the same `gp/newton` events, so a test can compare the two line
-//! searches trial for trial.
+//! emits the same `gp/newton` events, one per Newton step, so a test can
+//! compare the two line searches trial for trial.
 
 use smart_posy::LogPosynomial;
 
@@ -103,6 +103,7 @@ fn phase1_dense(
             let (d, _) = solve_spd_ridged(&hess, &neg_grad);
             let decrement2 = -dot(&grad, &d);
             if decrement2 / 2.0 < opts.newton_tol {
+                emit_newton("phase1", *steps, decrement2 / 2.0, 0.0, 0, 0, false);
                 break;
             }
             let value = |y: &[f64], s: f64| -> Option<f64> {
@@ -226,7 +227,9 @@ fn phase2_dense(
             let neg_grad: Vec<f64> = grad.iter().map(|&g| -g).collect();
             let (d, _) = solve_spd_ridged(&hess, &neg_grad);
             let decrement2 = -dot(&grad, &d);
-            if decrement2.abs() / 2.0 < opts.newton_tol {
+            let residual = decrement2.abs() / 2.0;
+            if residual < opts.newton_tol {
+                emit_newton("phase2", *steps, residual, 0.0, 0, 0, false);
                 break;
             }
             let f0 = value(&y, t).ok_or(GpError::Numerical {
@@ -252,7 +255,6 @@ fn phase2_dense(
                 }
                 alpha *= 0.5;
             }
-            let residual = decrement2.abs() / 2.0;
             emit_newton("phase2", *steps, residual, alpha, trials, outside, accepted);
             if !accepted {
                 break;

@@ -124,7 +124,9 @@ pub(crate) fn check_budget(
 
 /// Emits one Newton step's `gp/newton` event: its line search took
 /// `trials` trials, `outside` of them rejected for leaving the barrier
-/// domain, and ended at step length `alpha`.
+/// domain, and ended at step length `alpha`. A step whose decrement ends
+/// the centering runs no line search and reports `trials` 0, `alpha` 0
+/// and not accepted, so every Newton step has exactly one event.
 pub(crate) fn emit_newton(
     stage: &'static str,
     step: usize,
@@ -182,7 +184,7 @@ impl GpSolution {
         problem
             .constraints()
             .iter()
-            .map(|c| (c.label.as_str(), c.body.eval(&self.x)))
+            .map(|c| (c.label.as_str(), problem.body(c).eval(&self.x)))
             .collect()
     }
 }
@@ -299,8 +301,9 @@ impl NewtonWorkspace {
 
 /// Shared setup for [`GpProblem::solve`] and
 /// [`GpProblem::solve_reference`]: validates the problem data,
-/// log-transforms the objective and constraints, and maps the optional
-/// warm start into log space.
+/// log-transforms the objective and constraints (reading every row from
+/// the problem's table by id), and maps the optional warm start into log
+/// space.
 pub(crate) fn prepare(
     problem: &GpProblem,
     opts: &SolverOptions,
@@ -320,17 +323,13 @@ pub(crate) fn prepare(
             detail: format!("objective: {e}"),
         })?;
     for c in problem.constraints() {
-        c.body.validate().map_err(|e| GpError::NonFinite {
+        problem.body(c).validate().map_err(|e| GpError::NonFinite {
             stage: "setup",
             detail: format!("constraint '{}': {e}", c.label),
         })?;
     }
-    let obj = LogPosynomial::from_posynomial(problem.objective(), dim);
-    let cons: Vec<LogPosynomial> = problem
-        .constraints()
-        .iter()
-        .map(|c| LogPosynomial::from_posynomial(&c.body, dim))
-        .collect();
+    let mut cons = problem.log_form();
+    let obj = cons.remove(0);
 
     let start: Vec<f64> = match &opts.initial_x {
         Some(x0) => {
@@ -526,6 +525,7 @@ fn phase1(
             solve_spd_ridged_packed(ws.hess_packed(), n, rhs, factor, dir);
             let decrement2 = -dot(ws.grad(), dir);
             if decrement2 / 2.0 < opts.newton_tol {
+                emit_newton("phase1", *steps, decrement2 / 2.0, 0.0, 0, 0, false);
                 break;
             }
             // Backtracking line search keeping s − Fᵢ > 0. Each trial
@@ -702,7 +702,9 @@ fn phase2(
             rhs.extend(ws.grad().iter().map(|&g| -g));
             solve_spd_ridged_packed(ws.hess_packed(), dim, rhs, factor, dir);
             let decrement2 = -dot(ws.grad(), dir);
-            if decrement2.abs() / 2.0 < opts.newton_tol {
+            let residual = decrement2.abs() / 2.0;
+            if residual < opts.newton_tol {
+                emit_newton("phase2", *steps, residual, 0.0, 0, 0, false);
                 break;
             }
             let slope = dot(ws.grad(), dir);
@@ -751,7 +753,6 @@ fn phase2(
                 }
                 alpha *= 0.5;
             }
-            let residual = decrement2.abs() / 2.0;
             emit_newton("phase2", *steps, residual, alpha, trials, outside, accepted);
             if !accepted {
                 break;

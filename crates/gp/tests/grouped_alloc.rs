@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smart_gp::{GpProblem, SolverOptions};
-use smart_posy::{LogPosynomial, Monomial, Posynomial, TermDictionary, VarPool};
+use smart_posy::{Monomial, Posynomial, TermDictionary, VarPool};
 use smart_prng::Prng;
 
 struct CountingAlloc;
@@ -83,12 +83,8 @@ fn shared_gp() -> GpProblem {
 fn grouped_sweep_solves_allocate_independently_of_step_count() {
     let gp = shared_gp();
     let dim = gp.dim();
-    let slots: Vec<LogPosynomial> = std::iter::once(gp.objective())
-        .chain(gp.constraints().iter().map(|c| &c.body))
-        .map(|p| LogPosynomial::from_posynomial(p, dim))
-        .collect();
     assert!(
-        TermDictionary::if_shared(&slots).is_some(),
+        TermDictionary::if_shared(&gp.log_form()).is_some(),
         "the test GP must take the grouped sweep"
     );
     // A start far below the optimum violates every constraint, so both

@@ -11,6 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smart_gp::linalg::{axpy, solve_spd_ridged_packed};
+use smart_gp::GpProblem;
 use smart_posy::{GradHessWorkspace, LogPosynomial, Monomial, Posynomial, VarPool};
 
 struct CountingAlloc;
@@ -131,19 +132,21 @@ fn steady_state_newton_step_allocates_nothing() {
     let dim = 24usize;
     let mut pool = VarPool::new();
     let vars: Vec<_> = (0..dim).map(|i| pool.var(&format!("w{i}"))).collect();
-    let obj_p = vars
-        .iter()
-        .fold(Posynomial::zero(), |acc, &v| acc + Monomial::var(v));
-    let obj = LogPosynomial::from_posynomial(&obj_p, dim);
-    let cons: Vec<LogPosynomial> = (0..dim - 1)
-        .map(|i| {
-            // 0.2·w_{i+1}/w_i + 0.1/w_i ≤ 1, strictly interior at x = 1.
-            let body = Posynomial::from(
-                Monomial::new(0.2).pow(vars[i + 1], 1.0).pow(vars[i], -1.0),
-            ) + Monomial::new(0.1).pow(vars[i], -1.0);
-            LogPosynomial::from_posynomial(&body, dim)
-        })
-        .collect();
+    let mut gp = GpProblem::new(pool);
+    gp.set_objective(
+        vars.iter()
+            .fold(Posynomial::zero(), |acc, &v| acc + Monomial::var(v)),
+    );
+    for i in 0..dim - 1 {
+        // 0.2·w_{i+1}/w_i + 0.1/w_i ≤ 1, strictly interior at x = 1.
+        let body = Posynomial::from(
+            Monomial::new(0.2).pow(vars[i + 1], 1.0).pow(vars[i], -1.0),
+        ) + Monomial::new(0.1).pow(vars[i], -1.0);
+        gp.add_le_const(format!("c{i}"), body, 1.0)
+            .expect("non-empty constraint");
+    }
+    let mut cons: Vec<LogPosynomial> = gp.log_form();
+    let obj = cons.remove(0);
 
     let t = 8.0;
     let mut bounds = vec![0];

@@ -7,11 +7,13 @@
 //!   one `gp/newton` event per line search, so on GPs whose line searches
 //!   leave the domain in phase I and in phase II, on both evaluation
 //!   sweeps, the two must agree trial for trial and end on the same bits.
+//! * Every Newton step emits one `gp/newton` event, including a step
+//!   whose decrement ends its centering before any line search.
 //! * A solve that phase I gives up on emits one `gp/infeasible` event
 //!   that accounts for its Newton steps.
 
 use smart_gp::{GpError, GpProblem, GpSolution, SolverOptions};
-use smart_posy::{LogPosynomial, Monomial, Posynomial, TermDictionary, VarPool};
+use smart_posy::{Monomial, Posynomial, TermDictionary, VarPool};
 use smart_prng::Prng;
 use smart_trace::{Event, Trace, Value};
 
@@ -119,12 +121,7 @@ fn random_gp(seed: u64, pool: usize, terms: usize) -> GpProblem {
 
 /// Whether `solve` sweeps `gp` through a term dictionary.
 fn grouped(gp: &GpProblem) -> bool {
-    let dim = gp.dim();
-    let slots: Vec<LogPosynomial> = std::iter::once(gp.objective())
-        .chain(gp.constraints().iter().map(|c| &c.body))
-        .map(|p| LogPosynomial::from_posynomial(p, dim))
-        .collect();
-    TermDictionary::if_shared(&slots).is_some()
+    TermDictionary::if_shared(&gp.log_form()).is_some()
 }
 
 #[test]
@@ -153,6 +150,11 @@ fn sentinel_line_search_walks_like_the_plain_walk_on_both_sweeps() {
             (sparse.phase1_newton_steps, sparse.phase2_newton_steps),
             (dense.phase1_newton_steps, dense.phase2_newton_steps),
             "seed {seed}"
+        );
+        assert_eq!(
+            searches.len(),
+            sparse.phase1_newton_steps + sparse.phase2_newton_steps,
+            "seed {seed}: one gp/newton event per Newton step"
         );
         assert_eq!(bits(&sparse.x), bits(&dense.x), "seed {seed}");
     }
@@ -194,9 +196,10 @@ fn infeasible_solve_emits_one_event_with_its_phase_one_steps() {
     };
     assert!(matches!(capped(steps as usize), Err(GpError::Infeasible { .. })));
     assert!(matches!(capped(steps as usize - 1), Err(GpError::BudgetExceeded { .. })));
-    // Every line search is one of those steps; a step that ends a
-    // centering runs none.
+    // One event per Newton step; a step that ends a centering runs no
+    // line search and reports no trial.
     let searches = line_searches(&events);
-    assert!(!searches.is_empty() && searches.iter().all(|s| s.0 == "phase1"));
-    assert!(searches.len() as u64 <= steps);
+    assert!(searches.iter().all(|s| s.0 == "phase1"));
+    assert_eq!(searches.len() as u64, steps, "one gp/newton event per Newton step");
+    assert!(searches.iter().any(|s| s.1 == 0 && !s.4));
 }

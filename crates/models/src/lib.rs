@@ -12,8 +12,8 @@
 //! * [`ModelLibrary`] — evaluates stage delay/slope and net capacitance
 //!   both numerically (for `smart-sta`) and as posynomials over the label
 //!   width variables (for `smart-core`'s constraint generation), built
-//!   as [`TermSum`]s over a per-build [`TermTable`] of interned exponent
-//!   rows.
+//!   as [`TermSum`](smart_posy::TermSum)s over the GP's
+//!   [`TermTable`](smart_posy::TermTable) of interned exponent rows.
 //!
 //! The posynomial and numeric paths are tested against each other: for any
 //! sizing, `posy.eval(widths) == numeric` to float precision.
@@ -25,10 +25,8 @@ pub mod arcs;
 mod corners;
 mod library;
 mod process;
-mod terms;
 
 pub use arcs::{ArcPhase, ArcSpec, DriveTerm, Edge, Unate};
 pub use corners::{Corner, CornerSet, Derate};
 pub use library::{label_vars, width_from_solution, ModelLibrary, Timing};
 pub use process::Process;
-pub use terms::{TermId, TermSum, TermTable};

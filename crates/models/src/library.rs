@@ -12,11 +12,10 @@
 //! label widths — the property the GP sizer depends on (paper §5.1: "a
 //! necessary constraint on our models is that they be posynomial").
 
-use smart_netlist::{Circuit, CompId, Component, LabelId, LoadKind, NetId, Sizing};
-use smart_posy::{VarId, VarPool};
+use smart_netlist::{Circuit, Component, LabelId, LoadKind, NetId, Sizing};
+use smart_posy::{TermId, TermSum, TermTable, VarId, VarPool};
 
 use crate::arcs::{drive, intrinsic_factor, Edge};
-use crate::terms::{TermId, TermSum, TermTable};
 use crate::Process;
 
 /// A numeric (delay, slope) pair in picoseconds.
@@ -198,21 +197,7 @@ impl ModelLibrary {
         out.add_scaled(rc, self.process.slope_gain / self.process.tau);
     }
 
-    /// Numeric timing of one full arc through `comp`: looks up the output
-    /// net capacitance itself.
-    pub fn arc_timing(
-        &self,
-        circuit: &Circuit,
-        comp_id: CompId,
-        edge: Edge,
-        slope_in: f64,
-        sizing: &Sizing,
-        extra_load: f64,
-    ) -> Timing {
-        let comp = circuit.comp(comp_id);
-        let c = self.net_cap(circuit, comp.output_net(), sizing) + extra_load;
-        self.stage_timing(comp, edge, c, slope_in, sizing)
-    }
+
 }
 
 /// Builds the GP variable pool for a circuit: one variable per size label,
@@ -276,7 +261,7 @@ mod tests {
         let mut cap = TermSum::new();
         lib.net_cap_terms(&mut table, &c, m, &vars, 3.0, &mut cap);
         let numeric = lib.net_cap(&c, m, &sizing) + 3.0;
-        let posy = table.posynomial(cap.terms());
+        let posy = table.view(cap.terms());
         assert!((posy.eval(sizing.as_slice()) - numeric).abs() < 1e-9);
     }
 
@@ -298,10 +283,10 @@ mod tests {
             rc.clear();
             rc.add_product(&mut table, r.terms(), cap.terms());
             lib.stage_delay_from_rc(comp, rc.terms(), &[(TermId::ONE, 10.0)], &mut out);
-            let delay = table.posynomial(out.terms()).eval(sizing.as_slice());
+            let delay = table.view(out.terms()).eval(sizing.as_slice());
             assert!((delay - numeric.delay).abs() < 1e-9, "{edge:?}");
             lib.stage_slope_from_rc(rc.terms(), &mut out);
-            let slope = table.posynomial(out.terms()).eval(sizing.as_slice());
+            let slope = table.view(out.terms()).eval(sizing.as_slice());
             assert!((slope - numeric.slope).abs() < 1e-9);
         }
     }

@@ -4,8 +4,9 @@
 //! consistent. Deterministic (fixed seeds via `smart-prng`).
 
 use smart_models::arcs::{arcs, drive, Edge};
-use smart_models::{label_vars, ModelLibrary, TermId, TermSum, TermTable};
+use smart_models::{label_vars, ModelLibrary};
 use smart_netlist::{Circuit, ComponentKind, DeviceRole, Network, Sizing, Skew};
+use smart_posy::{TermId, TermSum, TermTable};
 use smart_prng::Prng;
 
 const CASES: usize = 32;
@@ -90,7 +91,7 @@ fn posynomial_equals_numeric_for_every_kind() {
         for edge in [Edge::Rise, Edge::Fall] {
             let cap_num = lib.net_cap(&circuit, out, &sizing);
             lib.net_cap_terms(&mut table, &circuit, out, &vars, 0.0, &mut cap);
-            let at = |table: &TermTable, sum: &TermSum| table.posynomial(sum.terms()).eval(sizing.as_slice());
+            let at = |table: &TermTable, sum: &TermSum| table.view(sum.terms()).eval(sizing.as_slice());
             assert!((at(&table, &cap) - cap_num).abs() < 1e-9);
 
             let numeric = lib.stage_timing(comp, edge, cap_num, slope_in, &sizing);

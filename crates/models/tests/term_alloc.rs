@@ -12,8 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smart_models::arcs::Edge;
-use smart_models::{label_vars, ModelLibrary, TermId, TermSum, TermTable};
+use smart_models::{label_vars, ModelLibrary};
 use smart_netlist::{Circuit, Component, ComponentKind, DeviceRole, Skew};
+use smart_posy::{TermId, TermSum, TermTable};
 
 struct CountingAlloc;
 

@@ -6,9 +6,11 @@
 //! references name only about a thousand distinct `(bₖ, aₖ)` terms.
 //! [`LogPosynomial::shifted_exps`] computes every reference's dot and
 //! exponential on its own. [`TermDictionary`] interns the terms of a
-//! whole problem once, and [`TermDictionary::sweep`] computes one dot
-//! per distinct term and one exponential per distinct `(term, shift)`
-//! pair, where the shift is the posynomial's largest dot.
+//! whole problem once, by their rows' ids in the problem's
+//! [`TermTable`](crate::TermTable) and their offsets' bits, and
+//! [`TermDictionary::sweep`] computes one dot per distinct term and one
+//! exponential per distinct `(term, shift)` pair, where the shift is the
+//! posynomial's largest dot.
 //!
 //! Every value the sweep writes is bit-identical to
 //! [`LogPosynomial::shifted_exps`]: the same dot expression
@@ -17,10 +19,9 @@
 //! evaluated changes.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use crate::logform::{term_dot, RowEntry};
-use crate::LogPosynomial;
+use crate::{LogPosynomial, TermId};
 
 /// Term references per distinct term from which the solver takes the
 /// grouped sweep. Measured with both sweeps forced, on every database
@@ -38,39 +39,6 @@ const GROUPED_SWEEP_MIN_SHARING: usize = 6;
 /// `references ≥ GROUPED_SWEEP_MIN_SHARING · distinct`.
 fn grouped_sweep_pays(references: usize, distinct: usize) -> bool {
     references >= GROUPED_SWEEP_MIN_SHARING.saturating_mul(distinct)
-}
-
-/// A term's exact identity: its offset's bits and its row's
-/// `(variable, exponent bits)` pairs in order. Two references with equal
-/// keys compute their dot from the same operands in the same order.
-#[derive(Clone, Copy)]
-struct TermKey<'a> {
-    offset: f64,
-    row: &'a [RowEntry],
-}
-
-impl PartialEq for TermKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.offset.to_bits() == other.offset.to_bits()
-            && self.row.len() == other.row.len()
-            && self
-                .row
-                .iter()
-                .zip(other.row)
-                .all(|(a, b)| a.var == b.var && a.exp.to_bits() == b.exp.to_bits())
-    }
-}
-
-impl Eq for TermKey<'_> {}
-
-impl Hash for TermKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.offset.to_bits().hash(state);
-        for r in self.row {
-            r.var.hash(state);
-            r.exp.to_bits().hash(state);
-        }
-    }
 }
 
 /// "No id" in the dictionary's `u32` link and stamp arrays.
@@ -111,14 +79,18 @@ pub struct TermDictionary {
 }
 
 impl TermDictionary {
-    /// Interns every term of `slots` on its exact key.
+    /// Interns every term of `slots` on its exact identity: its row's
+    /// [`TermId`] and its offset's bits. The slots must be
+    /// read from one [`TermTable`](crate::TermTable), whose ids name rows
+    /// exactly, so two references with equal keys compute their dot from
+    /// the same operands in the same order. No row is hashed or compared.
     ///
     /// # Panics
     ///
     /// Panics if the problem has `u32::MAX` or more term references or
     /// slots (ids and ranges are `u32`).
     pub fn new<'a>(slots: impl IntoIterator<Item = &'a LogPosynomial>) -> Self {
-        let mut index: HashMap<TermKey<'a>, u32> = HashMap::new();
+        let mut index: HashMap<(TermId, u64), u32> = HashMap::new();
         let mut offsets = Vec::new();
         let mut rows = Vec::new();
         let mut row_bounds = vec![0u32];
@@ -126,13 +98,11 @@ impl TermDictionary {
         let mut bounds = vec![0u32];
         for p in slots {
             for k in 0..p.term_count() {
-                let key = TermKey {
-                    offset: p.offset(k),
-                    row: p.row(k),
-                };
+                let offset = p.offset(k);
+                let key = (p.id(k), offset.to_bits());
                 let id = *index.entry(key).or_insert_with(|| {
-                    offsets.push(key.offset);
-                    rows.extend_from_slice(key.row);
+                    offsets.push(offset);
+                    rows.extend_from_slice(p.row(k));
                     row_bounds.push(to_u32(rows.len()));
                     to_u32(offsets.len() - 1)
                 });
@@ -360,10 +330,16 @@ fn to_u32(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Monomial, Posynomial, VarPool};
+    use crate::{Monomial, Posynomial, TermTable, VarPool};
     use smart_prng::Prng;
 
     const DIM: usize = 8;
+
+    /// `p` in log form, its rows interned in `table`.
+    fn log_form(table: &mut TermTable, p: &Posynomial) -> LogPosynomial {
+        let terms: Vec<_> = p.terms().iter().map(|m| (table.intern(m), m.coeff())).collect();
+        LogPosynomial::new(table.view(&terms), DIM)
+    }
 
     /// A problem whose posynomials share most of their terms: 200 slots
     /// of 40 terms drawn from a pool of 60 monomials, then single-term
@@ -388,7 +364,8 @@ mod tests {
             }
             pool.push(m);
         }
-        let lp = |p: &Posynomial| LogPosynomial::from_posynomial(p, DIM);
+        let mut table = TermTable::new();
+        let mut lp = |p: &Posynomial| log_form(&mut table, p);
         let mut slots = Vec::new();
         let mut order: Vec<usize> = (0..pool.len()).collect();
         for _ in 0..200 {
@@ -503,12 +480,13 @@ mod tests {
         // Posynomials with no term in common: one reference per term.
         let mut names = VarPool::new();
         let vars: Vec<_> = (0..DIM).map(|i| names.var(&format!("x{i}"))).collect();
+        let mut table = TermTable::new();
         let disjoint: Vec<LogPosynomial> = vars
             .iter()
             .map(|&v| {
                 let p = Posynomial::from(Monomial::new(2.0).pow(v, 1.0))
                     + Monomial::new(0.5).pow(v, -1.0);
-                LogPosynomial::from_posynomial(&p, DIM)
+                log_form(&mut table, &p)
             })
             .collect();
         assert!(TermDictionary::if_shared(&disjoint).is_none());

@@ -9,6 +9,11 @@
 //! `y = log x`. This crate provides the algebra; [`smart-gp`] provides the
 //! solver.
 //!
+//! A problem stores its posynomials as `(TermId, coefficient)` pairs over
+//! one [`TermTable`] of interned exponent rows ([`TermSum`] builds them,
+//! [`PosyView`] reads them); the log form ([`LogPosynomial`]) and the
+//! solve-wide [`TermDictionary`] read the rows by id.
+//!
 //! # Example
 //!
 //! ```
@@ -38,13 +43,15 @@ mod error;
 mod logform;
 mod monomial;
 mod posynomial;
+mod terms;
 mod vars;
 mod workspace;
 
 pub use dictionary::TermDictionary;
 pub use error::PosyError;
 pub use logform::LogPosynomial;
-pub use monomial::{merge_coeff, mul_rows, Monomial};
+pub use monomial::Monomial;
 pub use posynomial::Posynomial;
+pub use terms::{PosyView, TermId, TermSum, TermTable};
 pub use vars::{VarId, VarPool};
 pub use workspace::{packed_index, packed_len, GradHessWorkspace};

@@ -6,7 +6,7 @@
 //! conversion plus value/gradient/Hessian evaluation.
 
 use crate::workspace::GradHessWorkspace;
-use crate::Posynomial;
+use crate::{PosyView, TermId};
 
 /// One entry of a term's exponent row: exponent `e` of variable `var`,
 /// which sits in slot `slot` of the posynomial's support.
@@ -35,11 +35,12 @@ pub(crate) fn term_dot(offset: f64, row: &[RowEntry], y: &[f64]) -> f64 {
 /// Hessian with respect to `y`.
 ///
 /// ```
-/// use smart_posy::{Monomial, Posynomial, VarPool, LogPosynomial};
+/// use smart_posy::{LogPosynomial, TermId, TermTable, VarPool};
 /// let mut pool = VarPool::new();
 /// let w = pool.var("W");
-/// let p = Posynomial::from(Monomial::new(2.0).pow(w, 1.0)) + Monomial::new(3.0);
-/// let lp = LogPosynomial::from_posynomial(&p, pool.len());
+/// let mut table = TermTable::new();
+/// let terms = [(table.var(w, 1.0), 2.0), (TermId::ONE, 3.0)]; // 2·W + 3
+/// let lp = LogPosynomial::new(table.view(&terms), pool.len());
 /// let y = [0.0]; // x = 1
 /// assert!((lp.value(&y) - 5f64.ln()).abs() < 1e-12);
 /// ```
@@ -48,6 +49,8 @@ pub struct LogPosynomial {
     dim: usize,
     /// Sorted, deduplicated variable indices this posynomial touches.
     support: Vec<usize>,
+    /// Table id of each term's row.
+    ids: Vec<TermId>,
     /// Offset `bₖ = log cₖ` of each term.
     offsets: Vec<f64>,
     /// Per-term exponent rows, flattened; term `k` owns
@@ -59,39 +62,42 @@ pub struct LogPosynomial {
 }
 
 impl LogPosynomial {
-    /// Converts `p` for a problem with `dim` variables.
+    /// Converts the stored posynomial `p` for a problem with `dim`
+    /// variables, reading each term's row from `p`'s table by id.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is the zero posynomial (log of zero is undefined), if
-    /// `p` references a variable with index `>= dim`, or if `dim` exceeds
+    /// Panics if `p` has no term (log of zero is undefined), if `p`
+    /// references a variable with index `>= dim`, or if `dim` exceeds
     /// `u32::MAX` (exponent rows index variables as `u32`).
-    pub fn from_posynomial(p: &Posynomial, dim: usize) -> Self {
-        assert!(!p.is_zero(), "cannot take the log-form of the zero posynomial");
+    pub fn new(p: PosyView<'_>, dim: usize) -> Self {
+        assert!(!p.terms().is_empty(), "cannot take the log-form of the zero posynomial");
         assert!(
             u32::try_from(dim).is_ok(),
             "dimension {dim} exceeds u32 indices"
         );
-        assert!(
-            p.dimension() <= dim,
-            "posynomial uses variable index {} but problem has {} variables",
-            p.dimension() - 1,
-            dim
-        );
         let mut support: Vec<usize> = p
             .terms()
             .iter()
-            .flat_map(|m| m.exponents().map(|(v, _)| v.index()))
+            .flat_map(|&(id, _)| p.row(id).iter().map(|(v, _)| v.index()))
             .collect();
         support.sort_unstable();
         support.dedup();
+        if let Some(&last) = support.last() {
+            assert!(
+                last < dim,
+                "posynomial uses variable index {last} but problem has {dim} variables"
+            );
+        }
+        let mut ids = Vec::with_capacity(p.terms().len());
         let mut offsets = Vec::with_capacity(p.terms().len());
         let mut rows = Vec::new();
         let mut row_bounds = Vec::with_capacity(p.terms().len() + 1);
         row_bounds.push(0u32);
-        for m in p.terms() {
-            offsets.push(m.coeff().ln());
-            for (v, exp) in m.exponents() {
+        for &(id, c) in p.terms() {
+            ids.push(id);
+            offsets.push(c.ln());
+            for &(v, exp) in p.row(id) {
                 // The index is present by construction; partition_point
                 // avoids an unwrap on binary_search's Result.
                 let slot = support.partition_point(|&i| i < v.index());
@@ -107,6 +113,7 @@ impl LogPosynomial {
         LogPosynomial {
             dim,
             support,
+            ids,
             offsets,
             rows,
             row_bounds,
@@ -134,6 +141,12 @@ impl LogPosynomial {
     #[inline]
     pub(crate) fn row(&self, k: usize) -> &[RowEntry] {
         &self.rows[self.row_bounds[k] as usize..self.row_bounds[k + 1] as usize]
+    }
+
+    /// Term `k`'s row id in the table the posynomial was read from.
+    #[inline]
+    pub(crate) fn id(&self, k: usize) -> TermId {
+        self.ids[k]
     }
 
     /// Term `k`'s offset `bₖ = log cₖ`.
@@ -294,27 +307,6 @@ impl LogPosynomial {
             }
         }
     }
-
-    /// Sparse twin of [`value_grad_hess`](Self::value_grad_hess):
-    /// [`shifted_exps`](Self::shifted_exps) into the workspace's term
-    /// scratch, then [`stage_from_exps`](Self::stage_from_exps); returns
-    /// the value. After [`GradHessWorkspace::scatter_staged`] the
-    /// accumulators agree with the dense oracle to the last bits: both
-    /// paths compute the same sums in the same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() < self.dim()` or the workspace's dimension is
-    /// smaller than `self.dim()`.
-    pub fn value_grad_hess_into(&self, y: &[f64], ws: &mut GradHessWorkspace) -> f64 {
-        let mut exps = std::mem::take(&mut ws.term_scratch);
-        exps.clear();
-        exps.resize(self.term_count(), 0.0);
-        let (val, sum) = self.shifted_exps(y, &mut exps);
-        self.stage_from_exps(&exps, sum, ws);
-        ws.term_scratch = exps;
-        val
-    }
 }
 
 /// Numerically stable `log Σ exp(zₖ)` (test oracle for the streaming
@@ -339,7 +331,22 @@ fn softmax(z: &[f64]) -> (f64, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Monomial, VarPool};
+    use crate::{Monomial, Posynomial, TermTable, VarPool};
+
+    /// `p` in log form over a table of its own, for a `dim`-variable problem.
+    fn log_form(p: &Posynomial, dim: usize) -> LogPosynomial {
+        let mut table = TermTable::new();
+        let terms: Vec<_> = p.terms().iter().map(|m| (table.intern(m), m.coeff())).collect();
+        LogPosynomial::new(table.view(&terms), dim)
+    }
+
+    /// `lp`'s value at `y`, its sweep staged into `ws` as the solver does.
+    fn sweep_and_stage(lp: &LogPosynomial, y: &[f64], ws: &mut crate::GradHessWorkspace) -> f64 {
+        let mut exps = vec![0.0; lp.term_count()];
+        let (value, sum) = lp.shifted_exps(y, &mut exps);
+        lp.stage_from_exps(&exps, sum, ws);
+        value
+    }
 
     fn sample() -> (LogPosynomial, Posynomial) {
         let mut pool = VarPool::new();
@@ -348,8 +355,7 @@ mod tests {
         let p = Posynomial::from(Monomial::new(0.5).pow(a, 1.0).pow(b, -2.0))
             + Monomial::new(2.0).pow(b, 1.0)
             + Monomial::new(1.0);
-        let lp = LogPosynomial::from_posynomial(&p, pool.len());
-        (lp, p)
+        (log_form(&p, pool.len()), p)
     }
 
     #[test]
@@ -420,7 +426,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero posynomial")]
     fn zero_posynomial_rejected() {
-        let _ = LogPosynomial::from_posynomial(&Posynomial::zero(), 1);
+        let _ = log_form(&Posynomial::zero(), 1);
     }
 
     #[test]
@@ -430,11 +436,11 @@ mod tests {
         // Embed the 2-var sample in a 5-var ambient problem so the
         // support {0, 1} is a strict subset the scatter must respect.
         let (_, p) = sample();
-        let lp = LogPosynomial::from_posynomial(&p, 5);
+        let lp = log_form(&p, 5);
         let y = [0.3, -0.7, 9.0, -9.0, 0.1];
         let (val, grad, hess) = lp.value_grad_hess(&y);
         let mut ws = GradHessWorkspace::new(5);
-        let sval = lp.value_grad_hess_into(&y, &mut ws);
+        let sval = sweep_and_stage(&lp, &y, &mut ws);
         ws.scatter_staged(1.0, 1.0, 0.0);
         assert_eq!(val, sval, "values must agree bitwise");
         assert_eq!(lp.value(&y), val, "streaming value must agree");
@@ -461,7 +467,7 @@ mod tests {
         let (_, fg, fh) = lp.value_grad_hess(&y);
         let (inv, inv2) = (1.7, 1.7 * 1.7);
         let mut ws = GradHessWorkspace::new(2);
-        let _ = lp.value_grad_hess_into(&y, &mut ws);
+        let _ = sweep_and_stage(&lp, &y, &mut ws);
         ws.scatter_staged(inv, inv, inv2);
         for i in 0..2 {
             let want_g = inv * fg[i];

@@ -31,7 +31,7 @@ fn add_exponent(row: &mut Vec<Entry>, v: VarId, e: f64) {
 /// a `Monomial` product with those rows would carry, bit for bit. Reuses
 /// `out`'s capacity, so interning builders multiply rows without
 /// allocating.
-pub fn mul_rows(a: &[Entry], b: &[Entry], out: &mut Vec<Entry>) {
+pub(crate) fn mul_rows(a: &[Entry], b: &[Entry], out: &mut Vec<Entry>) {
     out.clear();
     out.extend_from_slice(a);
     for &(v, e) in b {
@@ -43,8 +43,32 @@ pub fn mul_rows(a: &[Entry], b: &[Entry], out: &mut Vec<Entry>) {
 /// term of coefficient `c`: `c·((c+m)/c)`. Every builder merges through
 /// this one expression, so merges made in the same order give the same
 /// bits whichever builder made them.
-pub fn merge_coeff(c: f64, m: f64) -> f64 {
+pub(crate) fn merge_coeff(c: f64, m: f64) -> f64 {
     c * ((c + m) / c)
+}
+
+/// Evaluates the term `coeff · ∏ xᵥ^e` over the sorted `row` at `x`: the
+/// one evaluation every monomial and stored posynomial term goes through.
+pub(crate) fn eval_row(coeff: f64, row: &[Entry], x: &[f64]) -> Result<f64, PosyError> {
+    let needed = row.last().map_or(0, |(v, _)| v.index() + 1);
+    if x.len() < needed {
+        return Err(PosyError::PointTooShort {
+            needed,
+            got: x.len(),
+        });
+    }
+    let mut acc = coeff;
+    for &(v, e) in row {
+        let xi = x[v.index()];
+        if !(xi.is_finite() && xi > 0.0) {
+            return Err(PosyError::NonPositivePoint {
+                index: v.index(),
+                value: xi,
+            });
+        }
+        acc *= xi.powf(e);
+    }
+    Ok(acc)
 }
 
 /// A monomial `c · x₁^a₁ · x₂^a₂ · …` with strictly positive coefficient.
@@ -98,19 +122,6 @@ impl Monomial {
         })
     }
 
-    /// A monomial from a coefficient and an exponent row that is already
-    /// sorted by variable with no zero exponent (a row another monomial or
-    /// [`mul_rows`] produced). Like `*`, it does not re-check the
-    /// coefficient; [`crate::Posynomial::validate`] does.
-    pub fn from_row(coeff: f64, row: &[(VarId, f64)]) -> Self {
-        debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row must be sorted");
-        debug_assert!(row.iter().all(|&(_, e)| e.abs() >= EXP_EPS), "row has a zero exponent");
-        Monomial {
-            coeff,
-            exps: row.to_vec(),
-        }
-    }
-
     /// The constant monomial `1`.
     pub fn one() -> Self {
         Monomial::new(1.0)
@@ -151,16 +162,6 @@ impl Monomial {
         self.exps.iter().copied()
     }
 
-    /// Whether the monomial is a pure constant (no variables).
-    pub fn is_constant(&self) -> bool {
-        self.exps.is_empty()
-    }
-
-    /// Largest dense variable index used, plus one (0 for constants).
-    pub fn dimension(&self) -> usize {
-        self.exps.last().map_or(0, |(v, _)| v.index() + 1)
-    }
-
     /// Evaluates at the strictly positive point `x` (indexed by
     /// [`VarId::index`]).
     ///
@@ -180,25 +181,7 @@ impl Monomial {
     /// Returns [`PosyError::PointTooShort`] or [`PosyError::NonPositivePoint`]
     /// for invalid points.
     pub fn try_eval(&self, x: &[f64]) -> Result<f64, PosyError> {
-        let needed = self.dimension();
-        if x.len() < needed {
-            return Err(PosyError::PointTooShort {
-                needed,
-                got: x.len(),
-            });
-        }
-        let mut acc = self.coeff;
-        for &(v, e) in &self.exps {
-            let xi = x[v.index()];
-            if !(xi.is_finite() && xi > 0.0) {
-                return Err(PosyError::NonPositivePoint {
-                    index: v.index(),
-                    value: xi,
-                });
-            }
-            acc *= xi.powf(e);
-        }
-        Ok(acc)
+        eval_row(self.coeff, &self.exps, x)
     }
 
     /// Multiplicative inverse `1 / m` (negate every exponent, invert the
@@ -287,8 +270,7 @@ mod tests {
     fn constant_eval() {
         let m = Monomial::new(2.5);
         assert_eq!(m.eval(&[]), 2.5);
-        assert!(m.is_constant());
-        assert_eq!(m.dimension(), 0);
+        assert!(m.exponents().next().is_none());
     }
 
     #[test]
@@ -303,7 +285,7 @@ mod tests {
     fn pow_merges_and_cancels() {
         let (_, a, _) = vars();
         let m = Monomial::new(1.0).pow(a, 2.0).pow(a, -2.0);
-        assert!(m.is_constant());
+        assert!(m.exponents().next().is_none());
         let m = Monomial::new(1.0).pow(a, 1.5).pow(a, 0.5);
         assert_eq!(m.exponent(a), 2.0);
     }

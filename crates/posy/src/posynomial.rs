@@ -51,13 +51,6 @@ impl Posynomial {
         Posynomial::from(Monomial::var(v))
     }
 
-    /// A posynomial from terms whose exponent rows are pairwise distinct
-    /// (a sum that was merged elsewhere), kept in the given order without
-    /// the per-term merge scan of [`Posynomial::push`].
-    pub fn from_distinct_terms(terms: Vec<Monomial>) -> Self {
-        Posynomial { terms }
-    }
-
     /// The normalized term list.
     pub fn terms(&self) -> &[Monomial] {
         &self.terms
@@ -77,11 +70,6 @@ impl Posynomial {
         }
     }
 
-    /// Largest dense variable index used, plus one.
-    pub fn dimension(&self) -> usize {
-        self.terms.iter().map(Monomial::dimension).max().unwrap_or(0)
-    }
-
     /// Evaluates at the strictly positive point `x`.
     ///
     /// # Panics
@@ -90,33 +78,6 @@ impl Posynomial {
     #[allow(clippy::expect_used)] // documented contract panic; try_ variant exists
     pub fn eval(&self, x: &[f64]) -> f64 {
         self.try_eval(x).expect("invalid evaluation point")
-    }
-
-    /// Verifies every term is still inside the posynomial cone: all
-    /// coefficients finite and strictly positive, all exponents finite.
-    ///
-    /// Construction enforces these invariants, but arithmetic on extreme
-    /// inputs can overflow a coefficient to `inf` (e.g. scaling by a huge
-    /// load); solvers call this at the problem boundary so such data
-    /// becomes a typed error instead of NaN iterates downstream.
-    ///
-    /// # Errors
-    ///
-    /// [`PosyError::BadCoefficient`] or [`PosyError::BadExponent`] naming
-    /// the first offending value.
-    pub fn validate(&self) -> Result<(), PosyError> {
-        for t in &self.terms {
-            let c = t.coeff();
-            if !(c.is_finite() && c > 0.0) {
-                return Err(PosyError::BadCoefficient { value: c });
-            }
-            for (_, e) in t.exponents() {
-                if !e.is_finite() {
-                    return Err(PosyError::BadExponent { value: e });
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Fallible evaluation.
@@ -130,16 +91,6 @@ impl Posynomial {
             acc += t.try_eval(x)?;
         }
         Ok(acc)
-    }
-
-    /// Rewrites every coefficient in place: term `k`'s becomes
-    /// `f(k, coefficient)`. Exponent rows (and so the normalization) are
-    /// untouched. Like `*`, it does not re-check the result;
-    /// [`Posynomial::validate`] does.
-    pub fn map_coeffs(&mut self, mut f: impl FnMut(usize, f64) -> f64) {
-        for (k, t) in self.terms.iter_mut().enumerate() {
-            t.coeff = f(k, t.coeff);
-        }
     }
 
     /// Divides by a monomial (posynomials are closed under this), yielding
@@ -322,15 +273,5 @@ mod tests {
     #[test]
     fn display_zero_nonempty() {
         assert_eq!(Posynomial::zero().to_string(), "0");
-    }
-
-    #[test]
-    fn map_coeffs_rescales_in_place() {
-        let (_, a, _) = vars();
-        let p = Posynomial::var(a) + Monomial::new(2.0);
-        let mut s = p.clone();
-        s.map_coeffs(|_, c| c * 3.0);
-        let x = [1.5];
-        assert!((s.eval(&x) - 3.0 * p.eval(&x)).abs() < 1e-12);
     }
 }

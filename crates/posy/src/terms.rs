@@ -1,25 +1,30 @@
-//! Interned exponent rows and the posynomial sums built over them.
+//! Interned exponent rows and the posynomials stored over them.
 //!
 //! The constraint generator assembles thousands of timing posynomials
 //! whose terms share a handful of exponent rows (`1`, `W`, `1/W`,
 //! `Wⱼ/Wᵢ`). A [`TermTable`] stores each distinct row once and names it by
-//! a [`TermId`]; a [`TermSum`] is a posynomial under construction as
-//! `(TermId, coefficient)` pairs. Pushing or merging a term is then an
-//! array lookup — no exponent map is built, compared or freed per term —
-//! and a sum becomes a [`Posynomial`] only once, when it is written into
-//! the GP.
+//! a [`TermId`]; a posynomial is then a list of `(TermId, coefficient)`
+//! pairs. A [`TermSum`] builds such a list, merging as it goes, and a
+//! [`PosyView`] reads one back. A GP stores every body this way over one
+//! table, and the solver's log form and term dictionary read the rows by
+//! id, so a row is never copied into a [`Monomial`] or hashed again.
 //!
-//! Bits: rows are products under [`smart_posy::mul_rows`], merges go
-//! through [`smart_posy::merge_coeff`], and a sum keeps first-insertion
-//! order, so a sum built here equals, bit for bit, the [`Posynomial`] the
-//! same pushes would build term by term.
+//! Bits: rows are products under `mul_rows` (the exponent rule of
+//! `Monomial * Monomial`), merges go through `merge_coeff` (the rule of
+//! [`Posynomial::push`](crate::Posynomial::push)), and a sum keeps
+//! first-insertion order, so a sum built here equals, bit for bit, the
+//! [`Posynomial`](crate::Posynomial) the same pushes would build term by
+//! term.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::Hasher;
 
-use smart_posy::{merge_coeff, mul_rows, Monomial, Posynomial, VarId};
+use crate::monomial::{eval_row, merge_coeff, mul_rows};
+use crate::{Monomial, PosyError, VarId};
 
 /// Identifier of one interned exponent row in a [`TermTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(u32);
 
 impl TermId {
@@ -32,21 +37,23 @@ impl TermId {
     }
 }
 
-/// Every distinct exponent row of one build, stored once.
+/// Every distinct exponent row of one problem, stored once.
 ///
 /// Rows are compared exactly — variable and exponent bits — so two rows
 /// share an id only if every monomial with them would merge under
-/// [`Posynomial::push`].
+/// [`Posynomial::push`](crate::Posynomial::push). Interning only appends:
+/// an id, once handed out, names the same row for the table's life.
 #[derive(Debug, Clone)]
 pub struct TermTable {
     /// All rows back to back; row `i` is `entries[ends[i]..ends[i + 1]]`.
     entries: Vec<(VarId, f64)>,
     ends: Vec<u32>,
-    /// Row, exponents by bits, to id.
-    ids: HashMap<Vec<(VarId, u64)>, TermId>,
-    /// The row being interned, and its exponents by bits (the lookup key).
+    /// Row hash to the newest id with that hash; older ids with the same
+    /// hash follow through `chain`.
+    heads: HashMap<u64, u32>,
+    chain: Vec<Option<u32>>,
+    /// The row being interned.
     scratch: Vec<(VarId, f64)>,
-    key: Vec<(VarId, u64)>,
 }
 
 impl Default for TermTable {
@@ -55,15 +62,33 @@ impl Default for TermTable {
     }
 }
 
+/// Hash of a row's variables and exponent bits.
+fn row_hash(row: &[(VarId, f64)]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for &(v, e) in row {
+        h.write_usize(v.index());
+        h.write_u64(e.to_bits());
+    }
+    h.finish()
+}
+
+/// Whether two rows have the same variables and exponent bits.
+fn same_bits(a: &[(VarId, f64)], b: &[(VarId, f64)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+}
+
 impl TermTable {
     /// A table holding only the constant row [`TermId::ONE`].
     pub fn new() -> Self {
         let mut table = TermTable {
             entries: Vec::new(),
             ends: vec![0],
-            ids: HashMap::new(),
+            heads: HashMap::new(),
+            chain: Vec::new(),
             scratch: Vec::new(),
-            key: Vec::new(),
         };
         table.intern_scratch();
         table
@@ -87,6 +112,13 @@ impl TermTable {
         self.intern_scratch()
     }
 
+    /// The id of `m`'s exponent row.
+    pub fn intern(&mut self, m: &Monomial) -> TermId {
+        self.scratch.clear();
+        self.scratch.extend(m.exponents());
+        self.intern_scratch()
+    }
+
     /// The id of the row of `a · b`.
     pub fn product(&mut self, a: TermId, b: TermId) -> TermId {
         if b == TermId::ONE {
@@ -101,38 +133,97 @@ impl TermTable {
         self.intern_scratch()
     }
 
-    /// Writes `terms` as a [`Posynomial`], in order. The terms must have
-    /// distinct ids, as every [`TermSum`] has.
-    pub fn posynomial(&self, terms: &[(TermId, f64)]) -> Posynomial {
-        Posynomial::from_distinct_terms(
-            terms
-                .iter()
-                .map(|&(id, c)| Monomial::from_row(c, self.row(id)))
-                .collect(),
-        )
+    /// `terms` (ids of this table) read as a posynomial.
+    pub fn view<'a>(&'a self, terms: &'a [(TermId, f64)]) -> PosyView<'a> {
+        PosyView { table: self, terms }
     }
 
     /// Interns `scratch`, returning its id.
     fn intern_scratch(&mut self) -> TermId {
-        self.key.clear();
-        self.key
-            .extend(self.scratch.iter().map(|&(v, e)| (v, e.to_bits())));
-        if let Some(&id) = self.ids.get(self.key.as_slice()) {
-            return id;
+        let hash = row_hash(&self.scratch);
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(id) = at {
+            if same_bits(self.row(TermId(id)), &self.scratch) {
+                return TermId(id);
+            }
+            at = self.chain[id as usize];
         }
-        let id = TermId(self.row_count() as u32);
+        let id = match u32::try_from(self.row_count()) {
+            Ok(id) => id,
+            Err(_) => panic!("a term table holds at most u32::MAX rows"),
+        };
         self.entries.extend_from_slice(&self.scratch);
         self.ends.push(self.entries.len() as u32);
-        self.ids.insert(self.key.clone(), id);
-        id
+        self.chain.push(self.heads.insert(hash, id));
+        TermId(id)
+    }
+}
+
+/// A posynomial stored as `(TermId, coefficient)` pairs over a
+/// [`TermTable`], read in place: the one way GP bodies and objectives are
+/// read.
+#[derive(Debug, Clone, Copy)]
+pub struct PosyView<'a> {
+    table: &'a TermTable,
+    terms: &'a [(TermId, f64)],
+}
+
+impl<'a> PosyView<'a> {
+    /// The terms, in order.
+    pub fn terms(&self) -> &'a [(TermId, f64)] {
+        self.terms
+    }
+
+    /// The exponent row of `id`, sorted by variable.
+    pub fn row(&self, id: TermId) -> &'a [(VarId, f64)] {
+        self.table.row(id)
+    }
+
+    /// Verifies every term is inside the posynomial cone: coefficients
+    /// finite and strictly positive, exponents finite. Construction
+    /// enforces these, but arithmetic on extreme inputs can overflow a
+    /// coefficient to `inf` (e.g. dividing by a tiny budget); the solver
+    /// checks at the problem boundary so such data becomes a typed error
+    /// instead of NaN iterates.
+    ///
+    /// # Errors
+    ///
+    /// [`PosyError::BadCoefficient`] or [`PosyError::BadExponent`] naming
+    /// the first offending value.
+    pub fn validate(&self) -> Result<(), PosyError> {
+        for &(id, c) in self.terms {
+            if !(c.is_finite() && c > 0.0) {
+                return Err(PosyError::BadCoefficient { value: c });
+            }
+            if let Some(&(_, e)) = self.row(id).iter().find(|(_, e)| !e.is_finite()) {
+                return Err(PosyError::BadExponent { value: e });
+            }
+        }
+        Ok(())
+    }
+
+    /// Evaluates at the strictly positive point `x`, with the bits of
+    /// [`Posynomial::eval`](crate::Posynomial::eval) over the same terms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is too short or has a non-positive coordinate a term
+    /// reads.
+    #[allow(clippy::expect_used)] // documented contract panic
+    pub fn eval(&self, x: &[f64]) -> f64 {
+        self.terms
+            .iter()
+            .map(|&(id, c)| eval_row(c, self.row(id), x).expect("invalid evaluation point"))
+            .fold(0.0, |acc, t| acc + t)
     }
 }
 
 /// A posynomial under construction: `(TermId, coefficient)` pairs in
 /// first-insertion order. A push onto an id already present merges with
-/// [`merge_coeff`] — the rule and order of [`Posynomial::push`] — found
-/// through a dense id → position map, so it costs O(1) and, once the sum
-/// has seen the table's ids, allocates nothing.
+/// `merge_coeff` — the rule and order of
+/// [`Posynomial::push`](crate::Posynomial::push) — found through a dense
+/// id → position map, so it costs O(1) and, once the sum has seen the
+/// table's ids, allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TermSum {
     terms: Vec<(TermId, f64)>,
@@ -210,7 +301,7 @@ impl TermSum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smart_posy::VarPool;
+    use crate::{Posynomial, VarPool};
 
     #[test]
     fn rows_intern_once_and_products_match_monomials() {
@@ -224,9 +315,11 @@ mod tests {
         let ab = table.product(wa, inv_b);
         assert_eq!(table.product(inv_b, wa), ab);
         assert_eq!(table.row(ab), &[(a, 1.0), (b, -1.0)]);
+        assert_eq!(table.intern(&Monomial::new(3.0).pow(b, -1.0).pow(a, 1.0)), ab);
         let wb = table.var(b, 1.0);
         assert_eq!(table.product(inv_b, wb), TermId::ONE);
         assert_eq!(table.product(ab, TermId::ONE), ab);
+        assert_eq!(table.intern(&Monomial::new(2.0)), TermId::ONE);
         assert_eq!(table.row_count(), 5);
     }
 
@@ -267,7 +360,20 @@ mod tests {
             sum.push(id, c);
             posy.push(m);
         }
-        assert_eq!(table.posynomial(sum.terms()), posy);
+        let interned: Vec<(TermId, f64)> = posy
+            .terms()
+            .iter()
+            .map(|m| (table.intern(m), m.coeff()))
+            .collect();
+        let bits = |t: &[(TermId, f64)]| -> Vec<(TermId, u64)> {
+            t.iter().map(|&(id, c)| (id, c.to_bits())).collect()
+        };
+        assert_eq!(bits(sum.terms()), bits(&interned));
+        let view = table.view(sum.terms());
+        for x in [[0.5, 2.0], [3.0, 0.25]] {
+            assert_eq!(view.eval(&x).to_bits(), posy.eval(&x).to_bits());
+        }
+        assert!(view.validate().is_ok());
         sum.clear();
         assert!(sum.terms().is_empty());
         sum.push(TermId::ONE, 1.0);

@@ -11,11 +11,9 @@
 //! allocations after warm-up**:
 //!
 //! 1. [`LogPosynomial::stage_from_exps`] stages one posynomial from a
-//!    [`LogPosynomial::shifted_exps`] sweep (or
-//!    [`LogPosynomial::value_grad_hess_into`] sweeps and stages in one
-//!    call) into the workspace's *staging* area: its gradient `g` over the
-//!    support slots and its packed support×support raw second moment
-//!    `Σ wₖaₖaₖᵀ`.
+//!    [`LogPosynomial::shifted_exps`] sweep into the workspace's *staging*
+//!    area: its gradient `g` over the support slots and its packed
+//!    support×support raw second moment `Σ wₖaₖaₖᵀ`.
 //! 2. [`GradHessWorkspace::scatter_staged`] completes the Hessian
 //!    `Σ wₖaₖaₖᵀ − ggᵀ` inline while it folds the staged contribution into
 //!    the global accumulators with caller-chosen barrier scale factors
@@ -26,7 +24,6 @@
 //! solver's in-place Cholesky consumes — no dense mirror is ever built.
 //!
 //! [`LogPosynomial::value_grad_hess`]: crate::LogPosynomial::value_grad_hess
-//! [`LogPosynomial::value_grad_hess_into`]: crate::LogPosynomial::value_grad_hess_into
 //! [`LogPosynomial::stage_from_exps`]: crate::LogPosynomial::stage_from_exps
 //! [`LogPosynomial::shifted_exps`]: crate::LogPosynomial::shifted_exps
 
@@ -63,9 +60,6 @@ pub struct GradHessWorkspace {
     /// the support slots; [`scatter_staged`](Self::scatter_staged)
     /// subtracts `ggᵀ` from it inline.
     stage_hess: Vec<f64>,
-    /// Per-term shifted exponentials for
-    /// [`LogPosynomial::value_grad_hess_into`](crate::LogPosynomial::value_grad_hess_into).
-    pub(crate) term_scratch: Vec<f64>,
 }
 
 impl GradHessWorkspace {
@@ -118,17 +112,6 @@ impl GradHessWorkspace {
     pub fn add_hess(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.dim);
         self.hess[packed_index(i, j)] += v;
-    }
-
-    /// Support of the most recently staged posynomial.
-    pub fn staged_support(&self) -> &[usize] {
-        &self.stage_support
-    }
-
-    /// Gradient of the most recently staged posynomial, indexed by
-    /// support slot (aligned with [`staged_support`](Self::staged_support)).
-    pub fn staged_grad(&self) -> &[f64] {
-        &self.stage_grad
     }
 
     /// Begins staging a posynomial with the given support: copies the

@@ -3,7 +3,7 @@
 //! they run identically offline and in CI — no external property-testing
 //! framework.
 
-use smart_posy::{LogPosynomial, Monomial, Posynomial, VarId};
+use smart_posy::{LogPosynomial, Monomial, Posynomial, TermTable, VarId};
 use smart_prng::Prng;
 
 const DIM: usize = 4;
@@ -24,6 +24,13 @@ fn posynomial(r: &mut Prng) -> Posynomial {
         p.push(monomial(r));
     }
     p
+}
+
+/// `p` in log form over a table of its own.
+fn log_form(p: &Posynomial) -> LogPosynomial {
+    let mut table = TermTable::new();
+    let terms: Vec<_> = p.terms().iter().map(|m| (table.intern(m), m.coeff())).collect();
+    LogPosynomial::new(table.view(&terms), DIM)
 }
 
 fn point(r: &mut Prng) -> Vec<f64> {
@@ -90,7 +97,7 @@ fn logform_value_matches_log_of_eval() {
     let mut r = Prng::new(0xA6);
     for _ in 0..CASES {
         let (p, x) = (posynomial(&mut r), point(&mut r));
-        let lp = LogPosynomial::from_posynomial(&p, DIM);
+        let lp = log_form(&p);
         let y: Vec<f64> = x.iter().map(|v| v.ln()).collect();
         assert!(close(lp.value(&y), p.eval(&x).ln()));
     }
@@ -101,7 +108,7 @@ fn logform_gradient_matches_finite_difference() {
     let mut r = Prng::new(0xA7);
     for _ in 0..CASES {
         let (p, x) = (posynomial(&mut r), point(&mut r));
-        let lp = LogPosynomial::from_posynomial(&p, DIM);
+        let lp = log_form(&p);
         let y: Vec<f64> = x.iter().map(|v| v.ln()).collect();
         let (_, grad) = lp.value_grad(&y);
         let h = 1e-6;
@@ -122,7 +129,7 @@ fn hessian_is_psd_on_random_directions() {
     for _ in 0..CASES {
         let (p, x) = (posynomial(&mut r), point(&mut r));
         let d = r.f64_vec(-1.0, 1.0, DIM);
-        let lp = LogPosynomial::from_posynomial(&p, DIM);
+        let lp = log_form(&p);
         let y: Vec<f64> = x.iter().map(|v| v.ln()).collect();
         let (_, _, hess) = lp.value_grad_hess(&y);
         let q: f64 = (0..DIM)

@@ -595,6 +595,12 @@ impl Advisor {
             lock(&self.cancels).len(),
             self.connections.load(Ordering::SeqCst)
         );
+        match self.cache.restore_rejected() {
+            Some(why) => {
+                let _ = write!(s, ",\"restore_rejected\":\"{why}\"");
+            }
+            None => s.push_str(",\"restore_rejected\":null"),
+        }
         s.push('}');
         s
     }
@@ -625,12 +631,15 @@ impl Advisor {
                 s.push('}');
                 s
             }
-            None => error_line(
-                "restore",
-                id,
-                "invalid-request",
-                &format!("{path}: snapshot missing or damaged"),
-            ),
+            None => {
+                let why = self.cache.restore_rejected().unwrap_or("damaged");
+                error_line(
+                    "restore",
+                    id,
+                    "invalid-request",
+                    &format!("{path}: no snapshot ({why})"),
+                )
+            }
         }
     }
 

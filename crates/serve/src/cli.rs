@@ -84,7 +84,8 @@ pub fn run_cli(args: &[String], trace: &Trace, parallel: ParallelOptions) -> i32
         match advisor.cache().load_snapshot(std::path::Path::new(path)) {
             Some(entries) => eprintln!("smart-serve: restored {entries} cached entries"),
             None => {
-                eprintln!("serve: --restore {path}: snapshot missing or damaged");
+                let why = advisor.cache().restore_rejected().unwrap_or("damaged");
+                eprintln!("serve: --restore {path}: no snapshot ({why})");
                 return 1;
             }
         }

@@ -93,6 +93,57 @@ fn warm_restart_replays_byte_identically() {
 }
 
 #[test]
+fn a_snapshot_from_another_flow_epoch_restores_as_no_snapshot() {
+    let dir = std::env::temp_dir().join(format!("smart-serve-epoch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let cold = advisor_with_workers(1);
+    cold.handle_line(r#"{"op":"size","id":"s","macro":"mux4"}"#);
+    let snap = cold.cache().snapshot();
+    let epoch = format!("\"epoch\":{},", smart_core::FLOW_EPOCH);
+    assert!(snap.contains(&epoch), "the header names the flow epoch: {snap:.80}");
+    let stale = [
+        snap.replacen(&epoch, &format!("\"epoch\":{},", smart_core::FLOW_EPOCH + 1), 1),
+        snap.replacen(&epoch, "", 1),
+    ];
+    for (i, text) in stale.iter().enumerate() {
+        let path = dir.join(format!("stale{i}.snapshot"));
+        std::fs::write(&path, text).expect("write snapshot");
+        let warm = advisor_with_workers(1);
+        let reply = warm.handle_line(&format!(
+            "{{\"op\":\"restore\",\"id\":\"r\",\"path\":\"{}\"}}",
+            path.display()
+        ));
+        assert!(reply.text.contains("no snapshot (other-epoch)"), "{}", reply.text);
+        assert!(warm.cache().is_empty());
+        let stats = Json::parse(&warm.handle_line(r#"{"op":"stats"}"#).text).expect("stats");
+        assert_eq!(
+            stats.get("restore_rejected").and_then(Json::as_str),
+            Some("other-epoch")
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_warm_daemon_sizes_a_nearby_spec_for_itself() {
+    // 320 and 320.0001 ps are 4.1e-4 apart on a 2⁻¹² ps grid, so a key
+    // rounded to that grid named them both: a daemon that had sized the
+    // first served its widths for the second, and replied with other
+    // bytes than a cold daemon.
+    let size = |delay: &str| {
+        format!(r#"{{"op":"size","id":"s","macro":"mux8:dom","load":20,"delay":{delay}}}"#)
+    };
+    let cold = |delay: &str| advisor_with_workers(1).handle_line(&size(delay)).text;
+    let (first, second) = (cold("320"), cold("320.0001"));
+    assert!(first.starts_with("{\"ok\":true"), "{first}");
+    assert_ne!(first, second, "the two specs must size differently");
+    let warm = advisor_with_workers(1);
+    assert_eq!(warm.handle_line(&size("320")).text, first);
+    assert_eq!(warm.handle_line(&size("320.0001")).text, second);
+    assert_eq!(warm.cache().len(), 2);
+}
+
+#[test]
 fn cancel_fences_a_later_request_with_the_same_id() {
     let advisor = advisor_with_workers(1);
     let fence = advisor.handle_line(r#"{"op":"cancel","id":"job-7"}"#);
