@@ -9,6 +9,12 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The crates that hold the GP kernel (smart-posy, smart-gp) are kept
+# rustfmt-clean. The rest of the workspace is not formatted yet, so the
+# check names these packages instead of running workspace-wide.
+echo "== rustfmt (smart-posy, smart-gp) =="
+cargo fmt --check -p smart-posy -p smart-gp
+
 # Every target (libs, bins, tests, examples, benches) must build without a
 # single rustc warning. Cargo replays cached diagnostics on a warm build,
 # so the log is complete even when nothing recompiles.
@@ -67,7 +73,9 @@ cargo run -q --offline --release -p smart-bench --bin explore_scaling -- --smoke
 # deterministic counters (constraints, final terms, term pushes, distinct
 # terms) of the smoke entries differ from the same cases and entries in
 # the committed full-run record, or if a smoke entry's GP build allocates
-# more than its recorded `allocs_per_build` (a deterministic count).
+# more than its recorded `allocs_per_build`, or its log form takes more
+# heap bytes than its recorded `log_form_bytes` (both deterministic; the
+# smoke entries include cla64, the largest log form).
 echo "== gp_kernel smoke (sparse kernel parity on both sweeps + warm-start ladder + pinned sweeps and build counters) =="
 mkdir -p target/ci
 cargo run -q --offline --release -p smart-bench --bin gp_kernel -- \

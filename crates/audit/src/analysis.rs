@@ -133,8 +133,9 @@ struct Row {
 /// derivation chain, transitively.
 type Prov = BTreeSet<usize>;
 
-/// Result of one propagation run.
-pub(crate) struct Propagation {
+/// Result of one interval bound propagation run ([`crate::propagate`]).
+#[derive(Debug, Clone)]
+pub struct Propagation {
     /// Final per-variable log-domain box.
     pub bounds: Vec<Interval>,
     /// Accepted tightenings across all rounds.

@@ -7,14 +7,14 @@
 //! [`GpProblem`] before Newton ever starts. Three cooperating analyses
 //! over the log-domain posynomial system:
 //!
-//! * **Interval bound propagation** ([`analysis`]): a Jacobi-style
+//! * **Interval bound propagation** ([`propagate`]): a Jacobi-style
 //!   forward/backward fixpoint over the monomial-term relaxation that
 //!   tightens per-variable log-bounds and emits a machine-checkable
 //!   [`Certificate`] of infeasibility — the constraint subset whose
 //!   interval images cannot intersect — when the spec cannot be met by
 //!   any sizing. The flow surfaces this as a typed error with zero Newton
 //!   work, zero retry-ladder burn, and zero cache pollution.
-//! * **Dominance pruning** ([`prune`]): constraints term-wise dominated
+//! * **Dominance pruning** ([`find_dominated`]): constraints term-wise dominated
 //!   by another active constraint (exact exponent-row match with
 //!   coefficient ordering — the multi-corner duplicate case) are proven
 //!   redundant and can be dropped from the solved system.
@@ -34,9 +34,9 @@ mod interval;
 mod prune;
 mod report;
 
-pub use analysis::{Certificate, CertificateKind};
+pub use analysis::{Certificate, CertificateKind, Propagation};
 pub use interval::Interval;
-pub use prune::Dominance;
+pub use prune::{find_dominated, Dominance};
 pub use report::{
     rule_info, AuditConfig, AuditReport, Finding, RuleInfo, Severity, Waiver, RULES,
 };
@@ -63,12 +63,20 @@ pub struct AuditOutcome {
     pub rounds: usize,
 }
 
+/// The interval bound propagation of [`audit_problem`] alone: the same
+/// certificate, bounds and counters, without the report or the dominance
+/// analysis. A caller that reads only whether the problem is certified
+/// infeasible needs no more.
+pub fn propagate(gp: &GpProblem, cfg: &AuditConfig) -> Propagation {
+    analysis::propagate(gp, None, cfg)
+}
+
 /// Audits `gp` under `cfg`. `problem` names the report (typically the
 /// macro instance being sized). Pure and deterministic: same problem
 /// (up to constraint order) in, byte-identical report out.
 pub fn audit_problem(gp: &GpProblem, problem: &str, cfg: &AuditConfig) -> AuditOutcome {
-    let prop = analysis::propagate(gp, None, cfg);
-    let dominance = prune::find_dominated(gp);
+    let prop = propagate(gp, cfg);
+    let dominance = find_dominated(gp);
     let mut findings = Vec::new();
 
     // SA001 — the certificate, plus every individual violated constraint.

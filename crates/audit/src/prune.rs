@@ -50,7 +50,7 @@ pub struct Dominance {
 /// either a strict inequality somewhere or, on exact coefficient ties
 /// (true duplicates), the lexicographically smaller label. Each drop
 /// records the kept witness; results are sorted by dropped index.
-pub(crate) fn find_dominated(gp: &GpProblem) -> Vec<Dominance> {
+pub fn find_dominated(gp: &GpProblem) -> Vec<Dominance> {
     // Every body's terms sorted by row id, back to back. The problem's
     // table names each exact exponent row by one id, so two constraints
     // have the same rows iff their sorted id lists are equal, and then

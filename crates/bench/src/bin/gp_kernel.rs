@@ -22,15 +22,18 @@
 //!   database (12 fF on every output, 1500 ps) at the single corner and
 //!   at slow/typical/fast: median wall time of the whole-database build,
 //!   and the deterministic counters per entry — constraints, final terms,
-//!   term pushes, distinct terms, and the heap allocations of one build
-//!   (a counting global allocator).
+//!   term pushes, distinct terms, the heap allocations of one build and
+//!   the heap bytes of the built GP's log form (`GpProblem::log_form`, the
+//!   posynomials every solve sweeps), both from a counting global
+//!   allocator.
 //!
 //! `--smoke` shrinks every section to CI size; `--out PATH` redirects
 //! the JSON (CI uses this so smoke numbers never clobber the committed
 //! full-run record). `--check PATH` compares the sweep of every kernel
 //! case and the build counters of every entry this run built with the
 //! same cases and entries in the record at PATH, and exits non-zero on
-//! any difference or on an entry that allocates more than its record.
+//! any difference or on an entry that allocates more, or whose log form
+//! takes more heap bytes, than its record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -50,31 +53,47 @@ use smart_sta::Boundary;
 use smart_trace::json::Json;
 use smart_trace::{Trace, Value};
 
-/// Counts heap allocations (for the build section's allocations per GP).
+/// Counts heap allocations and live heap bytes (for the build section's
+/// allocations per GP and log-form bytes).
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: forwards every call to the system allocator unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
+}
+
+/// Heap bytes held by `gp`'s log form while it is alive.
+fn log_form_bytes(gp: &GpProblem) -> usize {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let forms = gp.log_form();
+    let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    drop(forms);
+    bytes
 }
 
 #[global_allocator]
@@ -123,11 +142,11 @@ struct Sharing {
 
 fn sharing(gp: &GpProblem) -> Sharing {
     let slots = gp.log_form();
-    let dict = TermDictionary::new(&slots);
+    let dict = TermDictionary::new(gp.table(), &slots);
     Sharing {
         terms: dict.references(),
         distinct_terms: dict.distinct_terms(),
-        grouped: TermDictionary::if_shared(&slots).is_some(),
+        grouped: TermDictionary::if_shared(gp.table(), &slots).is_some(),
     }
 }
 
@@ -348,6 +367,8 @@ struct BuildCase {
     distinct_terms: usize,
     /// Heap allocations of one build (after a first, warming build).
     allocs: usize,
+    /// Heap bytes of the built GP's log form.
+    log_form_bytes: usize,
 }
 
 /// One corner set's whole-database build.
@@ -402,6 +423,7 @@ fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
                 pushes: built.term_pushes,
                 distinct_terms: shared.distinct_terms,
                 allocs,
+                log_form_bytes: log_form_bytes(&built.gp),
             }
         })
         .collect();
@@ -424,9 +446,11 @@ fn bench_build(specs: &[MacroSpec], stf: bool, runs: usize) -> BuildRow {
 }
 
 /// Compares the build counters of `rows` with the same entries of
-/// `record`; returns one line per difference, and one per entry that
-/// allocates more than its recorded `allocs_per_build`. Allocation counts
-/// are deterministic, so this is a counter gate, not a timing one.
+/// `record`; returns one line per difference, one per entry that
+/// allocates more than its recorded `allocs_per_build`, and one per entry
+/// whose log form takes more than its recorded `log_form_bytes`.
+/// Allocation counts and bytes are deterministic, so this is a counter
+/// gate, not a timing one.
 fn check_build(rows: &[BuildRow], record: &Json) -> Vec<String> {
     let entries = record
         .get("build")
@@ -462,12 +486,17 @@ fn check_build(rows: &[BuildRow], record: &Json) -> Vec<String> {
                 case.name, case.corners
             )),
         }
-        let allowed = recorded.and_then(|e| count(e, "allocs_per_build"));
-        if allowed.is_none_or(|a| case.allocs > a) {
-            diffs.push(format!(
-                "{} @{}: {} allocations per build, recorded at most {allowed:?}",
-                case.name, case.corners, case.allocs
-            ));
+        for (key, got) in [
+            ("allocs_per_build", case.allocs),
+            ("log_form_bytes", case.log_form_bytes),
+        ] {
+            let allowed = recorded.and_then(|e| count(e, key));
+            if allowed.is_none_or(|a| got > a) {
+                diffs.push(format!(
+                    "{} @{}: {key} {got}, recorded at most {allowed:?}",
+                    case.name, case.corners
+                ));
+            }
         }
     }
     diffs
@@ -679,8 +708,10 @@ fn main() {
 
     // --- GP build over the representative database ---------------------
     let database = representative_database();
+    // The smoke entries include `cla64` (entry 25), the largest log form,
+    // so CI pins its bytes as well as the small entries' counters.
     let build_specs: Vec<MacroSpec> = if smoke {
-        [0, 7, 12].iter().map(|&i| database[i].clone()).collect()
+        [0, 7, 12, 25].iter().map(|&i| database[i].clone()).collect()
     } else {
         database
     };
@@ -693,13 +724,15 @@ fn main() {
     for row in &build_rows {
         let sum = |f: fn(&BuildCase) -> usize| row.cases.iter().map(f).sum::<usize>();
         println!(
-            "  {:<6} {:>8.1}ms {:>9.0} allocs/GP  {:>6} constraints {:>7} terms {:>8} pushes",
+            "  {:<6} {:>8.1}ms {:>9.0} allocs/GP  {:>6} constraints {:>7} terms {:>8} pushes \
+             {:>5.1} log-form B/term",
             row.corners,
             row.median_ms,
             row.allocs_per_build,
             sum(|c| c.constraints),
             sum(|c| c.terms),
             sum(|c| c.pushes),
+            sum(|c| c.log_form_bytes) as f64 / sum(|c| c.terms).max(1) as f64,
         );
     }
     if let Some(path) = args.iter().position(|a| a == "--check").and_then(|i| args.get(i + 1)) {
@@ -809,7 +842,8 @@ fn main() {
         let _ = writeln!(
             json,
             "      {{\"case\": \"{}\", \"corners\": \"{}\", \"constraints\": {}, \"terms\": {}, \
-             \"pushes\": {}, \"distinct_terms\": {}, \"allocs_per_build\": {}}}{}",
+             \"pushes\": {}, \"distinct_terms\": {}, \"allocs_per_build\": {}, \
+             \"log_form_bytes\": {}}}{}",
             c.name,
             c.corners,
             c.constraints,
@@ -817,6 +851,7 @@ fn main() {
             c.pushes,
             c.distinct_terms,
             c.allocs,
+            c.log_form_bytes,
             if i + 1 < cases.len() { "," } else { "" }
         );
     }

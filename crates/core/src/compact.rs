@@ -240,7 +240,10 @@ pub(crate) fn compact_within(
     // tail signature id); 0 is the empty sequence. Each node keeps one
     // (signature, link) pair per distinct signature of the paths leaving
     // it; the link is the first arrival in fanout order, which is the
-    // path the class keeps.
+    // path the class keeps. Only source nodes' lists are read after the
+    // pass, so a node's list is freed once each of its fanin arcs has
+    // read it; the links stay, as kept classes spell out their arcs
+    // through them.
     let mut sig_ids: HashMap<(usize, usize), usize> = HashMap::new();
     let mut links = vec![Link {
         arc: usize::MAX,
@@ -250,6 +253,7 @@ pub(crate) fn compact_within(
     // Per signature id: the last node that took it.
     let mut taken_at = vec![usize::MAX];
     let mut suffixes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); graph.node_count()];
+    let mut unread: Vec<usize> = graph.fanin.iter().map(Vec::len).collect();
     for node in order.iter().rev() {
         check_budget(opts, deadline, "path compaction")?;
         let i = node.index();
@@ -276,6 +280,10 @@ pub(crate) fn compact_within(
                     next: tail,
                     has_precharge,
                 });
+            }
+            unread[to] -= 1;
+            if unread[to] == 0 {
+                suffixes[to] = Vec::new();
             }
         }
         if out.len() > PATH_LIMIT {

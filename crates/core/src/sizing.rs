@@ -244,30 +244,33 @@ fn relaxable(e: &FlowError) -> bool {
 /// Pre-solve static audit of a constructed GP ([`crate::AuditGate`]).
 ///
 /// * `Off` — no analysis, returns `None`.
-/// * `Certificates` (default) — interval bound propagation; a proved
-///   contradiction aborts the rung as
+/// * `Certificates` (default) — interval bound propagation alone; a
+///   proved contradiction aborts the rung as
 ///   [`FlowError::InfeasibleCertificate`] before any Newton work.
 /// * `Prune` — certificates plus dominance pruning: returns a copy of
 ///   the problem with proven-redundant constraints dropped for this
 ///   solve (the assembled [`crate::constraints::SizingGp`] keeps its
 ///   full constraint list, so in-place retargeting is unaffected).
+///
+/// The audit report's findings are never read here, so neither gate
+/// builds them ([`audit_circuit`] does).
 fn run_audit(gp: &GpProblem, what: &str, opts: &SizingOptions) -> Result<Option<GpProblem>, FlowError> {
     if !opts.audit.enabled() {
         return Ok(None);
     }
-    let outcome = smart_audit::audit_problem(gp, what, &smart_audit::AuditConfig::default());
+    let prop = smart_audit::propagate(gp, &smart_audit::AuditConfig::default());
     smart_trace::emit_with("audit/bounds", || {
         vec![
             ("problem", what.to_owned().into()),
-            ("tightened", outcome.tightened.into()),
-            ("rounds", outcome.rounds.into()),
+            ("tightened", prop.tightened.into()),
+            ("rounds", prop.rounds.into()),
             (
                 "bounded",
-                outcome.bounds.iter().filter(|b| b.is_bounded()).count().into(),
+                prop.bounds.iter().filter(|b| b.is_bounded()).count().into(),
             ),
         ]
     });
-    if let Some(cert) = outcome.certificate {
+    if let Some(cert) = prop.certificate {
         smart_trace::emit_with("audit/certificate", || {
             vec![
                 ("problem", what.to_owned().into()),
@@ -280,17 +283,21 @@ fn run_audit(gp: &GpProblem, what: &str, opts: &SizingOptions) -> Result<Option<
             detail: cert.detail,
         });
     }
-    if opts.audit == crate::AuditGate::Prune && !outcome.prunable.is_empty() {
-        smart_trace::emit_with("audit/prune", || {
-            vec![
-                ("problem", what.to_owned().into()),
-                ("pruned", outcome.prunable.len().into()),
-                ("total", gp.constraints().len().into()),
-            ]
-        });
-        return Ok(Some(gp.without_constraints(&outcome.prunable)));
+    if opts.audit != crate::AuditGate::Prune {
+        return Ok(None);
     }
-    Ok(None)
+    let prunable: Vec<usize> = smart_audit::find_dominated(gp).iter().map(|d| d.dropped).collect();
+    if prunable.is_empty() {
+        return Ok(None);
+    }
+    smart_trace::emit_with("audit/prune", || {
+        vec![
+            ("problem", what.to_owned().into()),
+            ("pruned", prunable.len().into()),
+            ("total", gp.constraints().len().into()),
+        ]
+    });
+    Ok(Some(gp.without_constraints(&prunable)))
 }
 
 /// Sizes `circuit` to meet `spec` under `boundary`, minimizing the

@@ -94,7 +94,9 @@ mod tests {
 
     #[test]
     fn display_mentions_cause() {
-        let e = GpError::Infeasible { worst_violation: 2.5 };
+        let e = GpError::Infeasible {
+            worst_violation: 2.5,
+        };
         assert!(e.to_string().contains("2.5"));
         let e = GpError::EmptyConstraint { label: "t1".into() };
         assert!(e.to_string().contains("t1"));

@@ -299,7 +299,9 @@ mod tests {
         let n = 9;
         let mut seed = 7u64;
         let mut rnd = || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((seed >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         };
         let m: Vec<Vec<f64>> = (0..n).map(|_| (0..n).map(|_| rnd()).collect()).collect();
@@ -337,7 +339,11 @@ mod tests {
         let mut xp = b.clone();
         solve_packed_in_place(&packed, n, &mut xp);
         for i in 0..n {
-            assert_eq!(xp[i].to_bits(), xd[i].to_bits(), "solution entry {i} differs");
+            assert_eq!(
+                xp[i].to_bits(),
+                xd[i].to_bits(),
+                "solution entry {i} differs"
+            );
         }
     }
 
@@ -386,7 +392,9 @@ mod tests {
         let n = 12;
         let mut seed = 42u64;
         let mut rnd = || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((seed >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         };
         let m: Vec<Vec<f64>> = (0..n).map(|_| (0..n).map(|_| rnd()).collect()).collect();

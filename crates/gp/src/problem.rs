@@ -2,7 +2,9 @@
 
 use std::ops::Range;
 
-use smart_posy::{LogPosynomial, Monomial, PosyView, Posynomial, TermId, TermTable, VarId, VarPool};
+use smart_posy::{
+    LogPosynomial, Monomial, PosyView, Posynomial, TermId, TermTable, VarId, VarPool,
+};
 
 use crate::GpError;
 
@@ -125,7 +127,10 @@ impl GpProblem {
     ///
     /// Panics if `objective` has no term.
     pub fn set_objective_terms(&mut self, objective: &[(TermId, f64)]) {
-        assert!(!objective.is_empty(), "objective must be a nonzero posynomial");
+        assert!(
+            !objective.is_empty(),
+            "objective must be a nonzero posynomial"
+        );
         self.objective = objective.to_vec();
     }
 
@@ -145,16 +150,21 @@ impl GpProblem {
     }
 
     /// The objective and every constraint body in log form, objective
-    /// first: the posynomials the solver sweeps, in its slot order.
+    /// first: the posynomials the solver sweeps, in its slot order. Each
+    /// borrows the problem's table and reads its rows from it by id.
     ///
     /// # Panics
     ///
     /// Panics if the problem has more than `u32::MAX` variables.
-    pub fn log_form(&self) -> Vec<LogPosynomial> {
+    pub fn log_form(&self) -> Vec<LogPosynomial<'_>> {
         let dim = self.dim();
-        std::iter::once(self.objective())
-            .chain(self.constraints.iter().map(|c| self.body(c)))
-            .map(|p| LogPosynomial::new(p, dim))
+        std::iter::once(&self.objective[..])
+            .chain(
+                self.constraints
+                    .iter()
+                    .map(|c| &self.terms[c.terms.clone()]),
+            )
+            .map(|terms| LogPosynomial::new(&self.table, terms, dim))
             .collect()
     }
 
@@ -209,7 +219,9 @@ impl GpProblem {
         rhs: f64,
     ) -> Result<(), GpError> {
         if lhs.is_empty() {
-            return Err(GpError::EmptyConstraint { label: label.into() });
+            return Err(GpError::EmptyConstraint {
+                label: label.into(),
+            });
         }
         self.push_body(label.into(), lhs, rhs);
         Ok(())
@@ -252,7 +264,10 @@ impl GpProblem {
     ///
     /// Panics if `ub` is not finite and strictly positive.
     pub fn add_upper_bound(&mut self, v: VarId, ub: f64) {
-        assert!(ub.is_finite() && ub > 0.0, "upper bound must be finite and > 0, got {ub}");
+        assert!(
+            ub.is_finite() && ub > 0.0,
+            "upper bound must be finite and > 0, got {ub}"
+        );
         let name = format!("{} <= {ub}", self.pool.name(v));
         let row = self.table.var(v, 1.0);
         self.push_body(name, &[(row, 1.0)], ub);
@@ -264,7 +279,10 @@ impl GpProblem {
     ///
     /// Panics if `lb` is not finite and strictly positive.
     pub fn add_lower_bound(&mut self, v: VarId, lb: f64) {
-        assert!(lb.is_finite() && lb > 0.0, "lower bound must be finite and > 0, got {lb}");
+        assert!(
+            lb.is_finite() && lb > 0.0,
+            "lower bound must be finite and > 0, got {lb}"
+        );
         let name = format!("{} >= {lb}", self.pool.name(v));
         let row = self.table.var(v, -1.0);
         self.push_body(name, &[(row, lb)], 1.0);
@@ -351,12 +369,16 @@ mod tests {
         let w = pool.var("w");
         let lhs = Posynomial::var(w) + Monomial::new(0.7).pow(w, -1.0) + Monomial::new(0.3);
         let mut gp = GpProblem::new(pool);
-        gp.add_le("monomial", lhs.clone(), Monomial::new(3.7)).unwrap();
+        gp.add_le("monomial", lhs.clone(), Monomial::new(3.7))
+            .unwrap();
         gp.add_le_const("const", lhs.clone(), 3.7).unwrap();
         gp.add_le("other", lhs.clone(), Monomial::new(1.3)).unwrap();
         let bits = |gp: &GpProblem, i: usize| -> Vec<(TermId, u64)> {
             let body = gp.body(&gp.constraints()[i]);
-            body.terms().iter().map(|&(id, c)| (id, c.to_bits())).collect()
+            body.terms()
+                .iter()
+                .map(|&(id, c)| (id, c.to_bits()))
+                .collect()
         };
         assert_eq!(bits(&gp, 0), bits(&gp, 1));
         let coeffs: Vec<f64> = lhs.terms().iter().map(Monomial::coeff).collect();
@@ -379,10 +401,15 @@ mod tests {
         let w = pool.var("w");
         let mut gp = GpProblem::new(pool);
         gp.add_upper_bound(w, 3.7);
-        gp.add_le("ub", Posynomial::var(w), Monomial::new(3.7)).unwrap();
-        gp.add_lower_bound(w, 0.3);
-        gp.add_le("lb", Posynomial::from(Monomial::new(0.3).pow(w, -1.0)), Monomial::one())
+        gp.add_le("ub", Posynomial::var(w), Monomial::new(3.7))
             .unwrap();
+        gp.add_lower_bound(w, 0.3);
+        gp.add_le(
+            "lb",
+            Posynomial::from(Monomial::new(0.3).pow(w, -1.0)),
+            Monomial::one(),
+        )
+        .unwrap();
         let c = gp.constraints();
         for (a, b) in [(0, 1), (2, 3)] {
             let (a, b) = (gp.body(&c[a]).terms(), gp.body(&c[b]).terms());

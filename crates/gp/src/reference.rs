@@ -15,8 +15,8 @@
 use smart_posy::LogPosynomial;
 
 use crate::linalg::{axpy, dot, norm, solve_spd_ridged};
-use crate::solver::{check_budget, emit_newton, finalize, prepare, MAX_STEP, Y_BOUND};
-use crate::{GpError, GpProblem, GpSolution, SolverOptions};
+use crate::solver::{check_budget, emit_newton, finalize, prepare, EvalRecord, MAX_STEP, Y_BOUND};
+use crate::{GpError, GpProblem, GpSolution, KktReport, SolverOptions};
 
 impl GpProblem {
     /// Solves the geometric program with the dense reference kernel.
@@ -38,13 +38,18 @@ impl GpProblem {
         };
         let mut phase2_steps = 0;
         let (y, t_final) = phase2_dense(&obj, &cons, y0, opts, phase1_steps, &mut phase2_steps)?;
-        finalize(self, &obj, &cons, y, t_final, phase1_steps, phase2_steps)
+        // The KKT report reads a sweep at the optimum, as the sparse
+        // kernel's does.
+        let mut at_y = EvalRecord::new(&obj, &cons);
+        at_y.eval_all(&obj, &cons, &y);
+        let kkt = KktReport::from_sweep(&obj, &cons, &at_y, t_final);
+        finalize(self, y, kkt, phase1_steps, phase2_steps)
     }
 }
 
 /// Dense phase I: minimize slack `s` subject to `Fᵢ(y) ≤ s`.
 fn phase1_dense(
-    cons: &[LogPosynomial],
+    cons: &[LogPosynomial<'_>],
     start: Vec<f64>,
     opts: &SolverOptions,
     steps: &mut usize,
@@ -142,7 +147,15 @@ fn phase1_dense(
                 }
                 alpha *= 0.5;
             }
-            emit_newton("phase1", *steps, decrement2 / 2.0, alpha, trials, outside, accepted);
+            emit_newton(
+                "phase1",
+                *steps,
+                decrement2 / 2.0,
+                alpha,
+                trials,
+                outside,
+                accepted,
+            );
             if !accepted {
                 break;
             }
@@ -174,8 +187,8 @@ fn phase1_dense(
 
 /// Dense phase II: barrier method on `t·F₀(y) − Σ log(−Fᵢ(y))`.
 fn phase2_dense(
-    obj: &LogPosynomial,
-    cons: &[LogPosynomial],
+    obj: &LogPosynomial<'_>,
+    cons: &[LogPosynomial<'_>],
     mut y: Vec<f64>,
     opts: &SolverOptions,
     spent_before: usize,

@@ -32,7 +32,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use smart_posy::{GradHessWorkspace, LogPosynomial, TermDictionary};
+use smart_posy::{GradHessWorkspace, LogPosynomial, TermDictionary, TermTable};
 
 use crate::linalg::{axpy, dot, norm, solve_spd_ridged_packed};
 use crate::{CancelToken, GpError, GpProblem, KktReport};
@@ -199,23 +199,27 @@ pub(crate) const MAX_STEP: f64 = 8.0;
 /// One sweep of the objective and every constraint at a point: each
 /// term's shifted exponential, each posynomial's sum and value. Slot 0 is
 /// the objective, slot `i + 1` constraint `i`; slot `j` owns
-/// `exps[bounds[j]..bounds[j + 1]]`, with `bounds` kept once in the
-/// [`NewtonWorkspace`] because both records share it.
+/// `exps[bounds[j]..bounds[j + 1]]`.
 #[derive(Debug, Default)]
-struct EvalRecord {
-    exps: Vec<f64>,
-    sums: Vec<f64>,
-    values: Vec<f64>,
+pub(crate) struct EvalRecord {
+    bounds: Vec<usize>,
+    pub(crate) exps: Vec<f64>,
+    pub(crate) sums: Vec<f64>,
+    pub(crate) values: Vec<f64>,
 }
 
 impl EvalRecord {
-    /// A record sized for the posynomials behind `bounds`.
-    fn new(bounds: &[usize]) -> Self {
-        let slots = bounds.len() - 1;
+    /// A record sized for the slots of `obj` and `cons`.
+    pub(crate) fn new(obj: &LogPosynomial<'_>, cons: &[LogPosynomial<'_>]) -> Self {
+        let mut bounds = vec![0];
+        for p in std::iter::once(obj).chain(cons) {
+            bounds.push(bounds[bounds.len() - 1] + p.term_count());
+        }
         EvalRecord {
-            exps: vec![0.0; bounds[slots]],
-            sums: vec![0.0; slots],
-            values: vec![0.0; slots],
+            exps: vec![0.0; bounds[cons.len() + 1]],
+            sums: vec![0.0; cons.len() + 1],
+            values: vec![0.0; cons.len() + 1],
+            bounds,
         }
     }
 
@@ -224,7 +228,7 @@ impl EvalRecord {
     /// sweeps slot by slot with [`eval`](Self::eval).
     fn sweep_grouped(
         &mut self,
-        terms: &mut Option<TermDictionary>,
+        terms: &mut Option<TermDictionary<'_>>,
         y: &[f64],
         first: usize,
     ) -> bool {
@@ -234,16 +238,36 @@ impl EvalRecord {
     }
 
     /// Sweeps posynomial `p` at `y` into slot `j`; returns its value.
-    fn eval(&mut self, bounds: &[usize], j: usize, p: &LogPosynomial, y: &[f64]) -> f64 {
-        let (value, sum) = p.shifted_exps(y, &mut self.exps[bounds[j]..bounds[j + 1]]);
+    fn eval(&mut self, j: usize, p: &LogPosynomial<'_>, y: &[f64]) -> f64 {
+        let terms = self.bounds[j]..self.bounds[j + 1];
+        let (value, sum) = p.shifted_exps(y, &mut self.exps[terms]);
         self.sums[j] = sum;
         self.values[j] = value;
         value
     }
 
+    /// Sweeps the objective and every constraint at `y`, one posynomial
+    /// at a time.
+    pub(crate) fn eval_all(
+        &mut self,
+        obj: &LogPosynomial<'_>,
+        cons: &[LogPosynomial<'_>],
+        y: &[f64],
+    ) {
+        for (j, p) in std::iter::once(obj).chain(cons).enumerate() {
+            self.eval(j, p, y);
+        }
+    }
+
+    /// Slot `j`'s kept exponentials and their sum.
+    pub(crate) fn slot(&self, j: usize) -> (&[f64], f64) {
+        (&self.exps[self.bounds[j]..self.bounds[j + 1]], self.sums[j])
+    }
+
     /// Stages slot `j` (posynomial `p`) into `ws` from the kept sweep.
-    fn stage(&self, bounds: &[usize], j: usize, p: &LogPosynomial, ws: &mut GradHessWorkspace) {
-        p.stage_from_exps(&self.exps[bounds[j]..bounds[j + 1]], self.sums[j], ws);
+    fn stage(&self, j: usize, p: &LogPosynomial<'_>, ws: &mut GradHessWorkspace) {
+        let (exps, sum) = self.slot(j);
+        p.stage_from_exps(exps, sum, ws);
     }
 }
 
@@ -253,7 +277,7 @@ impl EvalRecord {
 /// buffer keeps its capacity across Newton steps and backtracking
 /// trials, so the steady-state step allocates nothing.
 #[derive(Debug, Default)]
-struct NewtonWorkspace {
+struct NewtonWorkspace<'t> {
     /// Sparse scatter target: gradient + packed lower-triangular Hessian.
     ws: GradHessWorkspace,
     /// Packed matrix copy consumed by the in-place Cholesky (the ridge
@@ -265,8 +289,6 @@ struct NewtonWorkspace {
     dir: Vec<f64>,
     /// Line-search trial point.
     trial: Vec<f64>,
-    /// Term ranges of the records' slots (objective, then constraints).
-    bounds: Vec<usize>,
     /// The sweep at the current point `y`, staged by the assembly.
     at_y: EvalRecord,
     /// The sweep at `trial`, filled by the line search; swapped with
@@ -274,26 +296,20 @@ struct NewtonWorkspace {
     at_trial: EvalRecord,
     /// The solve's distinct terms, when they are shared enough for the
     /// grouped sweep to pay ([`TermDictionary::if_shared`]).
-    terms: Option<TermDictionary>,
+    terms: Option<TermDictionary<'t>>,
     /// The constraint that last left the barrier domain in a line-search
     /// walk. Each trial evaluates it first and is rejected on the spot if
     /// it is outside again, before the full sweep and walk.
     sentinel: Option<usize>,
 }
 
-impl NewtonWorkspace {
-    /// A workspace whose records fit `obj` and `cons`.
-    fn new(obj: &LogPosynomial, cons: &[LogPosynomial]) -> Self {
-        let mut bounds = Vec::with_capacity(cons.len() + 2);
-        bounds.push(0);
-        for p in std::iter::once(obj).chain(cons) {
-            bounds.push(bounds[bounds.len() - 1] + p.term_count());
-        }
+impl<'t> NewtonWorkspace<'t> {
+    /// A workspace whose records fit `obj` and `cons`, read from `table`.
+    fn new(table: &'t TermTable, obj: &LogPosynomial<'t>, cons: &[LogPosynomial<'t>]) -> Self {
         NewtonWorkspace {
-            at_y: EvalRecord::new(&bounds),
-            at_trial: EvalRecord::new(&bounds),
-            bounds,
-            terms: TermDictionary::if_shared(std::iter::once(obj).chain(cons)),
+            at_y: EvalRecord::new(obj, cons),
+            at_trial: EvalRecord::new(obj, cons),
+            terms: TermDictionary::if_shared(table, std::iter::once(obj).chain(cons)),
             ..NewtonWorkspace::default()
         }
     }
@@ -304,10 +320,10 @@ impl NewtonWorkspace {
 /// log-transforms the objective and constraints (reading every row from
 /// the problem's table by id), and maps the optional warm start into log
 /// space.
-pub(crate) fn prepare(
-    problem: &GpProblem,
+pub(crate) fn prepare<'t>(
+    problem: &'t GpProblem,
     opts: &SolverOptions,
-) -> Result<(LogPosynomial, Vec<LogPosynomial>, Vec<f64>), GpError> {
+) -> Result<(LogPosynomial<'t>, Vec<LogPosynomial<'t>>, Vec<f64>), GpError> {
     let dim = problem.dim();
     if dim == 0 {
         return Err(GpError::Numerical {
@@ -359,14 +375,12 @@ pub(crate) fn prepare(
     Ok((obj, cons, start))
 }
 
-/// Shared epilogue: exponentiates the log-space optimum, validates it, and
-/// assembles the [`GpSolution`] with its KKT report.
+/// Shared epilogue: exponentiates the log-space optimum `y`, validates it,
+/// and assembles the [`GpSolution`] with the KKT report at `y`.
 pub(crate) fn finalize(
     problem: &GpProblem,
-    obj: &LogPosynomial,
-    cons: &[LogPosynomial],
     y: Vec<f64>,
-    t_final: f64,
+    kkt: KktReport,
     phase1_steps: usize,
     phase2_steps: usize,
 ) -> Result<GpSolution, GpError> {
@@ -384,11 +398,10 @@ pub(crate) fn finalize(
             detail: format!("objective evaluated to {objective} at the optimum"),
         });
     }
-    let kkt = KktReport::at_point(obj, cons, &y, t_final);
     smart_trace::emit_with("gp/solve", || {
         vec![
             ("dim", problem.dim().into()),
-            ("constraints", cons.len().into()),
+            ("constraints", problem.constraints().len().into()),
             ("phase1_steps", phase1_steps.into()),
             ("phase2_steps", phase2_steps.into()),
             ("objective", objective.into()),
@@ -420,7 +433,7 @@ impl GpProblem {
     ///   cap fired before convergence.
     pub fn solve(&self, opts: &SolverOptions) -> Result<GpSolution, GpError> {
         let (obj, cons, start) = prepare(self, opts)?;
-        let mut nw = NewtonWorkspace::new(&obj, &cons);
+        let mut nw = NewtonWorkspace::new(self.table(), &obj, &cons);
         let mut phase1_steps = 0;
         let y0 = if cons.is_empty() {
             start
@@ -438,18 +451,20 @@ impl GpProblem {
             &mut phase2_steps,
             &mut nw,
         )?;
-        finalize(self, &obj, &cons, y, t_final, phase1_steps, phase2_steps)
+        // Phase II leaves `at_y` holding the sweep at `y`.
+        let kkt = KktReport::from_sweep(&obj, &cons, &nw.at_y, t_final);
+        finalize(self, y, kkt, phase1_steps, phase2_steps)
     }
 }
 
 /// Phase I: minimize slack `s` subject to `Fᵢ(y) ≤ s`; succeeds as soon as a
 /// point with `s < -margin` is found.
 fn phase1(
-    cons: &[LogPosynomial],
+    cons: &[LogPosynomial<'_>],
     start: Vec<f64>,
     opts: &SolverOptions,
     steps: &mut usize,
-    nw: &mut NewtonWorkspace,
+    nw: &mut NewtonWorkspace<'_>,
 ) -> Result<Vec<f64>, GpError> {
     let NewtonWorkspace {
         ws,
@@ -457,7 +472,6 @@ fn phase1(
         rhs,
         dir,
         trial,
-        bounds,
         at_y,
         at_trial,
         terms,
@@ -475,7 +489,7 @@ fn phase1(
     // The start sweep fills the record the first assembly stages from.
     if !at_y.sweep_grouped(terms, &y, 1) {
         for (i, c) in cons.iter().enumerate() {
-            at_y.eval(bounds, i + 1, c, &y);
+            at_y.eval(i + 1, c, &y);
         }
     }
     let mut s = worst(at_y) + 1.0;
@@ -511,7 +525,7 @@ fn phase1(
                 f0 -= g.ln();
                 let inv = 1.0 / g;
                 let inv2 = inv * inv;
-                at_y.stage(bounds, i + 1, c, ws);
+                at_y.stage(i + 1, c, ws);
                 // y-block of −∇²log(s−F): inv²·ffᵀ + inv·∇²F, …
                 ws.scatter_staged(inv, inv, inv2);
                 // … the s-row cross terms −inv²·f, …
@@ -548,8 +562,8 @@ fn phase1(
                 // A trial with any constraint outside the domain is
                 // rejected whatever the others give, so testing the
                 // sentinel first changes no trial's outcome.
-                let mut inside = sentinel
-                    .is_none_or(|i| !leaves(at_trial.eval(bounds, i + 1, &cons[i], trial)));
+                let mut inside =
+                    sentinel.is_none_or(|i| !leaves(at_trial.eval(i + 1, &cons[i], trial)));
                 if inside {
                     // A grouped sweep evaluates every slot up front; the
                     // walk below reads the same values in the same order.
@@ -558,7 +572,7 @@ fn phase1(
                         let cv = if swept || *sentinel == Some(i) {
                             at_trial.values[i + 1]
                         } else {
-                            at_trial.eval(bounds, i + 1, c, trial)
+                            at_trial.eval(i + 1, c, trial)
                         };
                         if leaves(cv) {
                             inside = false;
@@ -579,7 +593,15 @@ fn phase1(
                 }
                 alpha *= 0.5;
             }
-            emit_newton("phase1", *steps, decrement2 / 2.0, alpha, trials, outside, accepted);
+            emit_newton(
+                "phase1",
+                *steps,
+                decrement2 / 2.0,
+                alpha,
+                trials,
+                outside,
+                accepted,
+            );
             if !accepted {
                 break; // stalled; outer loop will tighten or fail
             }
@@ -639,13 +661,13 @@ fn phase1(
 /// feasible start.
 #[allow(clippy::too_many_arguments)]
 fn phase2(
-    obj: &LogPosynomial,
-    cons: &[LogPosynomial],
+    obj: &LogPosynomial<'_>,
+    cons: &[LogPosynomial<'_>],
     mut y: Vec<f64>,
     opts: &SolverOptions,
     spent_before: usize,
     steps: &mut usize,
-    nw: &mut NewtonWorkspace,
+    nw: &mut NewtonWorkspace<'_>,
 ) -> Result<(Vec<f64>, f64), GpError> {
     let NewtonWorkspace {
         ws,
@@ -653,7 +675,6 @@ fn phase2(
         rhs,
         dir,
         trial,
-        bounds,
         at_y,
         at_trial,
         terms,
@@ -666,10 +687,7 @@ fn phase2(
     // The phase's one evaluation at a point it did not reach by a line
     // search; every later assembly stages from the accepted trial's sweep.
     if !at_y.sweep_grouped(terms, &y, 0) {
-        at_y.eval(bounds, 0, obj, &y);
-        for (i, c) in cons.iter().enumerate() {
-            at_y.eval(bounds, i + 1, c, &y);
-        }
+        at_y.eval_all(obj, cons, &y);
     }
 
     loop {
@@ -681,7 +699,7 @@ fn phase2(
             // The objective contributes t·∇F₀ and t·∇²F₀ (no rank-one
             // barrier piece). As in phase I, the barrier value `f0` comes
             // from the record, in the same order as the line search.
-            at_y.stage(bounds, 0, obj, ws);
+            at_y.stage(0, obj, ws);
             ws.scatter_staged(t, t, 0.0);
             let mut f0 = t * at_y.values[0];
             for (i, c) in cons.iter().enumerate() {
@@ -695,7 +713,7 @@ fn phase2(
                 f0 -= (-fv).ln();
                 let inv = -1.0 / fv; // 1/(−Fᵢ) > 0
                 let inv2 = inv * inv;
-                at_y.stage(bounds, i + 1, c, ws);
+                at_y.stage(i + 1, c, ws);
                 ws.scatter_staged(inv, inv, inv2);
             }
             rhs.clear();
@@ -718,22 +736,22 @@ fn phase2(
                 axpy(alpha, dir, trial);
                 let leaves = |cv: f64| cv >= 0.0;
                 // The sentinel first, as in phase I.
-                let mut inside = sentinel
-                    .is_none_or(|i| !leaves(at_trial.eval(bounds, i + 1, &cons[i], trial)));
+                let mut inside =
+                    sentinel.is_none_or(|i| !leaves(at_trial.eval(i + 1, &cons[i], trial)));
                 let mut fv = 0.0;
                 if inside {
                     let swept = at_trial.sweep_grouped(terms, trial, 0);
                     let f = if swept {
                         at_trial.values[0]
                     } else {
-                        at_trial.eval(bounds, 0, obj, trial)
+                        at_trial.eval(0, obj, trial)
                     };
                     fv = t * f;
                     for (i, c) in cons.iter().enumerate() {
                         let cv = if swept || *sentinel == Some(i) {
                             at_trial.values[i + 1]
                         } else {
-                            at_trial.eval(bounds, i + 1, c, trial)
+                            at_trial.eval(i + 1, c, trial)
                         };
                         if leaves(cv) {
                             inside = false;

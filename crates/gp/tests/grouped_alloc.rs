@@ -84,7 +84,7 @@ fn grouped_sweep_solves_allocate_independently_of_step_count() {
     let gp = shared_gp();
     let dim = gp.dim();
     assert!(
-        TermDictionary::if_shared(&gp.log_form()).is_some(),
+        TermDictionary::if_shared(gp.table(), &gp.log_form()).is_some(),
         "the test GP must take the grouped sweep"
     );
     // A start far below the optimum violates every constraint, so both

@@ -115,7 +115,10 @@ fn newton_step(obj: &LogPosynomial, cons: &[LogPosynomial], t: f64, b: &mut Buff
         let mut v = t * b.at_trial.eval(&b.bounds, 0, obj, &b.trial);
         for (i, c) in cons.iter().enumerate() {
             let fv = b.at_trial.eval(&b.bounds, i + 1, c, &b.trial);
-            assert!(fv < 0.0, "trial left the interior; shrink alpha in the test");
+            assert!(
+                fv < 0.0,
+                "trial left the interior; shrink alpha in the test"
+            );
             v -= (-fv).ln();
         }
         std::hint::black_box(v);
@@ -139,9 +142,8 @@ fn steady_state_newton_step_allocates_nothing() {
     );
     for i in 0..dim - 1 {
         // 0.2·w_{i+1}/w_i + 0.1/w_i ≤ 1, strictly interior at x = 1.
-        let body = Posynomial::from(
-            Monomial::new(0.2).pow(vars[i + 1], 1.0).pow(vars[i], -1.0),
-        ) + Monomial::new(0.1).pow(vars[i], -1.0);
+        let body = Posynomial::from(Monomial::new(0.2).pow(vars[i + 1], 1.0).pow(vars[i], -1.0))
+            + Monomial::new(0.1).pow(vars[i], -1.0);
         gp.add_le_const(format!("c{i}"), body, 1.0)
             .expect("non-empty constraint");
     }

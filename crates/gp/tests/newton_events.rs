@@ -121,7 +121,7 @@ fn random_gp(seed: u64, pool: usize, terms: usize) -> GpProblem {
 
 /// Whether `solve` sweeps `gp` through a term dictionary.
 fn grouped(gp: &GpProblem) -> bool {
-    TermDictionary::if_shared(&gp.log_form()).is_some()
+    TermDictionary::if_shared(gp.table(), &gp.log_form()).is_some()
 }
 
 #[test]
@@ -178,8 +178,15 @@ fn infeasible_solve_emits_one_event_with_its_phase_one_steps() {
     let Err(GpError::Infeasible { worst_violation }) = out else {
         panic!("expected infeasible, got {out:?}");
     };
-    let infeasible: Vec<&Event> = events.iter().filter(|e| e.name == "gp/infeasible").collect();
-    assert_eq!(infeasible.len(), 1, "one gp/infeasible event per failed solve");
+    let infeasible: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.name == "gp/infeasible")
+        .collect();
+    assert_eq!(
+        infeasible.len(),
+        1,
+        "one gp/infeasible event per failed solve"
+    );
     assert!(events.iter().all(|e| e.name != "gp/solve"));
     assert!(
         matches!(field(infeasible[0], "worst_violation"), Value::F64(v) if *v == worst_violation)
@@ -194,12 +201,22 @@ fn infeasible_solve_emits_one_event_with_its_phase_one_steps() {
             ..SolverOptions::default()
         })
     };
-    assert!(matches!(capped(steps as usize), Err(GpError::Infeasible { .. })));
-    assert!(matches!(capped(steps as usize - 1), Err(GpError::BudgetExceeded { .. })));
+    assert!(matches!(
+        capped(steps as usize),
+        Err(GpError::Infeasible { .. })
+    ));
+    assert!(matches!(
+        capped(steps as usize - 1),
+        Err(GpError::BudgetExceeded { .. })
+    ));
     // One event per Newton step; a step that ends a centering runs no
     // line search and reports no trial.
     let searches = line_searches(&events);
     assert!(searches.iter().all(|s| s.0 == "phase1"));
-    assert_eq!(searches.len() as u64, steps, "one gp/newton event per Newton step");
+    assert_eq!(
+        searches.len() as u64,
+        steps,
+        "one gp/newton event per Newton step"
+    );
     assert!(searches.iter().any(|s| s.1 == 0 && !s.4));
 }

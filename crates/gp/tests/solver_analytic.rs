@@ -214,11 +214,7 @@ fn solution_scales_with_problem_data() {
         )
         .unwrap();
         let sol = gp.solve(&opts()).unwrap();
-        assert!(
-            (sol.x[0] - k).abs() / k < 1e-5,
-            "k={k}: got {}",
-            sol.x[0]
-        );
+        assert!((sol.x[0] - k).abs() / k < 1e-5, "k={k}: got {}", sol.x[0]);
     }
 }
 

@@ -84,7 +84,10 @@ fn no_feasible_uniform_shrink_improves() {
         let gp = problem(&mut r);
         let sol = gp.solve(&SolverOptions::default()).unwrap();
         let shrunk: Vec<f64> = sol.x.iter().map(|&x| x * 0.98).collect();
-        let still_feasible = gp.constraints().iter().all(|c| gp.body(c).eval(&shrunk) <= 1.0);
+        let still_feasible = gp
+            .constraints()
+            .iter()
+            .all(|c| gp.body(c).eval(&shrunk) <= 1.0);
         if still_feasible {
             // Then some lower bound must be pinning a variable.
             let near_lb = sol.x.iter().any(|&x| x < 0.05 * 1.05);
@@ -104,7 +107,10 @@ fn objective_not_beaten_by_random_feasible_points() {
         let gp = problem(&mut r);
         let probe = r.f64_vec(0.06, 60.0, DIM);
         let sol = gp.solve(&SolverOptions::default()).unwrap();
-        let feasible = gp.constraints().iter().all(|c| gp.body(c).eval(&probe) <= 1.0);
+        let feasible = gp
+            .constraints()
+            .iter()
+            .all(|c| gp.body(c).eval(&probe) <= 1.0);
         if feasible {
             let probe_obj = gp.objective().eval(&probe);
             assert!(

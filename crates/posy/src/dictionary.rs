@@ -6,11 +6,12 @@
 //! references name only about a thousand distinct `(bₖ, aₖ)` terms.
 //! [`LogPosynomial::shifted_exps`] computes every reference's dot and
 //! exponential on its own. [`TermDictionary`] interns the terms of a
-//! whole problem once, by their rows' ids in the problem's
-//! [`TermTable`](crate::TermTable) and their offsets' bits, and
-//! [`TermDictionary::sweep`] computes one dot per distinct term and one
-//! exponential per distinct `(term, shift)` pair, where the shift is the
-//! posynomial's largest dot.
+//! whole problem once, by their rows' ids in the problem's [`TermTable`]
+//! and their offsets' bits, and [`TermDictionary::sweep`] computes one dot
+//! per distinct term and one exponential per distinct `(term, shift)`
+//! pair, where the shift is the posynomial's largest dot. Like the log
+//! form, the dictionary reads each distinct term's row from the table by
+//! id; it stores no row.
 //!
 //! Every value the sweep writes is bit-identical to
 //! [`LogPosynomial::shifted_exps`]: the same dot expression
@@ -20,8 +21,8 @@
 
 use std::collections::HashMap;
 
-use crate::logform::{term_dot, RowEntry};
-use crate::{LogPosynomial, TermId};
+use crate::logform::term_dot;
+use crate::{LogPosynomial, TermId, TermTable};
 
 /// Term references per distinct term from which the solver takes the
 /// grouped sweep. Measured with both sweeps forced, on every database
@@ -51,13 +52,13 @@ const NONE: u32 = u32::MAX;
 /// like the slot's terms in a [`LogPosynomial::shifted_exps`] output, so
 /// the sweep fills a caller's per-reference buffer in place.
 #[derive(Debug)]
-pub struct TermDictionary {
+pub struct TermDictionary<'t> {
+    /// The table every slot's rows are read from.
+    table: &'t TermTable,
     /// Offset `b` of each distinct term.
     offsets: Vec<f64>,
-    /// Exponent rows of the distinct terms, flattened; term `t` owns
-    /// `rows[row_bounds[t]..row_bounds[t + 1]]`.
-    rows: Vec<RowEntry>,
-    row_bounds: Vec<u32>,
+    /// Row id of each distinct term in `table`.
+    rows: Vec<TermId>,
     /// Distinct-term id of every reference, slot by slot.
     ids: Vec<u32>,
     /// Reference range of each slot.
@@ -78,32 +79,41 @@ pub struct TermDictionary {
     active: Vec<u32>,
 }
 
-impl TermDictionary {
+impl<'t> TermDictionary<'t> {
     /// Interns every term of `slots` on its exact identity: its row's
-    /// [`TermId`] and its offset's bits. The slots must be
-    /// read from one [`TermTable`](crate::TermTable), whose ids name rows
-    /// exactly, so two references with equal keys compute their dot from
-    /// the same operands in the same order. No row is hashed or compared.
+    /// [`TermId`] and its offset's bits. The slots must be read from
+    /// `table`, whose ids name rows exactly, so two references with equal
+    /// keys compute their dot from the same operands in the same order.
+    /// No row is hashed, compared or copied.
     ///
     /// # Panics
     ///
-    /// Panics if the problem has `u32::MAX` or more term references or
-    /// slots (ids and ranges are `u32`).
-    pub fn new<'a>(slots: impl IntoIterator<Item = &'a LogPosynomial>) -> Self {
+    /// Panics if a slot was read from another table, or if the problem
+    /// has `u32::MAX` or more term references or slots (ids and ranges
+    /// are `u32`).
+    pub fn new<'a>(
+        table: &'t TermTable,
+        slots: impl IntoIterator<Item = &'a LogPosynomial<'t>>,
+    ) -> Self
+    where
+        't: 'a,
+    {
         let mut index: HashMap<(TermId, u64), u32> = HashMap::new();
         let mut offsets = Vec::new();
         let mut rows = Vec::new();
-        let mut row_bounds = vec![0u32];
         let mut ids = Vec::new();
         let mut bounds = vec![0u32];
         for p in slots {
+            assert!(
+                std::ptr::eq(p.table(), table),
+                "a dictionary's slots must be read from its table"
+            );
             for k in 0..p.term_count() {
                 let offset = p.offset(k);
                 let key = (p.id(k), offset.to_bits());
                 let id = *index.entry(key).or_insert_with(|| {
                     offsets.push(offset);
-                    rows.extend_from_slice(p.row(k));
-                    row_bounds.push(to_u32(rows.len()));
+                    rows.push(p.id(k));
                     to_u32(offsets.len() - 1)
                 });
                 ids.push(id);
@@ -113,9 +123,9 @@ impl TermDictionary {
         let distinct = offsets.len();
         let slots = bounds.len() - 1;
         TermDictionary {
+            table,
             offsets,
             rows,
-            row_bounds,
             ids,
             bounds,
             dots: vec![0.0; distinct],
@@ -136,9 +146,10 @@ impl TermDictionary {
     /// least as many distinct terms as the largest posynomial has terms.
     /// When that bound already rules the grouped sweep out, nothing is
     /// interned.
-    pub fn if_shared<'a, I>(slots: I) -> Option<Self>
+    pub fn if_shared<'a, I>(table: &'t TermTable, slots: I) -> Option<Self>
     where
-        I: IntoIterator<Item = &'a LogPosynomial>,
+        't: 'a,
+        I: IntoIterator<Item = &'a LogPosynomial<'t>>,
         I::IntoIter: Clone,
     {
         let slots = slots.into_iter();
@@ -148,7 +159,7 @@ impl TermDictionary {
         if !grouped_sweep_pays(references, largest) {
             return None;
         }
-        let dict = TermDictionary::new(slots);
+        let dict = TermDictionary::new(table, slots);
         grouped_sweep_pays(dict.references(), dict.distinct_terms()).then_some(dict)
     }
 
@@ -196,9 +207,8 @@ impl TermDictionary {
         );
         assert_eq!(sums.len(), self.slots(), "one sum per slot");
         assert_eq!(values.len(), self.slots(), "one value per slot");
-        for (t, dot) in self.dots.iter_mut().enumerate() {
-            let row = &self.rows[self.row_bounds[t] as usize..self.row_bounds[t + 1] as usize];
-            *dot = term_dot(self.offsets[t], row, y);
+        for ((dot, &offset), &row) in self.dots.iter_mut().zip(&self.offsets).zip(&self.rows) {
+            *dot = term_dot(offset, self.table.row(row), y);
         }
 
         // Each slot's shift `m` (see `shift`). A slot whose `m` is bit for
@@ -335,10 +345,23 @@ mod tests {
 
     const DIM: usize = 8;
 
-    /// `p` in log form, its rows interned in `table`.
-    fn log_form(table: &mut TermTable, p: &Posynomial) -> LogPosynomial {
-        let terms: Vec<_> = p.terms().iter().map(|m| (table.intern(m), m.coeff())).collect();
-        LogPosynomial::new(table.view(&terms), DIM)
+    /// `p`'s terms, its rows interned in `table`.
+    fn intern(table: &mut TermTable, p: &Posynomial) -> Vec<(TermId, f64)> {
+        p.terms()
+            .iter()
+            .map(|m| (table.intern(m), m.coeff()))
+            .collect()
+    }
+
+    /// `bodies` in log form over `table`, which they were interned in.
+    fn log_forms<'t>(
+        table: &'t TermTable,
+        bodies: &[Vec<(TermId, f64)>],
+    ) -> Vec<LogPosynomial<'t>> {
+        bodies
+            .iter()
+            .map(|b| LogPosynomial::new(table, b, DIM))
+            .collect()
     }
 
     /// A problem whose posynomials share most of their terms: 200 slots
@@ -347,7 +370,7 @@ mod tests {
     /// The pool holds a constant (an empty row), a unit coefficient, and
     /// one `3·xᵥ` per variable, which tie with each other at any point
     /// with equal coordinates and are often a slot's largest term.
-    fn shared_problem() -> Vec<LogPosynomial> {
+    fn shared_problem() -> (TermTable, Vec<Vec<(TermId, f64)>>) {
         let mut names = VarPool::new();
         let vars: Vec<_> = (0..DIM).map(|i| names.var(&format!("x{i}"))).collect();
         let mut rng = Prng::new(7);
@@ -365,7 +388,7 @@ mod tests {
             pool.push(m);
         }
         let mut table = TermTable::new();
-        let mut lp = |p: &Posynomial| log_form(&mut table, p);
+        let mut lp = |p: &Posynomial| intern(&mut table, p);
         let mut slots = Vec::new();
         let mut order: Vec<usize> = (0..pool.len()).collect();
         for _ in 0..200 {
@@ -385,7 +408,7 @@ mod tests {
         slots.push(lp(&(Posynomial::from(
             Monomial::new(1.0).pow(vars[1], 2.0),
         ) + Monomial::new(0.5))));
-        slots
+        (table, slots)
     }
 
     /// The per-posynomial sweep of every slot: exps, sums, values.
@@ -425,8 +448,9 @@ mod tests {
 
     #[test]
     fn grouped_sweep_matches_shifted_exps_bit_for_bit() {
-        let slots = shared_problem();
-        let mut dict = TermDictionary::new(&slots);
+        let (table, bodies) = shared_problem();
+        let slots = log_forms(&table, &bodies);
+        let mut dict = TermDictionary::new(&table, &slots);
         assert_eq!(dict.slots(), slots.len());
         assert!(
             dict.references() >= 50 * dict.distinct_terms(),
@@ -450,8 +474,9 @@ mod tests {
 
     #[test]
     fn sweep_from_a_later_slot_leaves_earlier_slots_alone() {
-        let slots = shared_problem();
-        let mut dict = TermDictionary::new(&slots);
+        let (table, bodies) = shared_problem();
+        let slots = log_forms(&table, &bodies);
+        let mut dict = TermDictionary::new(&table, &slots);
         let first_refs = slots[0].term_count();
         let mut exps = vec![-1.0; dict.references()];
         let mut sums = vec![-1.0; slots.len()];
@@ -475,22 +500,24 @@ mod tests {
         // sweep, the stf `inc8-cla` GP (3.8) keeps the per-posynomial one.
         assert!(grouped_sweep_pays(4092, 596));
         assert!(!grouped_sweep_pays(1968, 518));
-        assert!(TermDictionary::if_shared(&shared_problem()).is_some());
+        let (table, bodies) = shared_problem();
+        assert!(TermDictionary::if_shared(&table, &log_forms(&table, &bodies)).is_some());
 
         // Posynomials with no term in common: one reference per term.
         let mut names = VarPool::new();
         let vars: Vec<_> = (0..DIM).map(|i| names.var(&format!("x{i}"))).collect();
         let mut table = TermTable::new();
-        let disjoint: Vec<LogPosynomial> = vars
+        let bodies: Vec<_> = vars
             .iter()
             .map(|&v| {
                 let p = Posynomial::from(Monomial::new(2.0).pow(v, 1.0))
                     + Monomial::new(0.5).pow(v, -1.0);
-                log_form(&mut table, &p)
+                intern(&mut table, &p)
             })
             .collect();
-        assert!(TermDictionary::if_shared(&disjoint).is_none());
-        let dict = TermDictionary::new(&disjoint);
+        let disjoint = log_forms(&table, &bodies);
+        assert!(TermDictionary::if_shared(&table, &disjoint).is_none());
+        let dict = TermDictionary::new(&table, &disjoint);
         assert_eq!((dict.references(), dict.distinct_terms()), (16, 16));
     }
 }

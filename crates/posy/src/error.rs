@@ -41,7 +41,10 @@ impl fmt::Display for PosyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PosyError::BadCoefficient { value } => {
-                write!(f, "monomial coefficient must be finite and > 0, got {value}")
+                write!(
+                    f,
+                    "monomial coefficient must be finite and > 0, got {value}"
+                )
             }
             PosyError::BadExponent { value } => {
                 write!(f, "monomial exponent must be finite, got {value}")

@@ -12,7 +12,8 @@
 //! A problem stores its posynomials as `(TermId, coefficient)` pairs over
 //! one [`TermTable`] of interned exponent rows ([`TermSum`] builds them,
 //! [`PosyView`] reads them); the log form ([`LogPosynomial`]) and the
-//! solve-wide [`TermDictionary`] read the rows by id.
+//! solve-wide [`TermDictionary`] borrow the table and read the rows by
+//! id, copying none.
 //!
 //! # Example
 //!

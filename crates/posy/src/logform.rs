@@ -6,26 +6,14 @@
 //! conversion plus value/gradient/Hessian evaluation.
 
 use crate::workspace::GradHessWorkspace;
-use crate::{PosyView, TermId};
-
-/// One entry of a term's exponent row: exponent `e` of variable `var`,
-/// which sits in slot `slot` of the posynomial's support.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct RowEntry {
-    /// Index into [`LogPosynomial::support`].
-    slot: u32,
-    /// Dense variable index (`support[slot]`), kept beside the slot so the
-    /// exponent dot gathers `y` without a second indirection.
-    pub(crate) var: u32,
-    pub(crate) exp: f64,
-}
+use crate::{TermId, TermTable, VarId};
 
 /// The exponent dot `a·y + b` of the term with offset `b` and row `a`.
 /// Every sweep computes its dots through here, so a term shared by
 /// several posynomials gets the same bits wherever it is evaluated.
 #[inline]
-pub(crate) fn term_dot(offset: f64, row: &[RowEntry], y: &[f64]) -> f64 {
-    offset + row.iter().map(|r| r.exp * y[r.var as usize]).sum::<f64>()
+pub(crate) fn term_dot(offset: f64, row: &[(VarId, f64)], y: &[f64]) -> f64 {
+    offset + row.iter().map(|&(v, e)| e * y[v.index()]).sum::<f64>()
 }
 
 /// A posynomial converted to log-space, ready for convex optimization.
@@ -34,89 +22,87 @@ pub(crate) fn term_dot(offset: f64, row: &[RowEntry], y: &[f64]) -> f64 {
 /// max-shift for numerical stability, and optionally its gradient and
 /// Hessian with respect to `y`.
 ///
+/// The log form borrows the [`TermTable`] its posynomial was stored over
+/// and reads each term's exponent row from it by id; it copies no row.
+/// Per term reference it keeps the row's id and the offset `bₖ`, and per
+/// row entry the entry's slot in the posynomial's support, which the
+/// sparse staging scatters through so that a constraint of support `s`
+/// costs O(s²) regardless of the ambient dimension.
+///
 /// ```
 /// use smart_posy::{LogPosynomial, TermId, TermTable, VarPool};
 /// let mut pool = VarPool::new();
 /// let w = pool.var("W");
 /// let mut table = TermTable::new();
 /// let terms = [(table.var(w, 1.0), 2.0), (TermId::ONE, 3.0)]; // 2·W + 3
-/// let lp = LogPosynomial::new(table.view(&terms), pool.len());
+/// let lp = LogPosynomial::new(&table, &terms, pool.len());
 /// let y = [0.0]; // x = 1
 /// assert!((lp.value(&y) - 5f64.ln()).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogPosynomial {
+#[derive(Debug, Clone)]
+pub struct LogPosynomial<'t> {
+    /// The table the rows are read from.
+    table: &'t TermTable,
     dim: usize,
-    /// Sorted, deduplicated variable indices this posynomial touches.
+    /// Sorted, deduplicated variable indices this posynomial touches,
+    /// allocated at exactly their length.
     support: Vec<usize>,
     /// Table id of each term's row.
     ids: Vec<TermId>,
     /// Offset `bₖ = log cₖ` of each term.
     offsets: Vec<f64>,
-    /// Per-term exponent rows, flattened; term `k` owns
-    /// `rows[row_bounds[k]..row_bounds[k+1]]`. The sparse evaluator
-    /// scatters through the slots so a constraint of support `s` costs
-    /// O(s²) regardless of the ambient dimension.
-    rows: Vec<RowEntry>,
-    row_bounds: Vec<u32>,
+    /// Support slot of every row entry, term after term: term `k` owns
+    /// the next `row(k).len()` slots. Rows and the support are both
+    /// sorted by variable, so a term's slots ascend.
+    slots: Vec<u32>,
 }
 
-impl LogPosynomial {
-    /// Converts the stored posynomial `p` for a problem with `dim`
-    /// variables, reading each term's row from `p`'s table by id.
+impl<'t> LogPosynomial<'t> {
+    /// Converts the posynomial stored as `terms` over `table` (a
+    /// [`PosyView`](crate::PosyView)'s parts) for a problem with `dim`
+    /// variables. The log form borrows `table` and reads each term's row
+    /// from it by id.
     ///
     /// # Panics
     ///
-    /// Panics if `p` has no term (log of zero is undefined), if `p`
+    /// Panics if `terms` is empty (log of zero is undefined), if a term
     /// references a variable with index `>= dim`, or if `dim` exceeds
-    /// `u32::MAX` (exponent rows index variables as `u32`).
-    pub fn new(p: PosyView<'_>, dim: usize) -> Self {
-        assert!(!p.terms().is_empty(), "cannot take the log-form of the zero posynomial");
+    /// `u32::MAX` (support slots are `u32`).
+    pub fn new(table: &'t TermTable, terms: &[(TermId, f64)], dim: usize) -> Self {
+        assert!(
+            !terms.is_empty(),
+            "cannot take the log-form of the zero posynomial"
+        );
         assert!(
             u32::try_from(dim).is_ok(),
             "dimension {dim} exceeds u32 indices"
         );
-        let mut support: Vec<usize> = p
-            .terms()
-            .iter()
-            .flat_map(|&(id, _)| p.row(id).iter().map(|(v, _)| v.index()))
-            .collect();
+        let rows = || terms.iter().map(|&(id, _)| table.row(id));
+        let mut support: Vec<usize> = rows().flatten().map(|(v, _)| v.index()).collect();
         support.sort_unstable();
         support.dedup();
+        support.shrink_to_fit();
         if let Some(&last) = support.last() {
             assert!(
                 last < dim,
                 "posynomial uses variable index {last} but problem has {dim} variables"
             );
         }
-        let mut ids = Vec::with_capacity(p.terms().len());
-        let mut offsets = Vec::with_capacity(p.terms().len());
-        let mut rows = Vec::new();
-        let mut row_bounds = Vec::with_capacity(p.terms().len() + 1);
-        row_bounds.push(0u32);
-        for &(id, c) in p.terms() {
-            ids.push(id);
-            offsets.push(c.ln());
-            for &(v, exp) in p.row(id) {
-                // The index is present by construction; partition_point
-                // avoids an unwrap on binary_search's Result.
-                let slot = support.partition_point(|&i| i < v.index());
-                debug_assert_eq!(support[slot], v.index());
-                rows.push(RowEntry {
-                    slot: slot as u32,
-                    var: v.index() as u32,
-                    exp,
-                });
-            }
-            row_bounds.push(rows.len() as u32);
-        }
+        let mut slots = Vec::with_capacity(rows().map(<[_]>::len).sum());
+        // The index is present by construction; partition_point avoids an
+        // unwrap on binary_search's Result.
+        slots.extend(
+            rows()
+                .flatten()
+                .map(|(v, _)| support.partition_point(|&i| i < v.index()) as u32),
+        );
         LogPosynomial {
+            table,
             dim,
             support,
-            ids,
-            offsets,
-            rows,
-            row_bounds,
+            ids: terms.iter().map(|&(id, _)| id).collect(),
+            offsets: terms.iter().map(|&(_, c)| c.ln()).collect(),
+            slots,
         }
     }
 
@@ -137,13 +123,18 @@ impl LogPosynomial {
         &self.support
     }
 
-    /// Term `k`'s exponent row.
-    #[inline]
-    pub(crate) fn row(&self, k: usize) -> &[RowEntry] {
-        &self.rows[self.row_bounds[k] as usize..self.row_bounds[k + 1] as usize]
+    /// The table the terms' rows are read from.
+    pub(crate) fn table(&self) -> &'t TermTable {
+        self.table
     }
 
-    /// Term `k`'s row id in the table the posynomial was read from.
+    /// Term `k`'s exponent row.
+    #[inline]
+    fn row(&self, k: usize) -> &'t [(VarId, f64)] {
+        self.table.row(self.ids[k])
+    }
+
+    /// Term `k`'s row id in the table.
     #[inline]
     pub(crate) fn id(&self, k: usize) -> TermId {
         self.ids[k]
@@ -159,6 +150,17 @@ impl LogPosynomial {
     #[inline]
     fn term_dot(&self, k: usize, y: &[f64]) -> f64 {
         term_dot(self.offsets[k], self.row(k), y)
+    }
+
+    /// Every term's exponent row with its support slots, in term order.
+    fn rows_with_slots(&self) -> impl Iterator<Item = (&'t [(VarId, f64)], &[u32])> {
+        let (table, mut slots) = (self.table, self.slots.as_slice());
+        self.ids.iter().map(move |&id| {
+            let row = table.row(id);
+            let (own, rest) = slots.split_at(row.len());
+            slots = rest;
+            (row, own)
+        })
     }
 
     /// Every term's exponent dot (the dense oracles' first step).
@@ -224,24 +226,11 @@ impl LogPosynomial {
         (value, sum)
     }
 
-    /// Value and gradient of `F` at `y`.
+    /// Value, gradient and dense Hessian of `F` at `y` (the dense
+    /// oracle).
     ///
-    /// The gradient is `Σ softmaxₖ · aₖ`.
-    pub fn value_grad(&self, y: &[f64]) -> (f64, Vec<f64>) {
-        assert!(y.len() >= self.dim, "point has wrong dimension");
-        let (val, w) = softmax(&self.exponent_dots(y));
-        let mut grad = vec![0.0; self.dim];
-        for (k, &wk) in w.iter().enumerate() {
-            for r in self.row(k) {
-                grad[r.var as usize] += wk * r.exp;
-            }
-        }
-        (val, grad)
-    }
-
-    /// Value, gradient and dense Hessian of `F` at `y`.
-    ///
-    /// Hessian is `Σ wₖ aₖaₖᵀ − (Σ wₖaₖ)(Σ wₖaₖ)ᵀ`, PSD by convexity.
+    /// The gradient is `Σ wₖaₖ` with `w = softmax(aₖ·y + bₖ)`; the Hessian
+    /// is `Σ wₖ aₖaₖᵀ − (Σ wₖaₖ)(Σ wₖaₖ)ᵀ`, PSD by convexity.
     pub fn value_grad_hess(&self, y: &[f64]) -> (f64, Vec<f64>, Vec<Vec<f64>>) {
         assert!(y.len() >= self.dim, "point has wrong dimension");
         let (val, w) = softmax(&self.exponent_dots(y));
@@ -250,11 +239,11 @@ impl LogPosynomial {
         let mut hess = vec![vec![0.0; n]; n];
         for (k, &wk) in w.iter().enumerate() {
             let row = self.row(k);
-            for ri in row {
-                let i = ri.var as usize;
-                grad[i] += wk * ri.exp;
-                for rj in row {
-                    hess[i][rj.var as usize] += wk * ri.exp * rj.exp;
+            for &(vi, ei) in row {
+                let i = vi.index();
+                grad[i] += wk * ei;
+                for &(vj, ej) in row {
+                    hess[i][vj.index()] += wk * ei * ej;
                 }
             }
         }
@@ -264,6 +253,27 @@ impl LogPosynomial {
             }
         }
         (val, grad, hess)
+    }
+
+    /// Writes the gradient `Σₖ wₖaₖ` (`wₖ = exps[k] / sum`) **over the
+    /// support**, one entry per support index, into `grad`, from a
+    /// [`shifted_exps`](Self::shifted_exps) sweep at the point. Each entry
+    /// is the sum [`value_grad_hess`](Self::value_grad_hess) forms for
+    /// its variable, in the same order, so the two agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exps.len() != self.term_count()`.
+    pub fn grad_from_exps(&self, exps: &[f64], sum: f64, grad: &mut Vec<f64>) {
+        assert_eq!(exps.len(), self.term_count(), "one exponential per term");
+        grad.clear();
+        grad.resize(self.support.len(), 0.0);
+        for (&e, (row, slots)) in exps.iter().zip(self.rows_with_slots()) {
+            let wk = e / sum;
+            for (&s, &(_, a)) in slots.iter().zip(row) {
+                grad[s as usize] += wk * a;
+            }
+        }
     }
 
     /// Stages the gradient and the raw second moment `Σ wₖaₖaₖᵀ`
@@ -292,16 +302,37 @@ impl LogPosynomial {
         );
         ws.stage_begin(&self.support);
         let (grad, hess) = ws.stage_buffers();
-        for (k, &e) in exps.iter().enumerate() {
-            let wk = e / sum;
-            let row = self.row(k);
-            for ri in row {
-                let si = ri.slot as usize;
-                grad[si] += wk * ri.exp;
-                let base = si * (si + 1) / 2;
-                for rj in row {
-                    if rj.slot <= ri.slot {
-                        hess[base + rj.slot as usize] += wk * ri.exp * rj.exp;
+        // Rows of one or two entries (most rows) are staged without a
+        // loop, so a term costs no loop-exit guess; a constant term
+        // stages nothing. Each entry is the loop's expression, so no bit
+        // moves.
+        let diag = |s: usize| s * (s + 1) / 2 + s;
+        for (&e, (row, slots)) in exps.iter().zip(self.rows_with_slots()) {
+            match (row, slots) {
+                ([], _) => {}
+                (&[(_, e0)], &[s0]) => {
+                    let (wk, s0) = (e / sum, s0 as usize);
+                    grad[s0] += wk * e0;
+                    hess[diag(s0)] += wk * e0 * e0;
+                }
+                (&[(_, e0), (_, e1)], &[s0, s1]) => {
+                    let (wk, s0, s1) = (e / sum, s0 as usize, s1 as usize);
+                    grad[s0] += wk * e0;
+                    hess[diag(s0)] += wk * e0 * e0;
+                    grad[s1] += wk * e1;
+                    hess[s1 * (s1 + 1) / 2 + s0] += wk * e1 * e0;
+                    hess[diag(s1)] += wk * e1 * e1;
+                }
+                _ => {
+                    let wk = e / sum;
+                    for (&si, &(_, ei)) in slots.iter().zip(row) {
+                        grad[si as usize] += wk * ei;
+                        let base = si as usize * (si as usize + 1) / 2;
+                        for (&sj, &(_, ej)) in slots.iter().zip(row) {
+                            if sj <= si {
+                                hess[base + sj as usize] += wk * ei * ej;
+                            }
+                        }
                     }
                 }
             }
@@ -333,11 +364,14 @@ mod tests {
     use super::*;
     use crate::{Monomial, Posynomial, TermTable, VarPool};
 
-    /// `p` in log form over a table of its own, for a `dim`-variable problem.
-    fn log_form(p: &Posynomial, dim: usize) -> LogPosynomial {
-        let mut table = TermTable::new();
-        let terms: Vec<_> = p.terms().iter().map(|m| (table.intern(m), m.coeff())).collect();
-        LogPosynomial::new(table.view(&terms), dim)
+    /// `p` in log form over `table`, for a `dim`-variable problem.
+    fn log_form<'t>(table: &'t mut TermTable, p: &Posynomial, dim: usize) -> LogPosynomial<'t> {
+        let terms: Vec<_> = p
+            .terms()
+            .iter()
+            .map(|m| (table.intern(m), m.coeff()))
+            .collect();
+        LogPosynomial::new(table, &terms, dim)
     }
 
     /// `lp`'s value at `y`, its sweep staged into `ws` as the solver does.
@@ -348,19 +382,20 @@ mod tests {
         value
     }
 
-    fn sample() -> (LogPosynomial, Posynomial) {
+    fn sample(table: &mut TermTable) -> (LogPosynomial<'_>, Posynomial) {
         let mut pool = VarPool::new();
         let a = pool.var("a");
         let b = pool.var("b");
         let p = Posynomial::from(Monomial::new(0.5).pow(a, 1.0).pow(b, -2.0))
             + Monomial::new(2.0).pow(b, 1.0)
             + Monomial::new(1.0);
-        (log_form(&p, pool.len()), p)
+        (log_form(table, &p, pool.len()), p)
     }
 
     #[test]
     fn value_matches_direct_eval() {
-        let (lp, p) = sample();
+        let mut table = TermTable::new();
+        let (lp, p) = sample(&mut table);
         for &(xa, xb) in &[(1.0, 1.0), (0.2, 5.0), (10.0, 0.01)] {
             let y = [xa_f(xa), xa_f(xb)];
             let direct = p.eval(&[xa, xb]).ln();
@@ -373,9 +408,10 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
-        let (lp, _) = sample();
+        let mut table = TermTable::new();
+        let (lp, _) = sample(&mut table);
         let y = [0.3, -0.7];
-        let (_, grad) = lp.value_grad(&y);
+        let (_, grad, _) = lp.value_grad_hess(&y);
         let h = 1e-6;
         for i in 0..2 {
             let mut yp = y;
@@ -389,7 +425,8 @@ mod tests {
 
     #[test]
     fn hessian_matches_finite_differences_and_is_psd() {
-        let (lp, _) = sample();
+        let mut table = TermTable::new();
+        let (lp, _) = sample(&mut table);
         let y = [0.1, 0.2];
         let (_, grad, hess) = lp.value_grad_hess(&y);
         let h = 1e-5;
@@ -398,8 +435,8 @@ mod tests {
             let mut ym = y;
             yp[i] += h;
             ym[i] -= h;
-            let (_, gp) = lp.value_grad(&yp);
-            let (_, gm) = lp.value_grad(&ym);
+            let (_, gp, _) = lp.value_grad_hess(&yp);
+            let (_, gm, _) = lp.value_grad_hess(&ym);
             for j in 0..2 {
                 let fd = (gp[j] - gm[j]) / (2.0 * h);
                 assert!((hess[i][j] - fd).abs() < 1e-5, "H[{i}][{j}]");
@@ -426,7 +463,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero posynomial")]
     fn zero_posynomial_rejected() {
-        let _ = log_form(&Posynomial::zero(), 1);
+        let _ = log_form(&mut TermTable::new(), &Posynomial::zero(), 1);
     }
 
     #[test]
@@ -435,8 +472,9 @@ mod tests {
         use crate::{packed_index, GradHessWorkspace};
         // Embed the 2-var sample in a 5-var ambient problem so the
         // support {0, 1} is a strict subset the scatter must respect.
-        let (_, p) = sample();
-        let lp = log_form(&p, 5);
+        let (_, p) = sample(&mut TermTable::new());
+        let mut table = TermTable::new();
+        let lp = log_form(&mut table, &p, 5);
         let y = [0.3, -0.7, 9.0, -9.0, 0.1];
         let (val, grad, hess) = lp.value_grad_hess(&y);
         let mut ws = GradHessWorkspace::new(5);
@@ -460,9 +498,68 @@ mod tests {
     }
 
     #[test]
+    fn swept_gradient_matches_the_dense_gradient_bit_for_bit() {
+        let (_, p) = sample(&mut TermTable::new());
+        let mut table = TermTable::new();
+        let lp = log_form(&mut table, &p, 5);
+        for y in [
+            [0.3, -0.7, 9.0, -9.0, 0.1],
+            [0.0; 5],
+            [-2.0, 5.0, 0.0, 0.0, 1.0],
+        ] {
+            let (_, dense, _) = lp.value_grad_hess(&y);
+            let mut exps = vec![0.0; lp.term_count()];
+            let (_, sum) = lp.shifted_exps(&y, &mut exps);
+            let mut grad = Vec::new();
+            lp.grad_from_exps(&exps, sum, &mut grad);
+            assert_eq!(grad.len(), lp.support().len());
+            for (&v, g) in lp.support().iter().zip(&grad) {
+                assert_eq!(g.to_bits(), dense[v].to_bits(), "grad[{v}] at {y:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)]
+    fn staging_matches_the_dense_oracle_for_every_row_length() {
+        use crate::{packed_index, GradHessWorkspace};
+        use smart_prng::Prng;
+        const DIM: usize = 6;
+        let mut pool = VarPool::new();
+        let v: Vec<_> = (0..DIM).map(|i| pool.var(&format!("v{i}"))).collect();
+        let mut rng = Prng::new(0x57A6E);
+        for _ in 0..20 {
+            // Terms whose rows have 0 to 4 entries, with arbitrary exponents.
+            let mut p = Posynomial::zero();
+            for len in [0, 1, 1, 2, 2, 2, 3, 4] {
+                let mut m = Monomial::new(rng.f64_in(0.1, 3.0));
+                for _ in 0..len {
+                    m = m.pow(v[rng.usize_in(0, DIM)], rng.f64_in(-2.0, 2.0));
+                }
+                p.push(m);
+            }
+            let mut table = TermTable::new();
+            let lp = log_form(&mut table, &p, DIM);
+            let y = rng.f64_vec(-1.5, 1.5, DIM);
+            let (_, grad, hess) = lp.value_grad_hess(&y);
+            let mut ws = GradHessWorkspace::new(DIM);
+            let _ = sweep_and_stage(&lp, &y, &mut ws);
+            ws.scatter_staged(1.0, 1.0, 0.0);
+            for i in 0..DIM {
+                assert_eq!(grad[i].to_bits(), ws.grad()[i].to_bits(), "grad[{i}]");
+                for j in 0..=i {
+                    let got = ws.hess_packed()[packed_index(i, j)];
+                    assert_eq!(hess[i][j].to_bits(), got.to_bits(), "hess[{i}][{j}]");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn scatter_rank_one_matches_barrier_formula() {
         use crate::{packed_index, GradHessWorkspace};
-        let (lp, _) = sample();
+        let mut table = TermTable::new();
+        let (lp, _) = sample(&mut table);
         let y = [0.1, 0.2];
         let (_, fg, fh) = lp.value_grad_hess(&y);
         let (inv, inv2) = (1.7, 1.7 * 1.7);
@@ -475,14 +572,18 @@ mod tests {
             for j in 0..=i {
                 let want_h = inv2 * fg[i] * fg[j] + inv * fh[i][j];
                 let got = ws.hess_packed()[packed_index(i, j)];
-                assert!((got - want_h).abs() < 1e-15, "H[{i}][{j}]: {got} vs {want_h}");
+                assert!(
+                    (got - want_h).abs() < 1e-15,
+                    "H[{i}][{j}]: {got} vs {want_h}"
+                );
             }
         }
     }
 
     #[test]
     fn shifted_exps_sweep_matches_the_streaming_value() {
-        let (lp, _) = sample();
+        let mut table = TermTable::new();
+        let (lp, _) = sample(&mut table);
         assert_eq!(lp.term_count(), 3);
         assert_eq!(lp.support(), vec![0, 1]);
         for y in [[0.3, -0.7], [0.0, 0.0], [-2.0, 5.0]] {

@@ -108,7 +108,11 @@ impl Posynomial {
     /// Adds a monomial term, merging it into the term with the identical
     /// exponent row if there is one.
     pub fn push(&mut self, m: Monomial) {
-        match self.terms.iter_mut().find(|t| t.exponents().eq(m.exponents())) {
+        match self
+            .terms
+            .iter_mut()
+            .find(|t| t.exponents().eq(m.exponents()))
+        {
             Some(t) => t.coeff = merge_coeff(t.coeff, m.coeff),
             None => self.terms.push(m),
         }

@@ -6,8 +6,12 @@
 //! a [`TermId`]; a posynomial is then a list of `(TermId, coefficient)`
 //! pairs. A [`TermSum`] builds such a list, merging as it goes, and a
 //! [`PosyView`] reads one back. A GP stores every body this way over one
-//! table, and the solver's log form and term dictionary read the rows by
-//! id, so a row is never copied into a [`Monomial`] or hashed again.
+//! table. The solver's log form ([`LogPosynomial`](crate::LogPosynomial))
+//! borrows that table and keeps only each term's id and offset, and the
+//! [`TermDictionary`](crate::TermDictionary) keeps each distinct term's id
+//! and offset; both read a row from the table by id whenever they compute
+//! its dot. After the build a row is never copied — not into a
+//! [`Monomial`], a log form or the dictionary — and never hashed again.
 //!
 //! Bits: rows are products under `mul_rows` (the exponent rule of
 //! `Monomial * Monomial`), merges go through `merge_coeff` (the rule of
@@ -315,7 +319,10 @@ mod tests {
         let ab = table.product(wa, inv_b);
         assert_eq!(table.product(inv_b, wa), ab);
         assert_eq!(table.row(ab), &[(a, 1.0), (b, -1.0)]);
-        assert_eq!(table.intern(&Monomial::new(3.0).pow(b, -1.0).pow(a, 1.0)), ab);
+        assert_eq!(
+            table.intern(&Monomial::new(3.0).pow(b, -1.0).pow(a, 1.0)),
+            ab
+        );
         let wb = table.var(b, 1.0);
         assert_eq!(table.product(inv_b, wb), TermId::ONE);
         assert_eq!(table.product(ab, TermId::ONE), ab);

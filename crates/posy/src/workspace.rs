@@ -159,20 +159,46 @@ impl GradHessWorkspace {
     ///
     /// O(s²) in the staged support size; touches nothing outside it.
     pub fn scatter_staged(&mut self, g_scale: f64, h_scale: f64, outer_scale: f64) {
-        let s = self.stage_support.len();
-        for si in 0..s {
-            let gi = self.stage_grad[si];
-            let gi_idx = self.stage_support[si];
+        let (support, staged) = (&self.stage_support, &self.stage_grad);
+        for (&gi_idx, &gi) in support.iter().zip(staged) {
             self.grad[gi_idx] += g_scale * gi;
+        }
+        // Entry (i, j) of the fold, from the staged moment `sh`.
+        let entry = |gi: f64, gj: f64, sh: f64| {
+            let h = sh - gi * gj;
+            outer_scale * gi * gj + h_scale * h
+        };
+        // Each global entry gets exactly one addition per call, so the
+        // walk order changes no bit. Rows go two at a time: every row ends
+        // at a data-dependent length, and walking them in pairs halves the
+        // row ends the branch predictor must guess. The support is sorted
+        // ascending, so staged row `si` lands in columns `0..=support[si]`
+        // of global row `support[si]`, in the lower triangle.
+        let s = support.len();
+        let mut stage_rows = self.stage_hess.as_slice();
+        let mut si = 0;
+        while si + 1 < s {
+            let (sr0, rest) = stage_rows.split_at(si + 1);
+            let (sr1, rest) = rest.split_at(si + 2);
+            stage_rows = rest;
+            let (i0, i1) = (support[si], support[si + 1]);
+            let (g0, g1) = (staged[si], staged[si + 1]);
+            let (lo, hi) = self.hess.split_at_mut(i1 * (i1 + 1) / 2);
+            let r0 = i0 * (i0 + 1) / 2;
+            let (h0, h1) = (&mut lo[r0..=r0 + i0], &mut hi[..=i1]);
+            for (((&gj_idx, &gj), &s0), &s1) in support.iter().zip(staged).zip(sr0).zip(sr1) {
+                h0[gj_idx] += entry(g0, gj, s0);
+                h1[gj_idx] += entry(g1, gj, s1);
+            }
+            h1[i1] += entry(g1, g1, sr1[si + 1]);
+            si += 2;
+        }
+        if si < s {
+            let (gi_idx, gi) = (support[si], staged[si]);
             let row = gi_idx * (gi_idx + 1) / 2;
-            let stage_row = si * (si + 1) / 2;
-            for sj in 0..=si {
-                // Support is sorted ascending, so the global (row, col)
-                // pair stays in the lower triangle.
-                let gj_idx = self.stage_support[sj];
-                let gj = self.stage_grad[sj];
-                let h = self.stage_hess[stage_row + sj] - gi * gj;
-                self.hess[row + gj_idx] += outer_scale * gi * gj + h_scale * h;
+            let hess_row = &mut self.hess[row..=row + gi_idx];
+            for ((&gj_idx, &gj), &sh) in support.iter().zip(staged).zip(stage_rows) {
+                hess_row[gj_idx] += entry(gi, gj, sh);
             }
         }
     }
@@ -263,6 +289,48 @@ mod tests {
         assert_eq!(ws.hess_packed()[packed_index(2, 0)], 0.75);
         assert_eq!(ws.hess_packed()[packed_index(2, 2)], 3.875);
         assert_eq!(ws.hess_packed()[packed_index(1, 0)], 0.0);
+    }
+
+    #[test]
+    fn scatter_matches_the_row_by_row_fold_bit_for_bit() {
+        use smart_prng::Prng;
+        let mut rng = Prng::new(0x5CA7);
+        // Odd and even support sizes: rows go in pairs, plus a last row.
+        for s in 1..=7 {
+            let dim = 12;
+            let mut support: Vec<usize> = (0..dim).collect();
+            for i in 0..s {
+                let j = rng.usize_in(i, dim);
+                support.swap(i, j);
+            }
+            support.truncate(s);
+            support.sort_unstable();
+            let g = rng.f64_vec(-2.0, 2.0, s);
+            let moment = rng.f64_vec(0.0, 3.0, packed_len(s));
+            let start = rng.f64_vec(-1.0, 1.0, packed_len(dim));
+            let (g_scale, h_scale, outer) = (1.7, 0.3, 2.9);
+            let mut ws = GradHessWorkspace::new(dim);
+            ws.hess.copy_from_slice(&start);
+            ws.stage_begin(&support);
+            let (sg, sh) = ws.stage_buffers();
+            sg.copy_from_slice(&g);
+            sh.copy_from_slice(&moment);
+            ws.scatter_staged(g_scale, h_scale, outer);
+            // The fold one row at a time, in row order.
+            let mut want = start;
+            for si in 0..s {
+                for sj in 0..=si {
+                    let (gi, gj) = (g[si], g[sj]);
+                    let h = moment[packed_index(si, sj)] - gi * gj;
+                    want[packed_index(support[si], support[sj])] += outer * gi * gj + h_scale * h;
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ws.hess_packed()), bits(&want), "support {support:?}");
+            for (i, &v) in support.iter().enumerate() {
+                assert_eq!(ws.grad()[v].to_bits(), (g_scale * g[i]).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -26,11 +26,15 @@ fn posynomial(r: &mut Prng) -> Posynomial {
     p
 }
 
-/// `p` in log form over a table of its own.
-fn log_form(p: &Posynomial) -> LogPosynomial {
-    let mut table = TermTable::new();
-    let terms: Vec<_> = p.terms().iter().map(|m| (table.intern(m), m.coeff())).collect();
-    LogPosynomial::new(table.view(&terms), DIM)
+/// `p` in log form, its rows interned in `table`, which the log form
+/// borrows.
+fn log_form<'t>(table: &'t mut TermTable, p: &Posynomial) -> LogPosynomial<'t> {
+    let terms: Vec<_> = p
+        .terms()
+        .iter()
+        .map(|m| (table.intern(m), m.coeff()))
+        .collect();
+    LogPosynomial::new(table, &terms, DIM)
 }
 
 fn point(r: &mut Prng) -> Vec<f64> {
@@ -97,7 +101,8 @@ fn logform_value_matches_log_of_eval() {
     let mut r = Prng::new(0xA6);
     for _ in 0..CASES {
         let (p, x) = (posynomial(&mut r), point(&mut r));
-        let lp = log_form(&p);
+        let mut table = TermTable::new();
+        let lp = log_form(&mut table, &p);
         let y: Vec<f64> = x.iter().map(|v| v.ln()).collect();
         assert!(close(lp.value(&y), p.eval(&x).ln()));
     }
@@ -108,9 +113,10 @@ fn logform_gradient_matches_finite_difference() {
     let mut r = Prng::new(0xA7);
     for _ in 0..CASES {
         let (p, x) = (posynomial(&mut r), point(&mut r));
-        let lp = log_form(&p);
+        let mut table = TermTable::new();
+        let lp = log_form(&mut table, &p);
         let y: Vec<f64> = x.iter().map(|v| v.ln()).collect();
-        let (_, grad) = lp.value_grad(&y);
+        let (_, grad, _) = lp.value_grad_hess(&y);
         let h = 1e-6;
         for i in 0..DIM {
             let mut yp = y.clone();
@@ -118,7 +124,13 @@ fn logform_gradient_matches_finite_difference() {
             yp[i] += h;
             ym[i] -= h;
             let fd = (lp.value(&yp) - lp.value(&ym)) / (2.0 * h);
-            assert!((grad[i] - fd).abs() < 1e-4, "grad[{}]={} fd={}", i, grad[i], fd);
+            assert!(
+                (grad[i] - fd).abs() < 1e-4,
+                "grad[{}]={} fd={}",
+                i,
+                grad[i],
+                fd
+            );
         }
     }
 }
@@ -129,7 +141,8 @@ fn hessian_is_psd_on_random_directions() {
     for _ in 0..CASES {
         let (p, x) = (posynomial(&mut r), point(&mut r));
         let d = r.f64_vec(-1.0, 1.0, DIM);
-        let lp = log_form(&p);
+        let mut table = TermTable::new();
+        let lp = log_form(&mut table, &p);
         let y: Vec<f64> = x.iter().map(|v| v.ln()).collect();
         let (_, _, hess) = lp.value_grad_hess(&y);
         let q: f64 = (0..DIM)
