@@ -9,11 +9,12 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# The crates that hold the GP kernel (smart-posy, smart-gp) are kept
-# rustfmt-clean. The rest of the workspace is not formatted yet, so the
-# check names these packages instead of running workspace-wide.
-echo "== rustfmt (smart-posy, smart-gp) =="
-cargo fmt --check -p smart-posy -p smart-gp
+# The crates that hold the GP kernel (smart-posy, smart-gp), the audit
+# and the tracer are kept rustfmt-clean. The rest of the workspace is not
+# formatted yet, so the check names these packages instead of running
+# workspace-wide.
+echo "== rustfmt (smart-posy, smart-gp, smart-audit, smart-trace) =="
+cargo fmt --check -p smart-posy -p smart-gp -p smart-audit -p smart-trace
 
 # Every target (libs, bins, tests, examples, benches) must build without a
 # single rustc warning. Cargo replays cached diagnostics on a warm build,

@@ -41,7 +41,6 @@ use smart_gp::GpProblem;
 use smart_posy::TermId;
 
 use crate::interval::Interval;
-use crate::report::AuditConfig;
 
 /// Margin (log-domain, absolute) a contradiction must clear before the
 /// audit certifies infeasibility. The rows are exact implications, so a
@@ -61,6 +60,13 @@ const TIGHTEN_EPS: f64 = 1e-12;
 /// arithmetic. `e^±10¹²` is unrepresentable anyway; the clamp loses no
 /// information a solver could use.
 const BIG: f64 = 1e12;
+
+/// Cap on interval-propagation fixpoint rounds. Each round applies every
+/// derivable tightening once (Jacobi-style, so the fixpoint is
+/// independent of constraint order); the cap bounds pathological chains
+/// without affecting soundness (bounds are valid after any prefix of
+/// rounds).
+const MAX_ROUNDS: usize = 32;
 
 /// Why a problem is infeasible — the shape of the contradiction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,9 +119,7 @@ impl Certificate {
         if keep.iter().any(|&i| i >= gp.constraints().len()) {
             return false;
         }
-        propagate(gp, Some(&keep), &AuditConfig::default())
-            .certificate
-            .is_some()
+        propagate(gp, Some(&keep)).certificate.is_some()
     }
 }
 
@@ -222,11 +226,7 @@ fn min_contrib(a: f64, b: &Interval) -> (f64, usize) {
 /// constraint set of `gp` and performs the three infeasibility checks —
 /// constant-term overflow, crossed bounds, empty constraint image — in
 /// that priority order.
-pub(crate) fn propagate(
-    gp: &GpProblem,
-    filter: Option<&BTreeSet<usize>>,
-    cfg: &AuditConfig,
-) -> Propagation {
+pub(crate) fn propagate(gp: &GpProblem, filter: Option<&BTreeSet<usize>>) -> Propagation {
     let dim = gp.dim();
     let table = gp.table();
     let (rows, const_sums) = build_rows(gp, filter);
@@ -248,7 +248,9 @@ pub(crate) fn propagate(
     {
         let label = gp.constraints()[worst].label.clone();
         let certificate = Some(Certificate {
-            kind: CertificateKind::ConstantTerms { label: label.clone() },
+            kind: CertificateKind::ConstantTerms {
+                label: label.clone(),
+            },
             constraints: vec![worst],
             labels: vec![label.clone()],
             detail: format!(
@@ -274,7 +276,7 @@ pub(crate) fn propagate(
     let better = |side: usize, a: f64, b: f64| if side == 0 { a > b } else { a < b };
 
     let mut certificate = None;
-    'rounds: for _ in 0..cfg.max_rounds {
+    'rounds: for _ in 0..MAX_ROUNDS {
         // Collect the strongest proposal per (var, side) against the
         // current snapshot. `[lo, hi]` per variable.
         let mut best: Vec<[Option<Proposal>; 2]> = Vec::with_capacity(dim);
@@ -310,7 +312,11 @@ pub(crate) fn propagate(
                 } else {
                     raw.clamp(-BIG, BIG)
                 };
-                let current = if side == 0 { bounds[v].lo } else { bounds[v].hi };
+                let current = if side == 0 {
+                    bounds[v].lo
+                } else {
+                    bounds[v].hi
+                };
                 let improves = if side == 0 {
                     value > current + TIGHTEN_EPS
                 } else {
@@ -429,10 +435,11 @@ pub(crate) fn propagate(
                 candidates.push((ci, img, support));
             }
         }
-        if let Some((ci, img, support)) = candidates
-            .into_iter()
-            .min_by(|a, b| gp.constraints()[a.0].label.cmp(&gp.constraints()[b.0].label))
-        {
+        if let Some((ci, img, support)) = candidates.into_iter().min_by(|a, b| {
+            gp.constraints()[a.0]
+                .label
+                .cmp(&gp.constraints()[b.0].label)
+        }) {
             let label = gp.constraints()[ci].label.clone();
             let (constraints, labels) = labels_of(gp, &support);
             certificate = Some(Certificate {

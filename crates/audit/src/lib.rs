@@ -37,11 +37,13 @@ mod report;
 pub use analysis::{Certificate, CertificateKind, Propagation};
 pub use interval::Interval;
 pub use prune::{find_dominated, Dominance};
-pub use report::{
-    rule_info, AuditConfig, AuditReport, Finding, RuleInfo, Severity, Waiver, RULES,
-};
+pub use report::{rule_info, AuditConfig, AuditReport, Finding, RuleInfo, Severity, Waiver, RULES};
 
 use smart_gp::GpProblem;
+
+/// `SA005`: largest `|exponent|` a constraint may carry before it is
+/// flagged as a conditioning hazard for the log-domain Newton kernel.
+const SPREAD_LIMIT: f64 = 12.0;
 
 /// Everything one audit run produces.
 #[derive(Debug, Clone)]
@@ -67,15 +69,15 @@ pub struct AuditOutcome {
 /// certificate, bounds and counters, without the report or the dominance
 /// analysis. A caller that reads only whether the problem is certified
 /// infeasible needs no more.
-pub fn propagate(gp: &GpProblem, cfg: &AuditConfig) -> Propagation {
-    analysis::propagate(gp, None, cfg)
+pub fn propagate(gp: &GpProblem) -> Propagation {
+    analysis::propagate(gp, None)
 }
 
 /// Audits `gp` under `cfg`. `problem` names the report (typically the
 /// macro instance being sized). Pure and deterministic: same problem
 /// (up to constraint order) in, byte-identical report out.
 pub fn audit_problem(gp: &GpProblem, problem: &str, cfg: &AuditConfig) -> AuditOutcome {
-    let prop = propagate(gp, cfg);
+    let prop = propagate(gp);
     let dominance = find_dominated(gp);
     let mut findings = Vec::new();
 
@@ -177,15 +179,14 @@ pub fn audit_problem(gp: &GpProblem, problem: &str, cfg: &AuditConfig) -> AuditO
             .iter()
             .flat_map(|&(id, _)| body.row(id).iter().map(|(_, e)| e.abs()))
             .fold(0.0f64, f64::max);
-        if spread > cfg.spread_limit {
+        if spread > SPREAD_LIMIT {
             findings.push(Finding {
                 rule: "SA005",
                 severity: Severity::Warning,
                 path: c.label.clone(),
                 nets: Vec::new(),
                 message: format!(
-                    "largest |exponent| {spread:.3} exceeds the conditioning limit {:.3}",
-                    cfg.spread_limit
+                    "largest |exponent| {spread:.3} exceeds the conditioning limit {SPREAD_LIMIT:.3}"
                 ),
             });
         }
@@ -229,7 +230,10 @@ mod tests {
         let mut labels = cert.labels.clone();
         labels.sort();
         assert_eq!(labels, vec!["a <= 2".to_string(), "a >= 4".to_string()]);
-        assert!(cert.verify(&gp), "certificate must re-derive on its own subset");
+        assert!(
+            cert.verify(&gp),
+            "certificate must re-derive on its own subset"
+        );
         assert!(out.report.has_errors());
     }
 
@@ -244,7 +248,9 @@ mod tests {
         gp.add_le("arrival", body, Monomial::one()).unwrap();
         let out = audit_problem(&gp, "toy", &AuditConfig::default());
         let cert = out.certificate.expect("constant terms exceed 1");
-        assert!(matches!(&cert.kind, CertificateKind::ConstantTerms { label } if label == "arrival"));
+        assert!(
+            matches!(&cert.kind, CertificateKind::ConstantTerms { label } if label == "arrival")
+        );
         assert_eq!(cert.constraints, vec![0]);
         assert!(cert.verify(&gp));
     }
@@ -266,7 +272,10 @@ mod tests {
         let out = audit_problem(&gp, "toy", &AuditConfig::default());
         let cert = out.certificate.expect("sum of term minima is 1.2 > 1");
         assert!(matches!(&cert.kind, CertificateKind::EmptyImage { label } if label == "sum"));
-        assert!(cert.constraints.len() >= 3, "needs the sum row and both lower bounds");
+        assert!(
+            cert.constraints.len() >= 3,
+            "needs the sum row and both lower bounds"
+        );
         assert!(cert.verify(&gp));
     }
 
@@ -318,7 +327,14 @@ mod tests {
             .map(|&i| gp.constraints()[i].label.as_str())
             .collect();
         assert_eq!(dropped, vec!["path@fast", "path@typ"]);
-        assert_eq!(out.report.findings.iter().filter(|f| f.rule == "SA002").count(), 2);
+        assert_eq!(
+            out.report
+                .findings
+                .iter()
+                .filter(|f| f.rule == "SA002")
+                .count(),
+            2
+        );
         // Different exponent rows never compare.
         assert!(!out.prunable.contains(&0) && !out.prunable.contains(&1));
     }

@@ -81,9 +81,9 @@ impl Waiver {
     }
 }
 
-/// Per-run audit configuration: rule enablement, severity overrides,
-/// waivers, and the numeric knobs of the parameterized analyses.
-#[derive(Debug, Clone)]
+/// Per-run audit configuration: rule enablement, severity overrides and
+/// waivers.
+#[derive(Debug, Clone, Default)]
 pub struct AuditConfig {
     /// Rule ids to skip entirely.
     pub disabled: BTreeSet<String>,
@@ -91,27 +91,6 @@ pub struct AuditConfig {
     pub severities: BTreeMap<String, Severity>,
     /// Label-based waivers applied after severity resolution.
     pub waivers: Vec<Waiver>,
-    /// Cap on interval-propagation fixpoint rounds. Each round applies
-    /// every derivable tightening once (Jacobi-style, so the fixpoint is
-    /// independent of constraint order); the cap bounds pathological
-    /// chains without affecting soundness (bounds are valid after any
-    /// prefix of rounds).
-    pub max_rounds: usize,
-    /// `SA005`: largest `|exponent|` a constraint may carry before it is
-    /// flagged as a conditioning hazard for the log-domain Newton kernel.
-    pub spread_limit: f64,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            disabled: BTreeSet::new(),
-            severities: BTreeMap::new(),
-            waivers: Vec::new(),
-            max_rounds: 32,
-            spread_limit: 12.0,
-        }
-    }
 }
 
 /// A registered audit rule (id, kebab-case name, default severity,
@@ -286,8 +265,14 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(ids, sorted, "registry must be id-ordered and duplicate-free");
-        assert_eq!(rule_info("SA001").map(|r| r.default_severity), Some(Severity::Error));
+        assert_eq!(
+            ids, sorted,
+            "registry must be id-ordered and duplicate-free"
+        );
+        assert_eq!(
+            rule_info("SA001").map(|r| r.default_severity),
+            Some(Severity::Error)
+        );
         assert!(rule_info("SA999").is_none());
     }
 
@@ -327,11 +312,7 @@ mod tests {
             rule: "SA005".into(),
             label_prefix: "noise".into(),
         });
-        let report = finalize(
-            "p",
-            vec![f("slope a"), f("noise b"), f("slope a")],
-            &cfg,
-        );
+        let report = finalize("p", vec![f("slope a"), f("noise b"), f("slope a")], &cfg);
         assert_eq!(report.findings.len(), 1, "waived + deduplicated");
         assert_eq!(report.findings[0].severity, Severity::Error);
         let mut off = AuditConfig::default();

@@ -43,9 +43,10 @@
 //! as "no snapshot" under any other, with the reason kept for
 //! [`SizingCache::restore_rejected`]. The same snapshot is how an interrupted
 //! exploration sweep resumes: restore it and re-run the sweep, and the
-//! rows it holds come back as cache hits. Per-sweep hit/miss attribution
-//! is the caller's job via [`CacheStats`] — the cache's own counters are
-//! process-lifetime aggregates over *all* clients.
+//! rows it holds come back as cache hits. The cache's own hit/miss
+//! counters are process-lifetime aggregates over *all* clients; an
+//! exploration sweep counts its own lookups
+//! ([`Exploration::cache_hits`](crate::Exploration::cache_hits)).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -140,9 +141,6 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
         budget: _,
         // The store itself.
         cache: _,
-        // A per-sweep sink records what the flow did; keying on it would
-        // give every sweep its own disjoint cache population.
-        cache_stats: _,
         // The lint gate rejects a candidate before its first lookup.
         lint: _,
         // Certificates only abort, and pruning keeps the feasible set
@@ -266,31 +264,20 @@ fn outcome_checksum(outcome: &SizingOutcome) -> u64 {
     h.finish()
 }
 
-/// Per-sweep hit/miss attribution sink, shared via `Arc` in
-/// [`SizingOptions::cache_stats`].
-///
-/// The cache's own counters aggregate over *every* client for the cache's
-/// whole lifetime; when two sweeps share one cache concurrently (the
-/// `smart-serve` workload), deltas of those global counters misattribute
-/// each sweep's traffic to the other. A `CacheStats` belongs to exactly
-/// one sweep: the sizing flow records each of that sweep's own lookups
-/// into it, so the numbers are exact no matter how many sibling sweeps
-/// hammer the same cache. Excluded from the cache key fingerprint
-/// (observability never changes what the flow computes).
+/// One exploration sweep's own hit/miss counts. The cache's counters
+/// aggregate over every client for the cache's whole lifetime; when two
+/// sweeps share one cache concurrently (the `smart-serve` workload),
+/// deltas of those counters would misattribute each sweep's traffic to
+/// the other, so a sweep records each of its lookups here instead.
 #[derive(Debug, Default)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
 impl CacheStats {
-    /// A zeroed sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one lookup outcome.
-    pub fn record(&self, hit: bool) {
+    pub(crate) fn record(&self, hit: bool) {
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -298,13 +285,13 @@ impl CacheStats {
         }
     }
 
-    /// Hits recorded into this sink.
-    pub fn hits(&self) -> usize {
+    /// Hits recorded.
+    pub(crate) fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Misses recorded into this sink.
-    pub fn misses(&self) -> usize {
+    /// Misses recorded.
+    pub(crate) fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
 }
@@ -355,8 +342,8 @@ impl Shard {
 /// snapshot file restores as "no snapshot" rather than as wrong answers.
 ///
 /// Hit/miss counters are monotonic over the cache's lifetime and
-/// aggregate across all clients; per-sweep attribution uses a
-/// [`CacheStats`] sink instead.
+/// aggregate across all clients; an exploration sweep counts its own
+/// lookups instead.
 #[derive(Debug)]
 pub struct SizingCache {
     shards: Vec<Mutex<Shard>>,
@@ -562,8 +549,8 @@ impl SizingCache {
     }
 
     /// Lifetime `(hits, misses)` counters, aggregated over every client
-    /// that ever used this cache. For per-sweep attribution use
-    /// [`CacheStats`].
+    /// that ever used this cache. For one sweep's own counts read
+    /// [`Exploration::cache_hits`](crate::Exploration::cache_hits).
     pub fn stats(&self) -> (usize, usize) {
         (
             self.hits.load(Ordering::Relaxed),

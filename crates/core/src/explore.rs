@@ -28,6 +28,7 @@
 //! [`Exploration::cache_hits`]; the table is byte-identical to an
 //! uninterrupted sweep because the flow is deterministic.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -39,8 +40,9 @@ use smart_sta::Boundary;
 
 use smart_macros::MacroSpec;
 
+use crate::cache::CacheStats;
 use crate::pool::{run_indexed, ParallelOptions};
-use crate::sizing::{size_circuit, SizingOutcome};
+use crate::sizing::{size_counted, SizingOutcome};
 use crate::spec::LintGate;
 use crate::{DelaySpec, FlowError, SizingOptions};
 
@@ -77,11 +79,10 @@ pub struct Exploration {
     /// All candidates in database order (requested topology first).
     pub candidates: Vec<Candidate>,
     /// Sizing-cache hits attributable to this sweep (`0` without a
-    /// cache), recorded by a per-sweep [`crate::CacheStats`] sink the
-    /// engine threads through every candidate's options. Attribution is
-    /// *exact* even when concurrent sweeps share one `Arc<SizingCache>`
-    /// (the serve workload): each sweep counts only its own lookups,
-    /// never a sibling's.
+    /// cache): the sweep counts each of its candidates' lookups itself.
+    /// Attribution is *exact* even when concurrent sweeps share one
+    /// `Arc<SizingCache>` (the serve workload): each sweep counts only its
+    /// own lookups, never a sibling's.
     ///
     /// [`crate::variation_sweep`] re-measures never count here: a
     /// variation sweep performs zero sizing-cache lookups by
@@ -189,15 +190,25 @@ fn best_by(candidates: &[Candidate], key: impl Fn(&CandidateMetrics) -> f64) -> 
         .map(|(_, c, _)| c)
 }
 
-/// Sizes one elaborated circuit and collects its metrics.
-pub fn size_and_measure(
+/// Sizes one elaborated circuit and collects its metrics, recording its
+/// sizing-cache lookup (if it makes one) into `lookups`.
+pub(crate) fn size_and_measure(
     circuit: &Circuit,
     lib: &ModelLibrary,
     boundary: &Boundary,
     spec: &DelaySpec,
     opts: &SizingOptions,
+    lookups: Option<&CacheStats>,
 ) -> Result<CandidateMetrics, FlowError> {
-    let outcome = size_circuit(circuit, lib, boundary, spec, opts)?;
+    let outcome = size_counted(
+        || circuit.structural_hash(),
+        || Cow::Borrowed(circuit),
+        lib,
+        boundary,
+        spec,
+        opts,
+        lookups,
+    )?;
     let clock_load = circuit.clock_load(&outcome.sizing);
     let power = estimate(circuit, lib, &outcome.sizing, &ActivityProfile::default());
     Ok(CandidateMetrics {
@@ -265,9 +276,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The complete, self-contained evaluation of candidate `idx`: budget
 /// gates, elaboration boundary, sizing boundary.
-/// Everything a row depends on is in the arguments — no sweep-global
-/// mutable state — which is what lets the parallel sweep run candidates
-/// on any worker and still match the serial table byte for byte.
+/// Everything a row depends on is in the arguments (`lookups` is only
+/// written), which is what lets the parallel sweep run candidates on any
+/// worker and still match the serial table byte for byte.
 #[allow(clippy::too_many_arguments)]
 fn run_candidate<F>(
     idx: usize,
@@ -278,6 +289,7 @@ fn run_candidate<F>(
     boundary: &Boundary,
     spec: &DelaySpec,
     opts: &SizingOptions,
+    lookups: &CacheStats,
 ) -> Candidate
 where
     F: Fn(&MacroSpec) -> Circuit,
@@ -299,7 +311,7 @@ where
             &[("index", idx.into()), ("spec", alt.to_string().into())],
         );
     }
-    let row = run_candidate_inner(idx, alt, generate, lib, boundary, spec, opts);
+    let row = run_candidate_inner(idx, alt, generate, lib, boundary, spec, opts, lookups);
     drop(guard);
     if scope.is_enabled() {
         let fields: Vec<(&'static str, smart_trace::Value)> = match &row.result {
@@ -318,6 +330,7 @@ where
 
 /// The traced body of [`run_candidate`]: budget gates, elaboration
 /// boundary, sizing boundary.
+#[allow(clippy::too_many_arguments)]
 fn run_candidate_inner<F>(
     idx: usize,
     alt: &MacroSpec,
@@ -326,6 +339,7 @@ fn run_candidate_inner<F>(
     boundary: &Boundary,
     spec: &DelaySpec,
     opts: &SizingOptions,
+    lookups: &CacheStats,
 ) -> Candidate
 where
     F: Fn(&MacroSpec) -> Circuit,
@@ -410,8 +424,9 @@ where
     // `FlowError::Lint` row and zero sizing work (no GP iterations, no
     // cache lookups) is spent on it.
     let result = match catch_unwind(AssertUnwindSafe(|| {
-        lint_gate(&circuit, alt, opts)
-            .and_then(|()| size_and_measure(&circuit, lib, boundary, spec, opts))
+        lint_gate(&circuit, alt, opts).and_then(|()| {
+            size_and_measure(&circuit, lib, boundary, spec, opts, Some(lookups))
+        })
     })) {
         Ok(r) => r,
         Err(payload) => Err(FlowError::Internal {
@@ -483,24 +498,11 @@ where
     // Worker count legitimately differs run to run; keep it out of the
     // byte-stable export.
     sweep.emit_unstable("sweep/pool", &[("workers", par.workers.into())]);
-    // Per-sweep cache attribution: a fresh sink owned by this sweep alone,
-    // injected into the options every candidate sizes under. Deltas of the
-    // cache's global counters would absorb concurrent sibling sweeps'
-    // traffic (the bug this replaced); the sink counts exactly this
-    // sweep's lookups. A caller-provided sink is preserved — it then
-    // aggregates this sweep into whatever scope the caller is measuring.
-    let sweep_stats;
-    let opts = if opts.cache.is_some() && opts.cache_stats.is_none() {
-        sweep_stats = SizingOptions {
-            cache_stats: Some(std::sync::Arc::new(crate::CacheStats::new())),
-            ..opts.clone()
-        };
-        &sweep_stats
-    } else {
-        opts
-    };
+    // This sweep's own lookups: deltas of the cache's global counters
+    // would absorb concurrent sibling sweeps' traffic.
+    let lookups = CacheStats::default();
     let rows = run_indexed(specs.len(), par, |i| {
-        run_candidate(i, sweep_id, &specs[i], &generate, lib, boundary, spec, opts)
+        run_candidate(i, sweep_id, &specs[i], &generate, lib, boundary, spec, opts, &lookups)
     });
     let candidates = rows
         .into_iter()
@@ -538,8 +540,8 @@ where
         .collect();
     let exploration = Exploration {
         candidates,
-        cache_hits: opts.cache_stats.as_deref().map_or(0, crate::CacheStats::hits),
-        cache_misses: opts.cache_stats.as_deref().map_or(0, crate::CacheStats::misses),
+        cache_hits: lookups.hits(),
+        cache_misses: lookups.misses(),
     };
     sweep.end(
         "sweep",

@@ -82,12 +82,12 @@ pub mod tune;
 mod variation;
 
 pub use baseline::{baseline_sizing, BaselineMargins};
-pub use cache::{cache_key, CacheKey, CacheStats, SizingCache};
+pub use cache::{cache_key, CacheKey, SizingCache};
 pub use compact::{compact, CapVec, Compaction, PathClass};
 pub use error::FlowError;
 pub use explore::{
-    explore_parallel, explore_with_parallel, size_and_measure, Candidate, CandidateMetrics,
-    DegradationReport, Exploration,
+    explore_parallel, explore_with_parallel, Candidate, CandidateMetrics, DegradationReport,
+    Exploration,
 };
 pub use noise::{analyze_noise, DynamicNodeNoise, NoiseReport};
 pub use pool::{run_indexed, EnvFallback, ParallelOptions};

@@ -22,6 +22,7 @@ use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, Sizing};
 use smart_sta::{analyze, Boundary};
 
+use crate::cache::CacheStats;
 use crate::compact::{compact_within, Compaction};
 use crate::constraints::{
     boundary_extra_loads, build_min_delay_gp, build_sizing_gp, build_sizing_gp_within,
@@ -183,7 +184,6 @@ fn solve_with_retries(
         deadline,
         max_total_newton: opts.budget.max_gp_iters,
         cancel: opts.budget.cancel.clone(),
-        ..Default::default()
     };
     let injected = chaos_gp_fault(opts);
     let mut attempt = 0usize;
@@ -258,7 +258,7 @@ fn run_audit(gp: &GpProblem, what: &str, opts: &SizingOptions) -> Result<Option<
     if !opts.audit.enabled() {
         return Ok(None);
     }
-    let prop = smart_audit::propagate(gp, &smart_audit::AuditConfig::default());
+    let prop = smart_audit::propagate(gp);
     smart_trace::emit_with("audit/bounds", || {
         vec![
             ("problem", what.to_owned().into()),
@@ -347,6 +347,20 @@ pub fn size_lazily<'c>(
     spec: &DelaySpec,
     opts: &SizingOptions,
 ) -> Result<SizingOutcome, FlowError> {
+    size_counted(structure, elaborate, lib, boundary, spec, opts, None)
+}
+
+/// [`size_lazily`], recording its sizing-cache lookup (if it makes one)
+/// into `lookups`.
+pub(crate) fn size_counted<'c>(
+    structure: impl FnOnce() -> u64,
+    elaborate: impl FnOnce() -> Cow<'c, Circuit>,
+    lib: &ModelLibrary,
+    boundary: &Boundary,
+    spec: &DelaySpec,
+    opts: &SizingOptions,
+    lookups: Option<&CacheStats>,
+) -> Result<SizingOutcome, FlowError> {
     let deadline = opts.budget.wall_clock.and_then(|d| Instant::now().checked_add(d));
     validate_spec(spec)?;
     check_cancelled(opts, "sizing entry")?;
@@ -379,11 +393,8 @@ pub fn size_lazily<'c>(
             }
         }
         let found = cache.lookup(key);
-        // Per-sweep attribution: the cache's own counters aggregate over
-        // every concurrent client, so the sweep-owned sink is the only
-        // exact record of *this* flow's traffic.
-        if let Some(stats) = opts.cache_stats.as_deref() {
-            stats.record(found.is_some());
+        if let Some(lookups) = lookups {
+            lookups.record(found.is_some());
         }
         if let Some(outcome) = found {
             return Ok(outcome);

@@ -15,7 +15,7 @@ use smart_models::CornerSet;
 use smart_netlist::Sizing;
 use smart_trace::Trace;
 
-use crate::cache::{CacheStats, SizingCache};
+use crate::cache::SizingCache;
 
 /// Cost metric the sizer minimizes after the timing constraints are met
 /// (paper Fig. 1: "specified cost function (area, power)").
@@ -223,16 +223,6 @@ pub struct SizingOptions {
     /// sweep points skip the whole GP/STA loop. `None` (the default)
     /// disables memoization.
     pub cache: Option<Arc<SizingCache>>,
-    /// Per-sweep cache-statistics sink: when set, every cache lookup this
-    /// options value performs is also recorded here, so a sweep sharing
-    /// its cache with concurrent siblings (the serve workload) still gets
-    /// *exact* hit/miss attribution — deltas of the cache's global
-    /// counters would absorb the siblings' traffic. The exploration
-    /// engine injects a fresh sink per sweep automatically; set it
-    /// directly only when attributing direct [`crate::size_circuit`]
-    /// calls. Excluded from the sizing-cache fingerprint exactly like
-    /// `trace`: observability must never change what the cache replays.
-    pub cache_stats: Option<Arc<CacheStats>>,
     /// Lint gating of exploration candidates (default: reject on
     /// `Error`-severity findings before sizing). Applies to exploration
     /// ([`crate::explore_parallel`], [`crate::explore_with_parallel`])
@@ -320,7 +310,6 @@ impl Default for SizingOptions {
             relaxation: Vec::new(),
             budget: FlowBudget::default(),
             cache: None,
-            cache_stats: None,
             lint: LintGate::default(),
             audit: AuditGate::default(),
             trace: Trace::disabled(),

@@ -112,7 +112,7 @@ fn run_sweep(
             .into_iter()
             .map(|(setting, mut circuit)| {
                 circuit.add_route_parasitics(0.5, 0.8);
-                let result = size_and_measure(&circuit, lib, boundary, spec, opts);
+                let result = size_and_measure(&circuit, lib, boundary, spec, opts, None);
                 TuneCandidate {
                     setting,
                     circuit,

@@ -15,7 +15,10 @@
 use smart_posy::LogPosynomial;
 
 use crate::linalg::{axpy, dot, norm, solve_spd_ridged};
-use crate::solver::{check_budget, emit_newton, finalize, prepare, EvalRecord, MAX_STEP, Y_BOUND};
+use crate::solver::{
+    check_budget, emit_newton, finalize, prepare, EvalRecord, FEASIBILITY_MARGIN, MAX_NEWTON_ITER,
+    MAX_OUTER_ITER, MAX_STEP, MU, NEWTON_TOL, TOL, Y_BOUND,
+};
 use crate::{GpError, GpProblem, GpSolution, KktReport, SolverOptions};
 
 impl GpProblem {
@@ -62,14 +65,14 @@ fn phase1_dense(
             .fold(f64::NEG_INFINITY, f64::max)
     };
     let mut s = worst(&y) + 1.0;
-    if s - 1.0 < -opts.feasibility_margin {
+    if s - 1.0 < -FEASIBILITY_MARGIN {
         return Ok(y);
     }
 
     let mut t = 1.0f64.max(cons.len() as f64);
-    for _ in 0..opts.max_outer_iter {
+    for _ in 0..MAX_OUTER_ITER {
         // Centering on φ(y,s) = t·s − Σ log(s − Fᵢ(y)).
-        for _ in 0..opts.max_newton_iter {
+        for _ in 0..MAX_NEWTON_ITER {
             *steps += 1;
             check_budget(opts, "phase1", *steps)?;
             let n = dim + 1;
@@ -107,7 +110,7 @@ fn phase1_dense(
             let neg_grad: Vec<f64> = grad.iter().map(|&g| -g).collect();
             let (d, _) = solve_spd_ridged(&hess, &neg_grad);
             let decrement2 = -dot(&grad, &d);
-            if decrement2 / 2.0 < opts.newton_tol {
+            if decrement2 / 2.0 < NEWTON_TOL {
                 emit_newton("phase1", *steps, decrement2 / 2.0, 0.0, 0, 0, false);
                 break;
             }
@@ -159,7 +162,7 @@ fn phase1_dense(
             if !accepted {
                 break;
             }
-            if s < -opts.feasibility_margin || worst(&y) < -opts.feasibility_margin {
+            if s < -FEASIBILITY_MARGIN || worst(&y) < -FEASIBILITY_MARGIN {
                 return Ok(y);
             }
             if y.iter().any(|v| !v.is_finite()) {
@@ -172,13 +175,13 @@ fn phase1_dense(
                 return Err(GpError::Unbounded);
             }
         }
-        if s < -opts.feasibility_margin {
+        if s < -FEASIBILITY_MARGIN {
             return Ok(y);
         }
-        if cons.len() as f64 / t < opts.tol {
+        if cons.len() as f64 / t < TOL {
             break;
         }
-        t *= opts.mu;
+        t *= MU;
     }
     Err(GpError::Infeasible {
         worst_violation: worst(&y).exp(),
@@ -211,7 +214,7 @@ fn phase2_dense(
     };
 
     loop {
-        for _ in 0..opts.max_newton_iter {
+        for _ in 0..MAX_NEWTON_ITER {
             *steps += 1;
             check_budget(opts, "phase2", spent_before + *steps)?;
             let (_, og, oh) = obj.value_grad_hess(&y);
@@ -241,7 +244,7 @@ fn phase2_dense(
             let (d, _) = solve_spd_ridged(&hess, &neg_grad);
             let decrement2 = -dot(&grad, &d);
             let residual = decrement2.abs() / 2.0;
-            if residual < opts.newton_tol {
+            if residual < NEWTON_TOL {
                 emit_newton("phase2", *steps, residual, 0.0, 0, 0, false);
                 break;
             }
@@ -285,10 +288,10 @@ fn phase2_dense(
                 break;
             }
         }
-        if m == 0 || (m as f64) / t < opts.tol {
+        if m == 0 || (m as f64) / t < TOL {
             return Ok((y, t));
         }
-        t *= opts.mu;
+        t *= MU;
         if t > 1e18 {
             return Ok((y, t));
         }

@@ -37,22 +37,29 @@ use smart_posy::{GradHessWorkspace, LogPosynomial, TermDictionary, TermTable};
 use crate::linalg::{axpy, dot, norm, solve_spd_ridged_packed};
 use crate::{CancelToken, GpError, GpProblem, KktReport};
 
-/// Tuning knobs for the barrier solver. The defaults solve every sizing
-/// problem in this repository; they are exposed for stress tests.
-#[derive(Debug, Clone)]
+/// Target duality-gap estimate `m/t` at termination.
+pub(crate) const TOL: f64 = 1e-8;
+
+/// Newton decrement threshold for each centering problem.
+pub(crate) const NEWTON_TOL: f64 = 1e-10;
+
+/// Barrier parameter multiplier per outer iteration.
+pub(crate) const MU: f64 = 20.0;
+
+/// Maximum Newton iterations per centering problem.
+pub(crate) const MAX_NEWTON_ITER: usize = 200;
+
+/// Maximum outer (barrier) iterations of phase I.
+pub(crate) const MAX_OUTER_ITER: usize = 100;
+
+/// Phase-I slack below which the point counts as strictly feasible.
+pub(crate) const FEASIBILITY_MARGIN: f64 = 1e-7;
+
+/// What a caller varies per solve: where to start and when to give up.
+/// The barrier schedule itself is fixed (the constants above); it solves
+/// every sizing problem in this repository.
+#[derive(Debug, Clone, Default)]
 pub struct SolverOptions {
-    /// Target duality-gap estimate `m/t` at termination.
-    pub tol: f64,
-    /// Newton decrement threshold for each centering problem.
-    pub newton_tol: f64,
-    /// Barrier parameter multiplier per outer iteration.
-    pub mu: f64,
-    /// Maximum Newton iterations per centering problem.
-    pub max_newton_iter: usize,
-    /// Maximum outer (barrier) iterations.
-    pub max_outer_iter: usize,
-    /// Phase-I slack below which the point counts as strictly feasible.
-    pub feasibility_margin: f64,
     /// Optional warm-start point in the original (positive) variables,
     /// indexed like the solution vector. A feasible start skips phase I
     /// entirely; an infeasible one still anchors phase I in the right
@@ -72,23 +79,6 @@ pub struct SolverOptions {
     /// tripping yields [`GpError::BudgetExceeded`] with budget
     /// `"cancelled"`.
     pub cancel: Option<Arc<CancelToken>>,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            tol: 1e-8,
-            newton_tol: 1e-10,
-            mu: 20.0,
-            max_newton_iter: 200,
-            max_outer_iter: 100,
-            feasibility_margin: 1e-7,
-            initial_x: None,
-            deadline: None,
-            max_total_newton: None,
-            cancel: None,
-        }
-    }
 }
 
 /// Cooperative budget check, called once per Newton step (a step costs a
@@ -493,7 +483,7 @@ fn phase1(
         }
     }
     let mut s = worst(at_y) + 1.0;
-    if s - 1.0 < -opts.feasibility_margin {
+    if s - 1.0 < -FEASIBILITY_MARGIN {
         return Ok(y); // the start is already strictly feasible
     }
 
@@ -501,10 +491,10 @@ fn phase1(
     // slack s ≈ m/t, which un-tethers every constraint and lets the
     // iterate drift; at t = m the initial slack stays O(1).
     let mut t = 1.0f64.max(cons.len() as f64);
-    for _ in 0..opts.max_outer_iter {
+    for _ in 0..MAX_OUTER_ITER {
         // Centering on φ(y,s) = t·s − Σ log(s − Fᵢ(y)), assembled sparsely
         // over the slack-augmented space (the slack is coordinate `dim`).
-        for _ in 0..opts.max_newton_iter {
+        for _ in 0..MAX_NEWTON_ITER {
             *steps += 1;
             check_budget(opts, "phase1", *steps)?;
             let n = dim + 1;
@@ -538,7 +528,7 @@ fn phase1(
             rhs.extend(ws.grad().iter().map(|&g| -g));
             solve_spd_ridged_packed(ws.hess_packed(), n, rhs, factor, dir);
             let decrement2 = -dot(ws.grad(), dir);
-            if decrement2 / 2.0 < opts.newton_tol {
+            if decrement2 / 2.0 < NEWTON_TOL {
                 emit_newton("phase1", *steps, decrement2 / 2.0, 0.0, 0, 0, false);
                 break;
             }
@@ -608,7 +598,7 @@ fn phase1(
             // Return on *actual* strict feasibility of y, not only via the
             // slack s — the slack can lag while the barrier drifts along
             // directions where some gᵢ grows without bound.
-            if s < -opts.feasibility_margin || worst(at_y) < -opts.feasibility_margin {
+            if s < -FEASIBILITY_MARGIN || worst(at_y) < -FEASIBILITY_MARGIN {
                 return Ok(y);
             }
             // NaN never compares > Y_BOUND, so catch it explicitly before
@@ -637,13 +627,13 @@ fn phase1(
                 return Err(GpError::Unbounded);
             }
         }
-        if s < -opts.feasibility_margin {
+        if s < -FEASIBILITY_MARGIN {
             return Ok(y);
         }
-        if cons.len() as f64 / t < opts.tol {
+        if cons.len() as f64 / t < TOL {
             break;
         }
-        t *= opts.mu;
+        t *= MU;
     }
     // `finalize` emits `gp/solve` only for a solve that succeeds; this
     // event accounts for the Newton steps of one that phase I gave up on.
@@ -692,7 +682,7 @@ fn phase2(
 
     loop {
         // Centering.
-        for _ in 0..opts.max_newton_iter {
+        for _ in 0..MAX_NEWTON_ITER {
             *steps += 1;
             check_budget(opts, "phase2", spent_before + *steps)?;
             ws.reset(dim);
@@ -721,7 +711,7 @@ fn phase2(
             solve_spd_ridged_packed(ws.hess_packed(), dim, rhs, factor, dir);
             let decrement2 = -dot(ws.grad(), dir);
             let residual = decrement2.abs() / 2.0;
-            if residual < opts.newton_tol {
+            if residual < NEWTON_TOL {
                 emit_newton("phase2", *steps, residual, 0.0, 0, 0, false);
                 break;
             }
@@ -800,10 +790,10 @@ fn phase2(
                 break;
             }
         }
-        if m == 0 || (m as f64) / t < opts.tol {
+        if m == 0 || (m as f64) / t < TOL {
             return Ok((y, t));
         }
-        t *= opts.mu;
+        t *= MU;
         if t > 1e18 {
             return Ok((y, t));
         }

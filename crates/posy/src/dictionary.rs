@@ -29,10 +29,9 @@ use crate::{LogPosynomial, TermId, TermTable};
 /// GP at the single and slow/typical/fast corners (three sizing-GP solves
 /// each, 2-core x86-64 host): GPs with `K/T` 6.9 and up (`cla8`,
 /// `inc32-cla`, `cla64`) take 27–61% less time grouped, and no database GP
-/// has `K/T` between 3.8 and 6.9. With the line search's domain sentinel
-/// the grouped sweep also wins from `K/T` ≈ 2, but moving those GPs makes
-/// the serve benchmark's own memory grow past its bound (DESIGN.md §12
-/// has the table and the reason).
+/// has `K/T` between 3.8 and 6.9. Timed per exploration request, always
+/// taking the grouped sweep made the single-corner sweep 2–4% slower and
+/// left the slow/typical/fast one within noise (DESIGN.md §12).
 const GROUPED_SWEEP_MIN_SHARING: usize = 6;
 
 /// Whether `references` term references over `distinct` distinct terms

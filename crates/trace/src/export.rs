@@ -70,7 +70,11 @@ pub fn stable_json(report: &TraceReport) -> String {
             &mut out,
             &format!("{}:{}.{}", e.scope.kind, e.scope.major, e.scope.minor),
         );
-        out.push_str(&format!(",\"seq\":{},\"kind\":\"{}\",\"name\":", e.seq, kind_tag(e.kind)));
+        out.push_str(&format!(
+            ",\"seq\":{},\"kind\":\"{}\",\"name\":",
+            e.seq,
+            kind_tag(e.kind)
+        ));
         push_str_escaped(&mut out, e.name);
         out.push_str(",\"fields\":");
         json_fields(&mut out, &e.fields);
@@ -178,7 +182,10 @@ mod tests {
         let t = Trace::enabled();
         {
             let s = t.scope("x", 0, 0);
-            s.emit("bad", &[("nan", f64::NAN.into()), ("inf", f64::INFINITY.into())]);
+            s.emit(
+                "bad",
+                &[("nan", f64::NAN.into()), ("inf", f64::INFINITY.into())],
+            );
         }
         let json = t.collect().to_json();
         assert!(json.contains("\"nan\":\"NaN\""));
@@ -204,7 +211,10 @@ mod tests {
     #[test]
     fn empty_report_exports_cleanly() {
         let report = TraceReport::default();
-        assert_eq!(report.to_json(), "{\"counters\":{},\"dropped\":0,\"events\":[]}");
+        assert_eq!(
+            report.to_json(),
+            "{\"counters\":{},\"dropped\":0,\"events\":[]}"
+        );
         assert_eq!(report.to_chrome_json(), "{\"traceEvents\":[]}");
         let _ = ScopeId {
             kind: "x",

@@ -106,10 +106,7 @@ struct JsonParser<'a> {
 
 impl JsonParser<'_> {
     fn ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ' | b'\t' | b'\n' | b'\r')
-        ) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -320,14 +317,17 @@ mod tests {
 
     #[test]
     fn parses_the_request_shapes() {
-        let v = Json::parse(r#"{"op":"size","macro":"mux8:dom","load":15.5,"n":3}"#)
-            .expect("valid");
+        let v =
+            Json::parse(r#"{"op":"size","macro":"mux8:dom","load":15.5,"n":3}"#).expect("valid");
         assert_eq!(v.get("op").and_then(Json::as_str), Some("size"));
         assert_eq!(v.get("load").and_then(Json::as_f64), Some(15.5));
         assert_eq!(v.get("n").and_then(Json::as_usize), Some(3));
         let v = Json::parse(r#"{"requests":[{"macro":"inc4"},{"macro":"zd8"}],"x":null}"#)
             .expect("valid");
-        assert_eq!(v.get("requests").and_then(Json::as_array).map(<[_]>::len), Some(2));
+        assert_eq!(
+            v.get("requests").and_then(Json::as_array).map(<[_]>::len),
+            Some(2)
+        );
         assert_eq!(v.get("x"), Some(&Json::Null));
     }
 

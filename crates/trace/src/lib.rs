@@ -79,6 +79,12 @@ use std::time::Instant;
 /// spare; drops are counted and reported, never silent.
 pub const DEFAULT_SCOPE_CAPACITY: usize = 8192;
 
+/// Flushed events a collector keeps, as a multiple of its per-scope ring
+/// capacity. A long-lived traced process (the `smart serve` daemon)
+/// flushes scopes for its whole life; past this bound the oldest flushed
+/// scopes are dropped whole and counted in [`TraceReport::dropped`].
+const RETAINED_RINGS: usize = 16;
+
 /// A single typed field value attached to an event.
 ///
 /// Stable-export rendering is deterministic: integers in decimal, floats
@@ -191,7 +197,7 @@ pub struct Event {
 struct TraceInner {
     epoch: Instant,
     /// Flushed scope buffers; merged (sorted) at collection time.
-    shards: Mutex<Vec<Vec<Event>>>,
+    shards: Mutex<Shards>,
     /// Monotonic named counters. Sums are order-independent, so counter
     /// totals are deterministic under any interleaving.
     counters: Mutex<BTreeMap<&'static str, u64>>,
@@ -239,7 +245,7 @@ impl Trace {
         Trace {
             inner: Some(Arc::new(TraceInner {
                 epoch: Instant::now(),
-                shards: Mutex::new(Vec::new()),
+                shards: Mutex::new(Shards::default()),
                 counters: Mutex::new(BTreeMap::new()),
                 dropped: AtomicU64::new(0),
                 next_id: AtomicU64::new(0),
@@ -313,7 +319,7 @@ impl Trace {
         };
         let mut events: Vec<Event> = {
             let shards = t.lock_shards();
-            shards.iter().flatten().cloned().collect()
+            shards.flushed.iter().flatten().cloned().collect()
         };
         // The deterministic merge: stable order by scope identity and
         // per-scope sequence, independent of flush interleaving.
@@ -330,8 +336,15 @@ impl Trace {
     }
 }
 
+/// The flushed scope buffers, oldest first, and their total event count.
+#[derive(Default)]
+struct Shards {
+    flushed: VecDeque<Vec<Event>>,
+    events: usize,
+}
+
 impl TraceInner {
-    fn lock_shards(&self) -> std::sync::MutexGuard<'_, Vec<Vec<Event>>> {
+    fn lock_shards(&self) -> std::sync::MutexGuard<'_, Shards> {
         // Poisoning only means a panicking thread died mid-flush; the
         // event store itself is plain owned data and stays valid.
         match self.shards.lock() {
@@ -398,12 +411,23 @@ impl Drop for ScopeInner {
     fn drop(&mut self) {
         // The single flush: one lock per scope lifetime, never per event.
         let buf = self.buf.get_mut();
-        if buf.dropped > 0 {
-            self.trace.dropped.fetch_add(buf.dropped, Ordering::Relaxed);
-        }
+        let mut dropped = buf.dropped;
         if !buf.events.is_empty() {
-            let events: Vec<Event> = std::mem::take(&mut buf.events).into();
-            self.trace.lock_shards().push(events);
+            let mut shards = self.trace.lock_shards();
+            shards.events += buf.events.len();
+            shards
+                .flushed
+                .push_back(std::mem::take(&mut buf.events).into());
+            // Each buffer holds at most `capacity` events, so the newest
+            // one always stays.
+            while shards.events > self.trace.capacity.saturating_mul(RETAINED_RINGS) {
+                let oldest = shards.flushed.pop_front().map_or(0, |e| e.len());
+                shards.events -= oldest;
+                dropped += oldest as u64;
+            }
+        }
+        if dropped > 0 {
+            self.trace.dropped.fetch_add(dropped, Ordering::Relaxed);
         }
     }
 }
@@ -670,6 +694,27 @@ mod tests {
         assert_eq!(
             report.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![2, 3, 4]
+        );
+    }
+
+    #[test]
+    fn flushed_events_are_bounded_dropping_the_oldest_scopes() {
+        let t = Trace::with_capacity(3);
+        let scopes = RETAINED_RINGS as u64 + 5;
+        for i in 0..scopes {
+            let s = t.scope("scope", i, 0);
+            for _ in 0..3 {
+                s.emit("e", &[]);
+            }
+        }
+        let report = t.collect();
+        assert_eq!(report.events.len(), 3 * RETAINED_RINGS);
+        assert_eq!(report.dropped, 3 * 5);
+        // The five oldest scopes went whole; the newest ones are intact.
+        assert_eq!(report.events[0].scope.major, 5);
+        assert_eq!(
+            report.events.last().map(|e| e.scope.major),
+            Some(scopes - 1)
         );
     }
 
