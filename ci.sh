@@ -9,12 +9,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# The crates that hold the GP kernel (smart-posy, smart-gp), the audit
-# and the tracer are kept rustfmt-clean. The rest of the workspace is not
-# formatted yet, so the check names these packages instead of running
-# workspace-wide.
-echo "== rustfmt (smart-posy, smart-gp, smart-audit, smart-trace) =="
-cargo fmt --check -p smart-posy -p smart-gp -p smart-audit -p smart-trace
+# The crates that hold the GP kernel (smart-posy, smart-gp), the audit,
+# the tracer, power, the PRNG, the blocks, chaos and the simulator are kept
+# rustfmt-clean. The rest of the workspace is not formatted yet, so the
+# check names these packages instead of running workspace-wide.
+echo "== rustfmt (posy, gp, audit, trace, power, prng, blocks, chaos, sim) =="
+cargo fmt --check -p smart-posy -p smart-gp -p smart-audit -p smart-trace \
+  -p smart-power -p smart-prng -p smart-blocks -p smart-chaos -p smart-sim
 
 # Every target (libs, bins, tests, examples, benches) must build without a
 # single rustc warning. Cargo replays cached diagnostics on a warm build,
@@ -70,14 +71,16 @@ cargo run -q --offline --release -p smart-bench --bin explore_scaling -- --smoke
 # above the sharing constant, and cla32 through the term dictionary) and
 # the warm-start ladder end to end. Writes to target/ci so the committed
 # full-run BENCH_gp.json is never clobbered by smoke data. `--check` fails
-# the step if a kernel case's sweep (grouped or direct) or the GP build's
-# deterministic counters (constraints, final terms, term pushes, distinct
-# terms) of the smoke entries differ from the same cases and entries in
-# the committed full-run record, or if a smoke entry's GP build allocates
-# more than its recorded `allocs_per_build`, or its log form takes more
-# heap bytes than its recorded `log_form_bytes` (both deterministic; the
-# smoke entries include cla64, the largest log form).
-echo "== gp_kernel smoke (sparse kernel parity on both sweeps + warm-start ladder + pinned sweeps and build counters) =="
+# the step if a kernel case's sweep (grouped or direct) or its solve
+# counters (Newton steps, line-search trials, trials outside the barrier
+# domain) or the GP build's deterministic counters (constraints, final
+# terms, term pushes, distinct terms) of the smoke entries differ from the
+# same cases and entries in the committed full-run record, or if a smoke
+# entry's GP build allocates more than its recorded `allocs_per_build`, or
+# its log form takes more heap bytes than its recorded `log_form_bytes`
+# (both deterministic; the smoke entries include cla64, the largest log
+# form).
+echo "== gp_kernel smoke (sparse kernel parity on both sweeps + warm-start ladder + pinned sweeps, solve and build counters) =="
 mkdir -p target/ci
 cargo run -q --offline --release -p smart-bench --bin gp_kernel -- \
   --smoke --out target/ci/BENCH_gp.json --check BENCH_gp.json

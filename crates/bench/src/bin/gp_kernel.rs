@@ -29,8 +29,9 @@
 //!
 //! `--smoke` shrinks every section to CI size; `--out PATH` redirects
 //! the JSON (CI uses this so smoke numbers never clobber the committed
-//! full-run record). `--check PATH` compares the sweep of every kernel
-//! case and the build counters of every entry this run built with the
+//! full-run record). `--check PATH` compares the sweep, Newton steps,
+//! line-search trials and outside trials of every kernel case and the
+//! build counters of every entry this run built with the
 //! same cases and entries in the record at PATH, and exits non-zero on
 //! any difference or on an entry that allocates more, or whose log form
 //! takes more heap bytes, than its record.
@@ -548,19 +549,38 @@ const KERNEL_CASES: [(&str, MacroSpec, f64, f64, bool); 8] = [
     ("cla64", MacroSpec::ClaAdder { width: 64 }, 12.0, 1469.0, false),
 ];
 
-/// Compares each kernel row's sweep with the same case of `record`;
-/// returns one line per difference.
+/// Compares each kernel row's sweep and its deterministic solve counters
+/// (Newton steps, line-search trials, trials outside the barrier domain)
+/// with the same case of `record`; returns one line per differing row.
 fn check_kernel(rows: &[KernelRow], record: &Json) -> Vec<String> {
     let entries = record.get("kernel").and_then(Json::as_array).unwrap_or(&[]);
+    let count = |e: &Json, key| e.get(key).and_then(Json::as_f64).map(|v| v as usize);
     rows.iter()
         .filter_map(|row| {
             let recorded = entries
                 .iter()
                 .find(|e| e.get("case").and_then(Json::as_str) == Some(row.name))
-                .and_then(|e| e.get("sweep").and_then(Json::as_str));
-            let got = sweep_name(row.grouped);
-            (recorded != Some(got))
-                .then(|| format!("{}: sweep {got}, recorded {recorded:?}", row.name))
+                .map(|e| {
+                    (
+                        e.get("sweep").and_then(Json::as_str),
+                        count(e, "newton_steps"),
+                        count(e, "line_search_trials"),
+                        count(e, "outside_trials"),
+                    )
+                });
+            let got = (
+                Some(sweep_name(row.grouped)),
+                Some(row.newton_steps),
+                Some(row.line_search_trials),
+                Some(row.outside_trials),
+            );
+            (recorded != Some(got)).then(|| {
+                format!(
+                    "{}: (sweep, newton_steps, line_search_trials, outside_trials) = {got:?}, \
+                     recorded {recorded:?}",
+                    row.name
+                )
+            })
         })
         .collect()
 }
@@ -742,12 +762,12 @@ fn main() {
         diffs.extend(check_build(&build_rows, &record));
         if !diffs.is_empty() {
             eprintln!(
-                "kernel sweeps or GP build counters differ from {path}:\n{}",
+                "kernel sweeps and counters or GP build counters differ from {path}:\n{}",
                 diffs.join("\n")
             );
             std::process::exit(1);
         }
-        println!("  kernel sweeps and build counters match {path}");
+        println!("  kernel sweeps and counters and build counters match {path}");
     }
 
     // --- Machine-readable record ---------------------------------------

@@ -100,14 +100,38 @@ pub fn alu_slice(bits: usize) -> Circuit {
     let mut result = Vec::with_capacity(bits);
     for i in 0..bits {
         let s_in = alu.add_net(format!("sumb{i}")).unwrap();
-        inverter(&mut alu, format!("sdrv{i}"), sum[i], s_in, p1, n1, Skew::Balanced);
+        inverter(
+            &mut alu,
+            format!("sdrv{i}"),
+            sum[i],
+            s_in,
+            p1,
+            n1,
+            Skew::Balanced,
+        );
         let r_in = alu.add_net(format!("rotb{i}")).unwrap();
-        inverter(&mut alu, format!("rdrv{i}"), rotated[i], r_in, p1, n1, Skew::Balanced);
+        inverter(
+            &mut alu,
+            format!("rdrv{i}"),
+            rotated[i],
+            r_in,
+            p1,
+            n1,
+            Skew::Balanced,
+        );
         let node = alu.add_net(format!("node{i}")).unwrap();
         pass_gate(&mut alu, format!("pg_s{i}"), s_in, opb, node, n2);
         pass_gate(&mut alu, format!("pg_r{i}"), r_in, op, node, n2);
         let r = alu.add_net(format!("r{i}")).unwrap();
-        inverter(&mut alu, format!("outdrv{i}"), node, r, p3, n3, Skew::Balanced);
+        inverter(
+            &mut alu,
+            format!("outdrv{i}"),
+            node,
+            r,
+            p3,
+            n3,
+            Skew::Balanced,
+        );
         alu.expose_output(format!("r{i}"), r);
         result.push(r);
     }

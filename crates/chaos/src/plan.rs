@@ -248,9 +248,7 @@ impl FaultPlan {
     /// plan's seed. Seeding a fresh PRNG per decision keeps the decision
     /// a pure function of its inputs — no shared stream to race on.
     fn roll(&self, salt: u64, candidate: u64) -> f64 {
-        let mix = self
-            .seed
-            .wrapping_mul(0xA076_1D64_78BD_642F)
+        let mix = self.seed.wrapping_mul(0xA076_1D64_78BD_642F)
             ^ salt.rotate_left(17)
             ^ candidate.wrapping_mul(0xE703_7ED1_A0B4_28DB);
         Prng::new(mix).f64()
@@ -394,7 +392,9 @@ mod tests {
     fn rates_are_respected_in_the_large() {
         let plan = FaultPlan::new(3).with_rate(FaultSite::GpDiverge, 0.25);
         let n = 4000u64;
-        let hits = (0..n).filter(|&k| plan.fires(FaultSite::GpDiverge, k)).count();
+        let hits = (0..n)
+            .filter(|&k| plan.fires(FaultSite::GpDiverge, k))
+            .count();
         let frac = hits as f64 / n as f64;
         assert!(
             (0.2..0.3).contains(&frac),
@@ -453,7 +453,11 @@ mod tests {
     #[test]
     fn taxonomy_covers_every_failure_site() {
         for site in FaultSite::FAILURE_SITES {
-            assert!(site.taxonomy().is_some(), "{} needs a taxonomy", site.name());
+            assert!(
+                site.taxonomy().is_some(),
+                "{} needs a taxonomy",
+                site.name()
+            );
         }
         for site in FaultSite::RESILIENCE_SITES {
             assert!(site.taxonomy().is_none());

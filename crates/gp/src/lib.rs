@@ -46,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod barrier;
 mod cancel;
 mod error;
 mod kkt;

@@ -1,24 +1,24 @@
 //! Dense reference solver — the oracle for the sparse production kernel.
 //!
-//! [`GpProblem::solve_reference`] runs the same barrier pipeline as
-//! [`GpProblem::solve`] but assembles every Newton system densely: each
-//! posynomial evaluates through [`LogPosynomial::value_grad_hess`] (fresh
-//! `dim×dim` matrix per constraint per step) and the system is solved
-//! with the historical `Vec<Vec<f64>>` Cholesky. Both kernels compute the
-//! same sums in the same order, so the differential parity suite can pin
-//! the sparse path against this one to near machine precision. Use it
-//! only in tests — it is the O(m·n²) path the production kernel exists to
-//! avoid. Its line search is the plain walk over every constraint, and it
-//! emits the same `gp/newton` events, one per Newton step, so a test can
-//! compare the two line searches trial for trial.
+//! [`GpProblem::solve_reference`] runs the barrier loop of `barrier.rs`
+//! that [`GpProblem::solve`] runs — the same phases, schedule, stopping
+//! rules and events — on a dense kernel of its own. What the oracle
+//! checks stays independent of the sparse kernel: each posynomial is
+//! assembled through [`LogPosynomial::value_grad_hess`] (a fresh
+//! `dim×dim` matrix per slot per step), the system is solved with the
+//! historical `Vec<Vec<f64>>` Cholesky, and a line-search trial walks
+//! every constraint with [`LogPosynomial::value`], with no sentinel and
+//! no grouped sweep. Both kernels compute the same sums in the same
+//! order, so the differential parity suite and `newton_events.rs` pin the
+//! sparse kernel against this one step for step and trial for trial. Use
+//! it only in tests: it is the O(m·n²) path the production kernel exists
+//! to avoid.
 
 use smart_posy::LogPosynomial;
 
-use crate::linalg::{axpy, dot, norm, solve_spd_ridged};
-use crate::solver::{
-    check_budget, emit_newton, finalize, prepare, EvalRecord, FEASIBILITY_MARGIN, MAX_NEWTON_ITER,
-    MAX_OUTER_ITER, MAX_STEP, MU, NEWTON_TOL, TOL, Y_BOUND,
-};
+use crate::barrier::{self, Kernel};
+use crate::linalg::solve_spd_ridged;
+use crate::solver::{finalize, prepare, EvalRecord};
 use crate::{GpError, GpProblem, GpSolution, KktReport, SolverOptions};
 
 impl GpProblem {
@@ -32,268 +32,90 @@ impl GpProblem {
     ///
     /// Identical to [`GpProblem::solve`].
     pub fn solve_reference(&self, opts: &SolverOptions) -> Result<GpSolution, GpError> {
-        let (obj, cons, start) = prepare(self, opts)?;
-        let mut phase1_steps = 0;
-        let y0 = if cons.is_empty() {
-            start
-        } else {
-            phase1_dense(&cons, start, opts, &mut phase1_steps)?
+        let (slots, start) = prepare(self, opts)?;
+        let mut kernel = DenseKernel {
+            slots: &slots,
+            values: vec![0.0; slots.len()],
+            trial_values: vec![0.0; slots.len()],
+            ..DenseKernel::default()
         };
-        let mut phase2_steps = 0;
-        let (y, t_final) = phase2_dense(&obj, &cons, y0, opts, phase1_steps, &mut phase2_steps)?;
+        let (y, t, phase1_steps, phase2_steps) = barrier::run(&mut kernel, start, opts)?;
         // The KKT report reads a sweep at the optimum, as the sparse
         // kernel's does.
-        let mut at_y = EvalRecord::new(&obj, &cons);
-        at_y.eval_all(&obj, &cons, &y);
-        let kkt = KktReport::from_sweep(&obj, &cons, &at_y, t_final);
+        let (obj, cons) = (&slots[0], &slots[1..]);
+        let mut at_y = EvalRecord::new(obj, cons);
+        at_y.eval_all(obj, cons, &y);
+        let kkt = KktReport::from_sweep(obj, cons, &at_y, t);
         finalize(self, y, kkt, phase1_steps, phase2_steps)
     }
 }
 
-/// Dense phase I: minimize slack `s` subject to `Fᵢ(y) ≤ s`.
-fn phase1_dense(
-    cons: &[LogPosynomial<'_>],
-    start: Vec<f64>,
-    opts: &SolverOptions,
-    steps: &mut usize,
-) -> Result<Vec<f64>, GpError> {
-    let dim = start.len();
-    let mut y = start;
-    let worst = |y: &[f64]| -> f64 {
-        cons.iter()
-            .map(|c| c.value(y))
-            .fold(f64::NEG_INFINITY, f64::max)
-    };
-    let mut s = worst(&y) + 1.0;
-    if s - 1.0 < -FEASIBILITY_MARGIN {
-        return Ok(y);
-    }
-
-    let mut t = 1.0f64.max(cons.len() as f64);
-    for _ in 0..MAX_OUTER_ITER {
-        // Centering on φ(y,s) = t·s − Σ log(s − Fᵢ(y)).
-        for _ in 0..MAX_NEWTON_ITER {
-            *steps += 1;
-            check_budget(opts, "phase1", *steps)?;
-            let n = dim + 1;
-            let mut grad = vec![0.0; n];
-            let mut hess = vec![vec![0.0; n]; n];
-            grad[dim] = t;
-            let mut domain_ok = true;
-            for c in cons {
-                let (fv, fg, fh) = c.value_grad_hess(&y);
-                let g = s - fv;
-                if g <= 0.0 {
-                    domain_ok = false;
-                    break;
-                }
-                let inv = 1.0 / g;
-                let inv2 = inv * inv;
-                for i in 0..dim {
-                    grad[i] += inv * fg[i];
-                    for j in 0..dim {
-                        hess[i][j] += inv2 * fg[i] * fg[j] + inv * fh[i][j];
-                    }
-                    hess[i][dim] -= inv2 * fg[i];
-                    hess[dim][i] -= inv2 * fg[i];
-                }
-                // s-part: ∂φ/∂s gains −inv, ∂²φ/∂s² gains inv².
-                grad[dim] -= inv;
-                hess[dim][dim] += inv2;
-            }
-            if !domain_ok {
-                return Err(GpError::Numerical {
-                    stage: "phase1",
-                    detail: "iterate left the barrier domain".into(),
-                });
-            }
-            let neg_grad: Vec<f64> = grad.iter().map(|&g| -g).collect();
-            let (d, _) = solve_spd_ridged(&hess, &neg_grad);
-            let decrement2 = -dot(&grad, &d);
-            if decrement2 / 2.0 < NEWTON_TOL {
-                emit_newton("phase1", *steps, decrement2 / 2.0, 0.0, 0, 0, false);
-                break;
-            }
-            let value = |y: &[f64], s: f64| -> Option<f64> {
-                let mut v = t * s;
-                for c in cons {
-                    let g = s - c.value(y);
-                    if g <= 0.0 {
-                        return None;
-                    }
-                    v -= g.ln();
-                }
-                Some(v)
-            };
-            let f0 = value(&y, s).ok_or(GpError::Numerical {
-                stage: "phase1",
-                detail: "current point infeasible for barrier".into(),
-            })?;
-            let mut alpha = (MAX_STEP / norm(&d)).min(1.0);
-            let slope = dot(&grad, &d);
-            let mut accepted = false;
-            let (mut trials, mut outside) = (0usize, 0usize);
-            for _ in 0..60 {
-                trials += 1;
-                let mut yn = y.clone();
-                axpy(alpha, &d[..dim], &mut yn);
-                let sn = s + alpha * d[dim];
-                match value(&yn, sn) {
-                    Some(fv) if fv <= f0 + 0.25 * alpha * slope => {
-                        y = yn;
-                        s = sn;
-                        accepted = true;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => outside += 1,
-                }
-                alpha *= 0.5;
-            }
-            emit_newton(
-                "phase1",
-                *steps,
-                decrement2 / 2.0,
-                alpha,
-                trials,
-                outside,
-                accepted,
-            );
-            if !accepted {
-                break;
-            }
-            if s < -FEASIBILITY_MARGIN || worst(&y) < -FEASIBILITY_MARGIN {
-                return Ok(y);
-            }
-            if y.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::NonFinite {
-                    stage: "phase1",
-                    detail: "iterate became non-finite".into(),
-                });
-            }
-            if y.iter().any(|v| v.abs() > Y_BOUND) {
-                return Err(GpError::Unbounded);
-            }
-        }
-        if s < -FEASIBILITY_MARGIN {
-            return Ok(y);
-        }
-        if cons.len() as f64 / t < TOL {
-            break;
-        }
-        t *= MU;
-    }
-    Err(GpError::Infeasible {
-        worst_violation: worst(&y).exp(),
-    })
+/// The dense kernel: slot values at the current point and at the last
+/// trial, and a dense Newton system at the point `y`.
+#[derive(Default)]
+struct DenseKernel<'a, 't> {
+    slots: &'a [LogPosynomial<'t>],
+    values: Vec<f64>,
+    trial_values: Vec<f64>,
+    y: Vec<f64>,
+    grad: Vec<f64>,
+    hess: Vec<Vec<f64>>,
+    /// The gradient of the last slot added to the system.
+    last: Vec<f64>,
 }
 
-/// Dense phase II: barrier method on `t·F₀(y) − Σ log(−Fᵢ(y))`.
-fn phase2_dense(
-    obj: &LogPosynomial<'_>,
-    cons: &[LogPosynomial<'_>],
-    mut y: Vec<f64>,
-    opts: &SolverOptions,
-    spent_before: usize,
-    steps: &mut usize,
-) -> Result<(Vec<f64>, f64), GpError> {
-    let dim = y.len();
-    let m = cons.len();
-    let mut t: f64 = 1.0f64.max(m as f64);
+impl Kernel for DenseKernel<'_, '_> {
+    fn sweep(&mut self, y: &[f64], first: usize) {
+        for (v, p) in self.values.iter_mut().zip(self.slots).skip(first) {
+            *v = p.value(y);
+        }
+    }
 
-    let value = |y: &[f64], t: f64| -> Option<f64> {
-        let mut v = t * obj.value(y);
-        for c in cons {
-            let fv = c.value(y);
-            if fv >= 0.0 {
-                return None;
-            }
-            v -= (-fv).ln();
-        }
-        Some(v)
-    };
+    fn values(&self) -> &[f64] {
+        &self.values
+    }
 
-    loop {
-        for _ in 0..MAX_NEWTON_ITER {
-            *steps += 1;
-            check_budget(opts, "phase2", spent_before + *steps)?;
-            let (_, og, oh) = obj.value_grad_hess(&y);
-            let mut grad: Vec<f64> = og.iter().map(|&g| t * g).collect();
-            let mut hess: Vec<Vec<f64>> = oh
-                .iter()
-                .map(|row| row.iter().map(|&h| t * h).collect())
-                .collect();
-            for c in cons {
-                let (fv, fg, fh) = c.value_grad_hess(&y);
-                if fv >= 0.0 {
-                    return Err(GpError::Numerical {
-                        stage: "phase2",
-                        detail: "iterate left the feasible interior".into(),
-                    });
-                }
-                let inv = -1.0 / fv;
-                let inv2 = inv * inv;
-                for i in 0..dim {
-                    grad[i] += inv * fg[i];
-                    for j in 0..dim {
-                        hess[i][j] += inv2 * fg[i] * fg[j] + inv * fh[i][j];
-                    }
-                }
-            }
-            let neg_grad: Vec<f64> = grad.iter().map(|&g| -g).collect();
-            let (d, _) = solve_spd_ridged(&hess, &neg_grad);
-            let decrement2 = -dot(&grad, &d);
-            let residual = decrement2.abs() / 2.0;
-            if residual < NEWTON_TOL {
-                emit_newton("phase2", *steps, residual, 0.0, 0, 0, false);
-                break;
-            }
-            let f0 = value(&y, t).ok_or(GpError::Numerical {
-                stage: "phase2",
-                detail: "lost feasibility before line search".into(),
-            })?;
-            let slope = dot(&grad, &d);
-            let mut alpha = (MAX_STEP / norm(&d)).min(1.0);
-            let mut accepted = false;
-            let (mut trials, mut outside) = (0usize, 0usize);
-            for _ in 0..60 {
-                trials += 1;
-                let mut yn = y.clone();
-                axpy(alpha, &d, &mut yn);
-                match value(&yn, t) {
-                    Some(fv) if fv <= f0 + 0.25 * alpha * slope => {
-                        y = yn;
-                        accepted = true;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => outside += 1,
-                }
-                alpha *= 0.5;
-            }
-            emit_newton("phase2", *steps, residual, alpha, trials, outside, accepted);
-            if !accepted {
-                break;
-            }
-            if y.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::NonFinite {
-                    stage: "phase2",
-                    detail: "iterate became non-finite".into(),
-                });
-            }
-            if y.iter().any(|v| v.abs() > Y_BOUND) {
-                return Err(GpError::Unbounded);
-            }
-            if norm(&d) * alpha < 1e-14 {
-                break;
+    fn reset(&mut self, y: &[f64], n: usize) {
+        self.y = y.to_vec();
+        self.grad = vec![0.0; n];
+        self.hess = vec![vec![0.0; n]; n];
+    }
+
+    fn add_slot(&mut self, j: usize, scale: f64, outer: f64) {
+        let (_, fg, fh) = self.slots[j].value_grad_hess(&self.y);
+        for (a, row) in fh.iter().enumerate() {
+            self.grad[a] += scale * fg[a];
+            for (b, &h) in row.iter().enumerate() {
+                self.hess[a][b] += outer * fg[a] * fg[b] + scale * h;
             }
         }
-        if m == 0 || (m as f64) / t < TOL {
-            return Ok((y, t));
+        self.last = fg;
+    }
+
+    fn add_cross(&mut self, row: usize, scale: f64) {
+        for (a, &g) in self.last.iter().enumerate() {
+            self.hess[a][row] += scale * g;
+            self.hess[row][a] += scale * g;
         }
-        t *= MU;
-        if t > 1e18 {
-            return Ok((y, t));
-        }
+    }
+
+    fn add_diag(&mut self, i: usize, g: f64, h: f64) {
+        self.grad[i] += g;
+        self.hess[i][i] += h;
+    }
+
+    fn direction(&mut self, dir: &mut Vec<f64>) -> &[f64] {
+        let neg_grad: Vec<f64> = self.grad.iter().map(|&g| -g).collect();
+        *dir = solve_spd_ridged(&self.hess, &neg_grad).0;
+        &self.grad
+    }
+
+    fn trial_value(&mut self, j: usize, y: &[f64]) -> f64 {
+        self.trial_values[j] = self.slots[j].value(y);
+        self.trial_values[j]
+    }
+
+    fn accept(&mut self) {
+        std::mem::swap(&mut self.values, &mut self.trial_values);
     }
 }

@@ -11,6 +11,9 @@
 //!   whose decrement ends its centering before any line search.
 //! * A solve that phase I gives up on emits one `gp/infeasible` event
 //!   that accounts for its Newton steps.
+//! * Both solvers run one barrier loop, so a solve that fails (phase I
+//!   gives up, or the iterate escapes the size box) emits the same `gp/*`
+//!   event stream from either kernel, failure event included.
 
 use smart_gp::{GpError, GpProblem, GpSolution, SolverOptions};
 use smart_posy::{Monomial, Posynomial, TermDictionary, VarPool};
@@ -219,4 +222,56 @@ fn infeasible_solve_emits_one_event_with_its_phase_one_steps() {
         "one gp/newton event per Newton step"
     );
     assert!(searches.iter().any(|s| s.1 == 0 && !s.4));
+}
+
+/// Minimise `1/x` subject only to `x ≥ 0.5`: phase II drives `x` up until
+/// the iterate leaves the size box.
+fn unbounded_gp() -> GpProblem {
+    let mut pool = VarPool::new();
+    let x = pool.var("x");
+    let mut gp = GpProblem::new(pool);
+    gp.set_objective(Posynomial::from(Monomial::new(1.0).pow(x, -1.0)));
+    gp.add_lower_bound(x, 0.5);
+    gp
+}
+
+/// A run's `gp/*` events, name and payload, each float by its bits.
+fn gp_stream(events: &[Event]) -> Vec<(&'static str, Vec<(&'static str, Value)>)> {
+    events
+        .iter()
+        .filter(|e| e.name.starts_with("gp/"))
+        .map(|e| {
+            let fields = e
+                .fields
+                .iter()
+                .map(|(name, v)| match v {
+                    Value::F64(x) => (*name, Value::U64(x.to_bits())),
+                    other => (*name, other.clone()),
+                })
+                .collect();
+            (e.name, fields)
+        })
+        .collect()
+}
+
+#[test]
+fn failed_solves_emit_the_same_gp_events_from_both_kernels() {
+    for (gp, failure) in [
+        (infeasible_gp(), "gp/infeasible"),
+        (unbounded_gp(), "gp/escape"),
+    ] {
+        let opts = SolverOptions::default();
+        let (sparse, events) = traced(|| gp.solve(&opts));
+        let (dense, dense_events) = traced(|| gp.solve_reference(&opts));
+        assert!(sparse.is_err(), "{failure}: expected a failed solve");
+        assert_eq!(sparse.err(), dense.err(), "{failure}");
+        let stream = gp_stream(&events);
+        assert_eq!(
+            stream.iter().filter(|e| e.0 == failure).count(),
+            1,
+            "{failure}: one failure event"
+        );
+        assert!(stream.iter().any(|e| e.0 == "gp/newton"), "{failure}");
+        assert_eq!(stream, gp_stream(&dense_events), "{failure}");
+    }
 }

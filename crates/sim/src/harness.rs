@@ -36,11 +36,7 @@ pub fn set_bus(
 /// # Errors
 ///
 /// Propagates [`SimError::UnknownPort`] if a bit port is missing.
-pub fn read_bus(
-    sim: &Simulator<'_>,
-    prefix: &str,
-    width: usize,
-) -> Result<Option<u64>, SimError> {
+pub fn read_bus(sim: &Simulator<'_>, prefix: &str, width: usize) -> Result<Option<u64>, SimError> {
     let mut out = 0u64;
     for i in 0..width {
         match sim.get(&format!("{prefix}{i}"))?.to_bool() {
@@ -137,7 +133,9 @@ mod tests {
             let n = c.label("N");
             c.add(
                 format!("u{i}"),
-                ComponentKind::Inverter { skew: Skew::Balanced },
+                ComponentKind::Inverter {
+                    skew: Skew::Balanced,
+                },
                 &[a, y],
                 &[(DeviceRole::PullUp, p), (DeviceRole::PullDown, n)],
             )

@@ -196,12 +196,7 @@ impl<'a> Simulator<'a> {
     }
 
     fn schedule_loads(&mut self, net: NetId) {
-        let loads: Vec<CompId> = self
-            .circuit
-            .loads_of(net)
-            .iter()
-            .map(|&(c, _)| c)
-            .collect();
+        let loads: Vec<CompId> = self.circuit.loads_of(net).iter().map(|&(c, _)| c).collect();
         for c in loads {
             self.enqueue(c);
         }

@@ -47,7 +47,12 @@ fn build(inputs: usize, recipe: &[GateRecipe]) -> (Circuit, Vec<NetId>) {
     for (g, r) in recipe.iter().enumerate() {
         let out = c.add_net(format!("g{g}")).unwrap();
         let (kind, used) = match r.kind {
-            0 => (ComponentKind::Inverter { skew: Skew::Balanced }, 1),
+            0 => (
+                ComponentKind::Inverter {
+                    skew: Skew::Balanced,
+                },
+                1,
+            ),
             1 => (ComponentKind::Nand { inputs: 2 }, 2),
             2 => (ComponentKind::Nor { inputs: 2 }, 2),
             3 => (ComponentKind::Xor2, 2),
