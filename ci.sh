@@ -10,12 +10,14 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # The crates that hold the GP kernel (smart-posy, smart-gp), the audit,
-# the tracer, power, the PRNG, the blocks, chaos and the simulator are kept
-# rustfmt-clean. The rest of the workspace is not formatted yet, so the
-# check names these packages instead of running workspace-wide.
-echo "== rustfmt (posy, gp, audit, trace, power, prng, blocks, chaos, sim) =="
+# the tracer, power, the PRNG, the blocks, chaos, the simulator and the
+# serve daemon are kept rustfmt-clean. The rest of the workspace is not
+# formatted yet, so the check names these packages instead of running
+# workspace-wide.
+echo "== rustfmt (posy, gp, audit, trace, power, prng, blocks, chaos, sim, serve) =="
 cargo fmt --check -p smart-posy -p smart-gp -p smart-audit -p smart-trace \
-  -p smart-power -p smart-prng -p smart-blocks -p smart-chaos -p smart-sim
+  -p smart-power -p smart-prng -p smart-blocks -p smart-chaos -p smart-sim \
+  -p smart-serve
 
 # Every target (libs, bins, tests, examples, benches) must build without a
 # single rustc warning. Cargo replays cached diagnostics on a warm build,

@@ -83,7 +83,6 @@ pub struct CacheKey {
 }
 
 pub(crate) fn boundary_fingerprint(boundary: &Boundary) -> u64 {
-    let mut h = StableHasher::new();
     // HashMap iteration order is per-instance; sort by name so equal
     // boundaries built in different orders fingerprint equally.
     let mut loads: Vec<(&str, f64)> = boundary
@@ -92,24 +91,46 @@ pub(crate) fn boundary_fingerprint(boundary: &Boundary) -> u64 {
         .map(|(k, &v)| (k.as_str(), v))
         .collect();
     loads.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    h.write_usize(loads.len());
-    for (name, v) in loads {
-        h.write_str(name);
-        h.write_f64_bits(v);
-    }
     let mut times: Vec<(&str, (f64, f64))> = boundary
         .input_times
         .iter()
         .map(|(k, &v)| (k.as_str(), v))
         .collect();
     times.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    hash_boundary(loads.into_iter(), &times, boundary.default_slope)
+}
+
+/// The boundary fingerprint of a [`CacheKey`] for a boundary that puts
+/// `load` on each of `sorted_names` and sets nothing else (no input
+/// times, no default slope): the bits [`cache_key`] derives from that
+/// boundary, without building it. `sorted_names` must be strictly
+/// ascending, as a boundary's distinct output names sort; names in any
+/// other order key no boundary [`cache_key`] produces, so they only miss.
+pub fn output_loads_fingerprint(sorted_names: &[impl AsRef<str>], load: f64) -> u64 {
+    debug_assert!(sorted_names.windows(2).all(|w| w[0].as_ref() < w[1].as_ref()));
+    hash_boundary(sorted_names.iter().map(|n| (n.as_ref(), load)), &[], None)
+}
+
+/// The byte stream both boundary fingerprints hash: the name-sorted loads
+/// and input times, then the default slope.
+fn hash_boundary<'a>(
+    loads: impl ExactSizeIterator<Item = (&'a str, f64)>,
+    times: &[(&str, (f64, f64))],
+    default_slope: Option<f64>,
+) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_usize(loads.len());
+    for (name, v) in loads {
+        h.write_str(name);
+        h.write_f64_bits(v);
+    }
     h.write_usize(times.len());
-    for (name, (t, s)) in times {
+    for &(name, (t, s)) in times {
         h.write_str(name);
         h.write_f64_bits(t);
         h.write_f64_bits(s);
     }
-    match boundary.default_slope {
+    match default_slope {
         Some(s) => {
             h.write_bool(true);
             h.write_f64_bits(s);
@@ -211,16 +232,17 @@ pub fn cache_key(
     spec: &DelaySpec,
     opts: &SizingOptions,
 ) -> CacheKey {
-    cache_key_for_structure(circuit.structural_hash(), lib, boundary, spec, opts)
+    cache_key_for(circuit.structural_hash(), lib, boundary_fingerprint(boundary), spec, opts)
 }
 
 /// [`cache_key`] for a circuit known only by its
-/// [`Circuit::structural_hash`], so a lazy sizing call can look up without
-/// elaborating the netlist.
-pub(crate) fn cache_key_for_structure(
+/// [`Circuit::structural_hash`] and a boundary known only by its
+/// fingerprint, so a lazy sizing call can look up without elaborating the
+/// netlist or building the boundary.
+pub(crate) fn cache_key_for(
     structure: u64,
     lib: &ModelLibrary,
-    boundary: &Boundary,
+    boundary: u64,
     spec: &DelaySpec,
     opts: &SizingOptions,
 ) -> CacheKey {
@@ -229,7 +251,7 @@ pub(crate) fn cache_key_for_structure(
         process: lib.process().fingerprint(),
         spec_data: spec.data.to_bits(),
         spec_precharge: spec.precharge.map_or(u64::MAX, f64::to_bits),
-        boundary: boundary_fingerprint(boundary),
+        boundary,
         options: options_fingerprint(opts),
     }
 }

@@ -142,12 +142,25 @@ fn intern<K: Eq + Hash>(ids: &mut HashMap<K, usize>, key: K) -> usize {
     *ids.entry(key).or_insert(next)
 }
 
+/// `n` as a `u32` id of the suffix arena, below `u32::MAX` (the arena's
+/// "none" mark). A pass that would need more ids fails with a typed
+/// [`FlowError::TooManyPaths`] instead of wrapping.
+fn arena_id(n: usize) -> Result<u32, FlowError> {
+    match u32::try_from(n) {
+        Ok(id) if id < u32::MAX => Ok(id),
+        _ => Err(FlowError::TooManyPaths {
+            classes: n,
+            limit: u32::MAX as usize - 1,
+        }),
+    }
+}
+
 /// One representative suffix path in the arena: its first arc, the link
 /// of the rest (0 is the empty path) and whether any arc on it is a
 /// precharge arc.
 struct Link {
-    arc: usize,
-    next: usize,
+    arc: u32,
+    next: u32,
     has_precharge: bool,
 }
 
@@ -160,7 +173,8 @@ struct Link {
 /// # Errors
 ///
 /// [`FlowError::TooManyPaths`] if the merged class count exceeds
-/// [`PATH_LIMIT`] at any node, [`FlowError::BudgetExceeded`] if the
+/// [`PATH_LIMIT`] at any node or the suffix arena outgrows its `u32`
+/// ids, [`FlowError::BudgetExceeded`] if the
 /// budget's cancellation token fires, and [`FlowError::NoEndpoints`] if
 /// the graph has no source-to-endpoint path at all.
 pub fn compact(
@@ -232,7 +246,7 @@ pub(crate) fn compact_within(
         arc_kinds.push(kind);
         arc_shapes.push(shape);
         let cap = net_cap_ids[arc.to.net.index()];
-        arc_steps.push(intern(&mut step_ids, (shape, cap)));
+        arc_steps.push(arena_id(intern(&mut step_ids, (shape, cap)))?);
     }
 
     // Suffix arena, built in reverse topological order. A signature id
@@ -243,16 +257,17 @@ pub(crate) fn compact_within(
     // path the class keeps. Only source nodes' lists are read after the
     // pass, so a node's list is freed once each of its fanin arcs has
     // read it; the links stay, as kept classes spell out their arcs
-    // through them.
-    let mut sig_ids: HashMap<(usize, usize), usize> = HashMap::new();
+    // through them. Every arena id is a `u32`, which halves the links,
+    // the signature map and the lists against `usize` ids.
+    let mut sig_ids: HashMap<(u32, u32), u32> = HashMap::new();
     let mut links = vec![Link {
-        arc: usize::MAX,
+        arc: u32::MAX,
         next: 0,
         has_precharge: false,
     }];
     // Per signature id: the last node that took it.
-    let mut taken_at = vec![usize::MAX];
-    let mut suffixes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); graph.node_count()];
+    let mut taken_at = vec![u32::MAX];
+    let mut suffixes: Vec<Vec<(u32, u32)>> = vec![Vec::new(); graph.node_count()];
     let mut unread: Vec<usize> = graph.fanin.iter().map(Vec::len).collect();
     for node in order.iter().rev() {
         check_budget(opts, deadline, "path compaction")?;
@@ -261,22 +276,25 @@ pub(crate) fn compact_within(
             suffixes[i] = vec![(0, 0)];
             continue;
         }
+        let node_id = arena_id(i)?;
         let mut out = Vec::new();
         for &ai in &graph.fanout[i] {
             let to = graph.arcs[ai].to.index();
             let is_pre = graph.arcs[ai].phase == ArcPhase::Precharge;
+            let arc = arena_id(ai)?;
             for &(tail_sig, tail) in &suffixes[to] {
-                let sig = 1 + intern(&mut sig_ids, (arc_steps[ai], tail_sig));
-                if sig == taken_at.len() {
-                    taken_at.push(usize::MAX);
-                } else if taken_at[sig] == i {
+                let next = arena_id(sig_ids.len())?;
+                let sig = 1 + *sig_ids.entry((arc_steps[ai], tail_sig)).or_insert(next);
+                if sig as usize == taken_at.len() {
+                    taken_at.push(u32::MAX);
+                } else if taken_at[sig as usize] == node_id {
                     continue;
                 }
-                taken_at[sig] = i;
-                let has_precharge = is_pre || links[tail].has_precharge;
-                out.push((sig, links.len()));
+                taken_at[sig as usize] = node_id;
+                let has_precharge = is_pre || links[tail as usize].has_precharge;
+                out.push((sig, arena_id(links.len())?));
                 links.push(Link {
-                    arc: ai,
+                    arc,
                     next: tail,
                     has_precharge,
                 });
@@ -306,14 +324,14 @@ pub(crate) fn compact_within(
             continue;
         }
         for &(sig, link) in &suffixes[i] {
-            if std::mem::replace(&mut collected[sig], true) {
+            if std::mem::replace(&mut collected[sig as usize], true) {
                 continue;
             }
             let mut arcs = Vec::new();
-            let mut at = link;
+            let mut at = link as usize;
             while at != 0 {
-                arcs.push(links[at].arc);
-                at = links[at].next;
+                arcs.push(links[at].arc as usize);
+                at = links[at].next as usize;
             }
             // An empty suffix is a degenerate zero-arc path; it cannot
             // constrain anything, so drop it rather than panic.
@@ -324,7 +342,7 @@ pub(crate) fn compact_within(
                 endpoint: graph.arcs[last_arc].to,
                 arcs,
                 source: TNode::from_index(i),
-                is_precharge: links[link].has_precharge,
+                is_precharge: links[link as usize].has_precharge,
             });
         }
     }
@@ -408,4 +426,26 @@ pub(crate) fn compact_within(
         arc_kinds,
         net_cap_ids,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Arena ids stop one short of `u32::MAX`, the arena's "none" mark;
+    /// past that the pass gets a typed error, not a wrapped id.
+    #[test]
+    fn arena_ids_past_u32_are_a_typed_error() {
+        let last = u32::MAX as usize - 1;
+        assert_eq!(arena_id(last), Ok(u32::MAX - 1));
+        for n in [last + 1, usize::MAX] {
+            assert_eq!(
+                arena_id(n),
+                Err(FlowError::TooManyPaths {
+                    classes: n,
+                    limit: last
+                })
+            );
+        }
+    }
 }

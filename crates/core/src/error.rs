@@ -17,7 +17,8 @@ pub enum FlowError {
     Sta(StaError),
     /// Path compaction still produced more classes than
     /// [`crate::compact::PATH_LIMIT`] at one timing node — the macro's
-    /// labeling defeats regularity-based reduction.
+    /// labeling defeats regularity-based reduction — or more suffixes
+    /// than its `u32` arena ids can name.
     TooManyPaths {
         /// Compacted class count.
         classes: usize,

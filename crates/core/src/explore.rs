@@ -40,7 +40,7 @@ use smart_sta::Boundary;
 
 use smart_macros::MacroSpec;
 
-use crate::cache::CacheStats;
+use crate::cache::{boundary_fingerprint, CacheStats};
 use crate::pool::{run_indexed, ParallelOptions};
 use crate::sizing::{size_counted, SizingOutcome};
 use crate::spec::LintGate;
@@ -204,7 +204,8 @@ pub(crate) fn size_and_measure(
         || circuit.structural_hash(),
         || Cow::Borrowed(circuit),
         lib,
-        boundary,
+        || boundary_fingerprint(boundary),
+        || Cow::Borrowed(boundary),
         spec,
         opts,
         lookups,

@@ -82,7 +82,7 @@ pub mod tune;
 mod variation;
 
 pub use baseline::{baseline_sizing, BaselineMargins};
-pub use cache::{cache_key, CacheKey, SizingCache};
+pub use cache::{cache_key, output_loads_fingerprint, CacheKey, SizingCache};
 pub use compact::{compact, CapVec, Compaction, PathClass};
 pub use error::FlowError;
 pub use explore::{

@@ -22,7 +22,7 @@ use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, Sizing};
 use smart_sta::{analyze, Boundary};
 
-use crate::cache::CacheStats;
+use crate::cache::{boundary_fingerprint, cache_key_for, CacheStats};
 use crate::compact::{compact_within, Compaction};
 use crate::constraints::{
     boundary_extra_loads, build_min_delay_gp, build_sizing_gp, build_sizing_gp_within,
@@ -322,41 +322,48 @@ pub fn size_circuit(
         || circuit.structural_hash(),
         || Cow::Borrowed(circuit),
         lib,
-        boundary,
+        || boundary_fingerprint(boundary),
+        || Cow::Borrowed(boundary),
         spec,
         opts,
     )
 }
 
 /// [`size_circuit`] for a caller that can name the circuit's
-/// [`Circuit::structural_hash`] without elaborating it (a daemon memoising
-/// one hash per macro spec): `structure` runs only when
-/// [`SizingOptions::cache`] is set, and `elaborate` only when the cache
-/// cannot answer, so a hit never builds the netlist. `structure` must
-/// return `elaborate()`'s structural hash, or the cache replays another
-/// circuit's outcome.
+/// [`Circuit::structural_hash`] and the boundary's fingerprint without
+/// building either (a daemon memoising one hash and the sorted output
+/// names per macro spec): `structure` and `boundary_key` run only when
+/// [`SizingOptions::cache`] is set, and `elaborate` and `boundary` only
+/// when the cache cannot answer, so a hit builds neither the netlist nor
+/// the boundary. `structure` must return `elaborate()`'s structural hash
+/// and `boundary_key` the fingerprint [`crate::cache_key`] takes of
+/// `boundary()` (see [`crate::output_loads_fingerprint`]), or the cache
+/// replays another sizing's outcome.
 ///
 /// # Errors
 ///
 /// As [`size_circuit`].
-pub fn size_lazily<'c>(
+pub fn size_lazily<'c, 'b>(
     structure: impl FnOnce() -> u64,
     elaborate: impl FnOnce() -> Cow<'c, Circuit>,
     lib: &ModelLibrary,
-    boundary: &Boundary,
+    boundary_key: impl FnOnce() -> u64,
+    boundary: impl FnOnce() -> Cow<'b, Boundary>,
     spec: &DelaySpec,
     opts: &SizingOptions,
 ) -> Result<SizingOutcome, FlowError> {
-    size_counted(structure, elaborate, lib, boundary, spec, opts, None)
+    size_counted(structure, elaborate, lib, boundary_key, boundary, spec, opts, None)
 }
 
 /// [`size_lazily`], recording its sizing-cache lookup (if it makes one)
 /// into `lookups`.
-pub(crate) fn size_counted<'c>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn size_counted<'c, 'b>(
     structure: impl FnOnce() -> u64,
     elaborate: impl FnOnce() -> Cow<'c, Circuit>,
     lib: &ModelLibrary,
-    boundary: &Boundary,
+    boundary_key: impl FnOnce() -> u64,
+    boundary: impl FnOnce() -> Cow<'b, Boundary>,
     spec: &DelaySpec,
     opts: &SizingOptions,
     lookups: Option<&CacheStats>,
@@ -371,7 +378,7 @@ pub(crate) fn size_counted<'c>(
     // hit replays the stored result without touching GP or STA. Only
     // successful outcomes are cached (failures can be budget-dependent).
     let memo = opts.cache.as_ref().map(|cache| {
-        let key = crate::cache::cache_key_for_structure(structure(), lib, boundary, spec, opts);
+        let key = cache_key_for(structure(), lib, boundary_key(), spec, opts);
         (cache, key)
     });
     if let Some((cache, key)) = &memo {
@@ -403,6 +410,8 @@ pub(crate) fn size_counted<'c>(
 
     let circuit = elaborate();
     let circuit = circuit.as_ref();
+    let boundary = boundary();
+    let boundary = boundary.as_ref();
     let prepared = prepare(circuit, lib, boundary, opts, deadline)?;
 
     let mut last_err = None;

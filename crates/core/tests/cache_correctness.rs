@@ -9,8 +9,9 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use smart_core::{
-    cache_key, explore_with_parallel, size_circuit, size_lazily, variation_sweep, DelaySpec,
-    ParallelOptions, SizingCache, SizingOptions, SizingOutcome, VariationOptions,
+    cache_key, explore_with_parallel, output_loads_fingerprint, size_circuit, size_lazily,
+    variation_sweep, DelaySpec, ParallelOptions, SizingCache, SizingOptions, SizingOutcome,
+    VariationOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology};
 use smart_models::ModelLibrary;
@@ -137,7 +138,8 @@ fn lazy_sizing_elaborates_only_on_a_miss() {
                 Cow::Owned(mux(MuxTopology::StronglyMutexedPass).generate())
             },
             &lib,
-            &b,
+            || output_loads_fingerprint(&["y"], 15.0),
+            || Cow::Borrowed(&b),
             &spec,
             &opts,
         )
@@ -149,6 +151,31 @@ fn lazy_sizing_elaborates_only_on_a_miss() {
     assert_bitwise_equal(&cold, &miss, "cold vs lazy miss");
     assert_bitwise_equal(&cold, &hit, "cold vs lazy hit");
     assert_eq!(cache.stats(), (1, 1));
+}
+
+/// A warm lazy call answers from its two fingerprints alone: the circuit
+/// and boundary closures panic, so running either fails the test.
+#[test]
+fn warm_lazy_sizing_builds_neither_circuit_nor_boundary() {
+    let circuit = mux(MuxTopology::StronglyMutexedPass).generate();
+    let lib = ModelLibrary::reference();
+    let b = boundary(15.0);
+    let spec = DelaySpec::uniform(400.0);
+    let cache = Arc::new(SizingCache::new());
+    let opts = with_cache(&cache);
+    let cold = size_circuit(&circuit, &lib, &b, &spec, &opts).expect("miss + solve");
+    let warm = size_lazily(
+        || circuit.structural_hash(),
+        || -> Cow<'static, smart_netlist::Circuit> { panic!("a hit must not elaborate") },
+        &lib,
+        || output_loads_fingerprint(&["y"], 15.0),
+        || -> Cow<'static, Boundary> { panic!("a hit must not build the boundary") },
+        &spec,
+        &opts,
+    )
+    .expect("hit");
+    assert_bitwise_equal(&cold, &warm, "cold vs warm lazy hit");
+    assert_eq!(cache.stats(), (1, 1), "one miss, then one hit");
 }
 
 #[test]
@@ -170,7 +197,8 @@ fn lazy_sizing_without_a_cache_never_hashes() {
             Cow::Borrowed(&circuit)
         },
         &lib,
-        &b,
+        || -> u64 { panic!("no cache, so the boundary is never fingerprinted") },
+        || Cow::Borrowed(&b),
         &spec,
         &opts,
     )

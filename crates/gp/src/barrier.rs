@@ -49,6 +49,9 @@ const MAX_STEP: f64 = 8.0;
 pub(crate) trait Kernel {
     /// Makes `y` the current point, evaluating slots `first..`.
     fn sweep(&mut self, y: &[f64], first: usize);
+    /// Evaluates slot `j` alone at the current point `y`, with the bits
+    /// [`sweep`](Self::sweep) would give it.
+    fn sweep_slot(&mut self, y: &[f64], j: usize);
     /// Every slot's value at the current point.
     fn values(&self) -> &[f64];
     /// Starts a Newton system over `n` coordinates at the current point
@@ -265,8 +268,10 @@ pub(crate) fn run<K: Kernel>(
             z.pop();
         }
     }
-    // Phase II's one evaluation at a point no line search reached.
-    k.sweep(&z, Optimality.first_slot());
+    // The start sweep or phase I's last accepted trial evaluated every
+    // constraint at `z`; only the objective, which phase I never reads,
+    // is stale.
+    k.sweep_slot(&z, 0);
     let mut phase2_steps = 0;
     let t = barrier(Optimality, k, &mut z, opts, phase1_steps, &mut phase2_steps)?;
     Ok((z, t, phase1_steps, phase2_steps))

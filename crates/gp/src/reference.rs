@@ -71,6 +71,10 @@ impl Kernel for DenseKernel<'_, '_> {
         }
     }
 
+    fn sweep_slot(&mut self, y: &[f64], j: usize) {
+        self.values[j] = self.slots[j].value(y);
+    }
+
     fn values(&self) -> &[f64] {
         &self.values
     }

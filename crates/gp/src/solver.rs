@@ -192,6 +192,11 @@ impl Kernel for SparseKernel<'_, '_> {
         }
     }
 
+    fn sweep_slot(&mut self, y: &[f64], j: usize) {
+        // The term dictionary's sweep writes the bits `eval` does.
+        self.at_y.eval(j, &self.slots[j], y);
+    }
+
     fn values(&self) -> &[f64] {
         &self.at_y.values
     }

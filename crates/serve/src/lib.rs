@@ -43,6 +43,6 @@ pub use smart_trace::json;
 
 pub use advisor::{Advisor, Control, Reply, ServeOptions, FENCE_CAP, MEMO_CAP};
 pub use cli::run_cli;
-pub use server::{run_script, serve_tcp, MAX_CONNECTIONS};
 #[cfg(unix)]
 pub use server::serve_unix;
+pub use server::{run_script, serve_tcp, MAX_CONNECTIONS};

@@ -42,9 +42,9 @@ pub fn run_script(advisor: &Advisor, script: &str, out: &mut dyn Write) -> std::
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let reply = advisor.handle_line(line);
+        let mut reply = advisor.handle_line(line);
+        reply.text.push('\n');
         out.write_all(reply.text.as_bytes())?;
-        out.write_all(b"\n")?;
         handled += 1;
         if reply.control == Control::Shutdown {
             break;
@@ -68,7 +68,7 @@ fn serve_client(advisor: &Advisor, stream: impl Read + Write, stop: &AtomicBool)
             Ok(0) | Err(_) => return, // client hung up
             Ok(_) => {}
         }
-        let reply = if buf.last() != Some(&b'\n') && buf.len() > MAX_LINE {
+        let mut reply = if buf.last() != Some(&b'\n') && buf.len() > MAX_LINE {
             // Drop the rest of the line unread; the next one is served.
             if reader.skip_until(b'\n').is_err() {
                 return;
@@ -81,11 +81,10 @@ fn serve_client(advisor: &Advisor, stream: impl Read + Write, stop: &AtomicBool)
                 Err(_) => rejected("request line is not valid UTF-8"),
             }
         };
+        // The reply and its newline go out in one write.
+        reply.text.push('\n');
         let stream = reader.get_mut();
-        if stream.write_all(reply.text.as_bytes()).is_err()
-            || stream.write_all(b"\n").is_err()
-            || stream.flush().is_err()
-        {
+        if stream.write_all(reply.text.as_bytes()).is_err() || stream.flush().is_err() {
             return;
         }
         if reply.control == Control::Shutdown {
@@ -122,15 +121,14 @@ fn accept_loop<S: Read + Write + Send + 'static>(
         // Only this loop raises the gauge, so no connection slips past the
         // cap between the check and the increment.
         if advisor.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-            let row = error_line(
+            let mut row = error_line(
                 "",
                 "",
                 "budget",
                 &format!("too many connections (max {MAX_CONNECTIONS})"),
             );
-            let _ = stream
-                .write_all(row.as_bytes())
-                .and_then(|()| stream.write_all(b"\n"));
+            row.push('\n');
+            let _ = stream.write_all(row.as_bytes());
             continue; // dropping the stream closes it
         }
         advisor.connections.fetch_add(1, Ordering::SeqCst);
@@ -184,10 +182,11 @@ mod tests {
     use crate::ServeOptions;
 
     /// An in-memory socket: reads a fixed request stream, records every
-    /// byte written back.
+    /// byte written back and counts the writes.
     struct Duplex {
         input: std::io::Cursor<Vec<u8>>,
         output: Vec<u8>,
+        writes: usize,
     }
 
     impl Read for Duplex {
@@ -198,6 +197,7 @@ mod tests {
 
     impl Write for Duplex {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
             self.output.write(buf)
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -205,15 +205,22 @@ mod tests {
         }
     }
 
-    fn replies(input: Vec<u8>) -> Vec<String> {
+    /// Serves `input` to one client; returns the reply lines and the
+    /// number of writes that carried them.
+    fn serve(input: Vec<u8>) -> (Vec<String>, usize) {
         let advisor = Advisor::new(ServeOptions::default());
         let mut stream = Duplex {
             input: std::io::Cursor::new(input),
             output: Vec::new(),
+            writes: 0,
         };
         serve_client(&advisor, &mut stream, &AtomicBool::new(false));
         let text = String::from_utf8(stream.output).expect("replies are UTF-8");
-        text.lines().map(str::to_owned).collect()
+        (text.lines().map(str::to_owned).collect(), stream.writes)
+    }
+
+    fn replies(input: Vec<u8>) -> Vec<String> {
+        serve(input).0
     }
 
     const PING: &str = "{\"ok\":true,\"op\":\"ping\",\"id\":\"p\"}";
@@ -258,5 +265,18 @@ mod tests {
             rows[0]
         );
         assert_eq!(rows[1], PING);
+    }
+
+    /// Each reply and its newline reach the socket in one write, whether
+    /// the advisor or the transport wrote the row; a blank line gets no
+    /// reply and no write.
+    #[test]
+    fn each_reply_is_one_write() {
+        let input =
+            b"{\"op\":\"ping\",\"id\":\"p\"}\n\n\xff\n{\"op\":\"size\",\"macro\":\"bogus9\"}\n";
+        let (rows, writes) = serve(input.to_vec());
+        assert_eq!(rows.len(), 3, "{rows:?}");
+        assert_eq!(rows[0], PING);
+        assert_eq!(writes, rows.len(), "one write per reply");
     }
 }

@@ -1,10 +1,12 @@
 //! The advisor's per-spec structure memo: the cache key it derives
-//! without elaborating a macro must equal the key of the elaborated
-//! circuit, and the memo must stay bounded without changing any reply.
+//! without elaborating a macro or building its boundary must equal the
+//! key of the elaborated circuit under the built boundary, and the memo
+//! must stay bounded without changing any reply.
 
 use smart_core::{cache_key, size_circuit, DelaySpec, ParallelOptions, SizingOptions};
 use smart_macros::MacroSpec;
 use smart_models::{CornerSet, ModelLibrary};
+use smart_netlist::Circuit;
 use smart_serve::json::Json;
 use smart_serve::{Advisor, ServeOptions, MEMO_CAP};
 use smart_sta::Boundary;
@@ -45,20 +47,39 @@ const WIRE_MACROS: [&str; 25] = [
     "shift32:rol",
 ];
 
+/// Two loads of the serve mix's U(8, 24) fF range, one of them fractional.
+const LOADS: [f64; 2] = [17.0, 9.375];
+
+/// The boundary the serve workload sizes `circuit` under: `load` on every
+/// output port.
+fn boundary_for(circuit: &Circuit, load: f64) -> Boundary {
+    let mut b = Boundary::default();
+    for p in circuit.output_ports() {
+        b.output_loads.insert(p.name.clone(), load);
+    }
+    b
+}
+
 /// Plants an outcome with a distinctive width under the key of the fully
-/// elaborated circuit; a `size` reply (and a `batch` row) carrying that
-/// width proves the advisor looked up exactly that key — on the request
-/// that fills the memo and on the one that hits it.
+/// elaborated circuit and its built boundary; a `size` reply (and a
+/// `batch` row) carrying that width proves the advisor looked up exactly
+/// that key — on the request that fills the memo and on the ones that hit
+/// it, at both loads.
 #[test]
 fn memo_derived_keys_equal_elaborated_keys_at_one_and_three_corners() {
     let lib = ModelLibrary::reference();
-    let (load, delay) = (17.0, 333.0);
+    let delay = 333.0;
     let template = {
         let circuit = MacroSpec::parse("mux4").expect("mux4").generate();
-        let mut b = Boundary::default();
-        b.output_loads.insert("y".into(), load);
-        size_circuit(&circuit, &lib, &b, &DelaySpec::uniform(400.0), &SizingOptions::default())
-            .expect("template sizing")
+        let b = boundary_for(&circuit, LOADS[0]);
+        size_circuit(
+            &circuit,
+            &lib,
+            &b,
+            &DelaySpec::uniform(400.0),
+            &SizingOptions::default(),
+        )
+        .expect("template sizing")
     };
     for stf in [false, true] {
         let advisor = serial_advisor();
@@ -67,12 +88,13 @@ fn memo_derived_keys_equal_elaborated_keys_at_one_and_three_corners() {
             ..SizingOptions::default()
         };
         let corners = if stf { ",\"corners\":\"stf\"" } else { "" };
-        for (i, name) in WIRE_MACROS.iter().enumerate() {
+        for (i, (name, load)) in WIRE_MACROS
+            .iter()
+            .flat_map(|name| LOADS.map(|load| (name, load)))
+            .enumerate()
+        {
             let circuit = MacroSpec::parse(name).expect(name).generate();
-            let mut b = Boundary::default();
-            for p in circuit.output_ports() {
-                b.output_loads.insert(p.name.clone(), load);
-            }
+            let b = boundary_for(&circuit, load);
             let key = cache_key(&circuit, &lib, &b, &DelaySpec::uniform(delay), &opts);
             let mut planted = template.clone();
             planted.total_width = 1000.0 + i as f64;
@@ -87,10 +109,14 @@ fn memo_derived_keys_equal_elaborated_keys_at_one_and_three_corners() {
                 ),
             ] {
                 let reply = advisor.handle_line(&line).text;
-                assert!(reply.contains(&width), "{name} stf={stf}: {reply}");
+                assert!(reply.contains(&width), "{name} at {load} stf={stf}: {reply}");
             }
         }
-        assert_eq!(advisor.cache().stats(), (50, 0), "stf={stf}: every lookup hit");
+        assert_eq!(
+            advisor.cache().stats(),
+            (100, 0),
+            "stf={stf}: every lookup hit"
+        );
     }
 }
 
@@ -115,8 +141,16 @@ fn memo_entries(advisor: &Advisor) -> usize {
 fn memo_stays_bounded_and_never_changes_a_reply() {
     const SIZED: usize = 32;
     let families = [
-        "inc{}", "dec{}", "cla{}", "zd{}", "zd{}:domino", "mux{}", "mux{}:tri", "mux{}:dom",
-        "mux{}:weak", "mux{}:split",
+        "inc{}",
+        "dec{}",
+        "cla{}",
+        "zd{}",
+        "zd{}:domino",
+        "mux{}",
+        "mux{}:tri",
+        "mux{}:dom",
+        "mux{}:weak",
+        "mux{}:split",
     ];
     let names: Vec<String> = (1..=48)
         .flat_map(|w| families.map(|f| f.replace("{}", &w.to_string())))
@@ -137,11 +171,21 @@ fn memo_stays_bounded_and_never_changes_a_reply() {
         fresh.push((line, expected));
     }
     assert_eq!(memo_entries(&advisor), MEMO_CAP);
-    let ok = fresh.iter().filter(|(_, r)| r.starts_with("{\"ok\":true")).count();
-    assert_eq!(ok, SIZED, "every small spec sizes, every zero budget aborts");
+    let ok = fresh
+        .iter()
+        .filter(|(_, r)| r.starts_with("{\"ok\":true"))
+        .count();
+    assert_eq!(
+        ok, SIZED,
+        "every small spec sizes, every zero budget aborts"
+    );
     let (_, misses) = advisor.cache().stats();
     for (line, expected) in &fresh {
-        assert_eq!(&advisor.handle_line(line).text, expected, "{line}: second pass");
+        assert_eq!(
+            &advisor.handle_line(line).text,
+            expected,
+            "{line}: second pass"
+        );
         assert!(memo_entries(&advisor) <= MEMO_CAP);
     }
     assert_eq!(

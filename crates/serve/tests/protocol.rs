@@ -56,9 +56,7 @@ fn warm_restart_replays_byte_identically() {
     // Cold daemon: serve the script, snapshot the shared cache.
     let cold = advisor_with_workers(2);
     let cold_out = replay(&cold);
-    cold.cache()
-        .save_snapshot(&snap)
-        .expect("snapshot write");
+    cold.cache().save_snapshot(&snap).expect("snapshot write");
     let entries = cold.cache().len();
     assert!(entries > 0, "the script must populate the cache");
 
@@ -100,9 +98,16 @@ fn a_snapshot_from_another_flow_epoch_restores_as_no_snapshot() {
     cold.handle_line(r#"{"op":"size","id":"s","macro":"mux4"}"#);
     let snap = cold.cache().snapshot();
     let epoch = format!("\"epoch\":{},", smart_core::FLOW_EPOCH);
-    assert!(snap.contains(&epoch), "the header names the flow epoch: {snap:.80}");
+    assert!(
+        snap.contains(&epoch),
+        "the header names the flow epoch: {snap:.80}"
+    );
     let stale = [
-        snap.replacen(&epoch, &format!("\"epoch\":{},", smart_core::FLOW_EPOCH + 1), 1),
+        snap.replacen(
+            &epoch,
+            &format!("\"epoch\":{},", smart_core::FLOW_EPOCH + 1),
+            1,
+        ),
         snap.replacen(&epoch, "", 1),
     ];
     for (i, text) in stale.iter().enumerate() {
@@ -113,7 +118,11 @@ fn a_snapshot_from_another_flow_epoch_restores_as_no_snapshot() {
             "{{\"op\":\"restore\",\"id\":\"r\",\"path\":\"{}\"}}",
             path.display()
         ));
-        assert!(reply.text.contains("no snapshot (other-epoch)"), "{}", reply.text);
+        assert!(
+            reply.text.contains("no snapshot (other-epoch)"),
+            "{}",
+            reply.text
+        );
         assert!(warm.cache().is_empty());
         let stats = Json::parse(&warm.handle_line(r#"{"op":"stats"}"#).text).expect("stats");
         assert_eq!(
@@ -178,8 +187,14 @@ fn cancel_fences_are_capped_with_a_typed_row() {
         )
     );
     let stats = Json::parse(&advisor.handle_line(r#"{"op":"stats"}"#).text).expect("stats");
-    assert_eq!(stats.get("fence_cap").and_then(Json::as_usize), Some(FENCE_CAP));
-    assert_eq!(stats.get("fences").and_then(Json::as_usize), Some(FENCE_CAP));
+    assert_eq!(
+        stats.get("fence_cap").and_then(Json::as_usize),
+        Some(FENCE_CAP)
+    );
+    assert_eq!(
+        stats.get("fences").and_then(Json::as_usize),
+        Some(FENCE_CAP)
+    );
     // Re-cancelling a held id needs no new fence, so the cap does not
     // refuse it.
     let again = advisor.handle_line(r#"{"op":"cancel","id":"never-0"}"#);
@@ -193,19 +208,56 @@ fn cancel_fences_are_capped_with_a_typed_row() {
         reply.text
     );
     let stats = Json::parse(&advisor.handle_line(r#"{"op":"stats"}"#).text).expect("stats");
-    assert_eq!(stats.get("fences").and_then(Json::as_usize), Some(FENCE_CAP - 1));
+    assert_eq!(
+        stats.get("fences").and_then(Json::as_usize),
+        Some(FENCE_CAP - 1)
+    );
 }
 
 #[test]
 fn zero_wall_clock_budget_is_a_deterministic_budget_row() {
     let advisor = advisor_with_workers(1);
-    let reply =
-        advisor.handle_line(r#"{"op":"size","id":"z","macro":"mux8:dom","budget_ms":0}"#);
-    assert!(reply.text.contains("\"error\":\"budget\""), "{}", reply.text);
+    let reply = advisor.handle_line(r#"{"op":"size","id":"z","macro":"mux8:dom","budget_ms":0}"#);
+    assert!(
+        reply.text.contains("\"error\":\"budget\""),
+        "{}",
+        reply.text
+    );
     // Twice in a row: the row must not depend on timing.
-    let again =
-        advisor.handle_line(r#"{"op":"size","id":"z","macro":"mux8:dom","budget_ms":0}"#);
+    let again = advisor.handle_line(r#"{"op":"size","id":"z","macro":"mux8:dom","budget_ms":0}"#);
     assert_eq!(reply.text, again.text);
+}
+
+/// Every `size` request consults the cache exactly once, whether it
+/// sizes, replays or fails: after each request, hits plus misses equal
+/// the requests served.
+#[test]
+fn each_size_request_is_one_cache_lookup() {
+    let advisor = advisor_with_workers(1);
+    let lines = [
+        r#"{"op":"size","macro":"mux4","load":12,"delay":400}"#,
+        r#"{"op":"size","macro":"mux4","load":12,"delay":400}"#,
+        r#"{"op":"size","macro":"mux4","load":20,"delay":400}"#,
+        r#"{"op":"size","macro":"mux2:enc","delay":300}"#,
+        r#"{"op":"size","macro":"mux4","delay":1}"#,
+        r#"{"op":"size","macro":"mux4","delay":1}"#,
+        r#"{"op":"size","macro":"mux2:enc","delay":300}"#,
+        r#"{"op":"size","macro":"mux4","load":12,"delay":400}"#,
+    ];
+    for (served, line) in lines.iter().enumerate() {
+        let reply = advisor.handle_line(line).text;
+        let failed = line.contains("\"delay\":1}");
+        assert_eq!(
+            reply.starts_with("{\"ok\":false"),
+            failed,
+            "{line}: {reply}"
+        );
+        let (hits, misses) = advisor.cache().stats();
+        assert_eq!(hits + misses, served + 1, "{line}");
+    }
+    // The repeats of a success hit; a failure is never stored, so its
+    // repeat misses again.
+    assert_eq!(advisor.cache().stats(), (3, 5));
 }
 
 #[test]
@@ -250,14 +302,14 @@ fn malformed_lines_become_typed_rows_never_panics() {
     let advisor = advisor_with_workers(1);
     for bad in [
         "not json at all",
-        "{\"op\":\"size\"}",                      // missing macro
-        "{\"id\":\"x\"}",                          // missing op
-        "{\"op\":\"warp\",\"id\":\"x\"}",         // unknown op
+        "{\"op\":\"size\"}",              // missing macro
+        "{\"id\":\"x\"}",                 // missing op
+        "{\"op\":\"warp\",\"id\":\"x\"}", // unknown op
         "{\"op\":\"size\",\"macro\":\"mux8\",\"load\":-4}",
         "{\"op\":\"size\",\"macro\":\"mux8\",\"budget_ms\":1.5}",
-        "{\"op\":\"batch\",\"id\":\"b\"}",        // missing requests
-        "{\"op\":\"restore\",\"id\":\"r\"}",      // missing path
-        "{\"op\":\"cancel\"}",                    // cancel needs an id
+        "{\"op\":\"batch\",\"id\":\"b\"}",   // missing requests
+        "{\"op\":\"restore\",\"id\":\"r\"}", // missing path
+        "{\"op\":\"cancel\"}",               // cancel needs an id
         "{\"op\":\"size\",\"macro\":\"mux8\",\"corners\":\"weird\"}",
         // Grammatically valid names outside the generator's range must
         // be typed rows too — the generators panic on these parameters,
@@ -389,11 +441,11 @@ fn tcp_round_trip_serves_and_shuts_down() {
         .write_all(b"{\"op\":\"shutdown\",\"id\":\"t\"}\n")
         .expect("send shutdown");
     reader.read_line(&mut line).expect("recv shutdown");
-    assert!(line.starts_with("{\"ok\":true,\"op\":\"shutdown\""), "{line}");
-    server
-        .join()
-        .expect("server thread")
-        .expect("server io");
+    assert!(
+        line.starts_with("{\"ok\":true,\"op\":\"shutdown\""),
+        "{line}"
+    );
+    server.join().expect("server thread").expect("server io");
 }
 
 /// A connection past [`MAX_CONNECTIONS`] gets one `budget` row and is
@@ -477,7 +529,10 @@ fn unix_connections_past_the_cap_get_one_budget_row() {
     assert!(reply.starts_with(r#"{"ok":true,"op":"ping""#), "{reply}");
 
     let reply = ask(&mut live[0], r#"{"op":"shutdown","id":"bye"}"#);
-    assert!(reply.starts_with(r#"{"ok":true,"op":"shutdown""#), "{reply}");
+    assert!(
+        reply.starts_with(r#"{"ok":true,"op":"shutdown""#),
+        "{reply}"
+    );
     server.join().expect("server thread").expect("server io");
     assert!(!sock.exists(), "the socket file is unlinked on exit");
 }
