@@ -68,9 +68,15 @@ fn main() {
         .normalized()
     });
     bench("fig5/fig5c_row_dec4to16", || {
-        protocol_61("4to16", &MacroSpec::Decoder { in_bits: 4 }, 8.0, &lib, &opts)
-            .unwrap()
-            .normalized()
+        protocol_61(
+            "4to16",
+            &MacroSpec::Decoder { in_bits: 4 },
+            8.0,
+            &lib,
+            &opts,
+        )
+        .unwrap()
+        .normalized()
     });
 
     bench("table1/row_unsplit_domino", || {
@@ -109,5 +115,7 @@ fn main() {
     bench("full_tables/fig5a_all_rows", || fig5a(&lib, &opts).len());
     bench("full_tables/fig5b_all_rows", || fig5b(&lib, &opts).len());
     bench("full_tables/fig5c_all_rows", || fig5c(&lib, &opts).len());
-    bench("full_tables/table2_all_blocks", || table2(&lib, &opts).len());
+    bench("full_tables/table2_all_blocks", || {
+        table2(&lib, &opts).len()
+    });
 }

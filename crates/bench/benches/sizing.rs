@@ -63,7 +63,11 @@ fn bench_gp_sizing(lib: &ModelLibrary, opts: &SizingOptions) {
             },
             300.0,
         ),
-        ("gp_sizing/inc13", MacroSpec::Incrementor { width: 13 }, 4000.0),
+        (
+            "gp_sizing/inc13",
+            MacroSpec::Incrementor { width: 13 },
+            4000.0,
+        ),
     ] {
         let circuit = spec.generate();
         let boundary = boundary_for(&circuit, 20.0);

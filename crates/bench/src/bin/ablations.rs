@@ -55,18 +55,32 @@ fn main() {
             .unwrap_or_else(|e| panic!("heuristic compaction: {e}"));
         let se = compaction_stats(&circuit, &lib, &boundary, &exact)
             .unwrap_or_else(|e| panic!("exact compaction: {e}"));
-        let wh = size_circuit(&circuit, &lib, &boundary, &DelaySpec::uniform(budget), &heur)
-            .map(|o| o.total_width);
-        let we = size_circuit(&circuit, &lib, &boundary, &DelaySpec::uniform(budget), &exact)
-            .map(|o| o.total_width);
+        let wh = size_circuit(
+            &circuit,
+            &lib,
+            &boundary,
+            &DelaySpec::uniform(budget),
+            &heur,
+        )
+        .map(|o| o.total_width);
+        let we = size_circuit(
+            &circuit,
+            &lib,
+            &boundary,
+            &DelaySpec::uniform(budget),
+            &exact,
+        )
+        .map(|o| o.total_width);
         println!(
             "{:<24} {:>10} {:>12} {:>12} {:>12} {:>12}",
             name,
             sh.raw_paths,
             sh.classes.len(),
             se.classes.len(),
-            wh.map(|w| format!("{w:.0}")).unwrap_or_else(|e| format!("{e:.10}")),
-            we.map(|w| format!("{w:.0}")).unwrap_or_else(|e| format!("{e:.10}")),
+            wh.map(|w| format!("{w:.0}"))
+                .unwrap_or_else(|e| format!("{e:.10}")),
+            we.map(|w| format!("{w:.0}"))
+                .unwrap_or_else(|e| format!("{e:.10}")),
         );
     }
     println!(
@@ -106,8 +120,13 @@ fn main() {
             ..Default::default()
         };
         let w_otb = size_circuit(&circuit, &lib, &boundary, &DelaySpec::uniform(budget), &otb);
-        let w_hard =
-            size_circuit(&circuit, &lib, &boundary, &DelaySpec::uniform(budget), &hard);
+        let w_hard = size_circuit(
+            &circuit,
+            &lib,
+            &boundary,
+            &DelaySpec::uniform(budget),
+            &hard,
+        );
         match (w_otb, w_hard) {
             (Ok(a), Ok(b)) => println!(
                 "{:<24} {:>14.0} {:>14.0} {:>9.1}%",

@@ -43,9 +43,7 @@ use std::time::{Duration, Instant};
 
 use smart_audit::{audit_problem, AuditConfig};
 use smart_core::constraints::{boundary_extra_loads, build_sizing_gp, SizingGp};
-use smart_core::{
-    compact, DelaySpec, SizingOptions,
-};
+use smart_core::{compact, DelaySpec, SizingOptions};
 use smart_gp::{GpProblem, SolverOptions};
 use smart_macros::{representative_database, MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::{CornerSet, ModelLibrary};
@@ -122,8 +120,8 @@ fn sizing_gp_with(
     let boundary = boundary_for(request, load);
     let (_, vars) = smart_models::label_vars(&circuit);
     let extra = boundary_extra_loads(&circuit, &boundary);
-    let compaction = compact(&circuit, &lib, &vars, &extra, opts)
-        .unwrap_or_else(|e| panic!("compaction: {e}"));
+    let compaction =
+        compact(&circuit, &lib, &vars, &extra, opts).unwrap_or_else(|e| panic!("compaction: {e}"));
     build_sizing_gp(&circuit, &lib, &compaction, &boundary, &extra, spec, opts)
         .unwrap_or_else(|e| panic!("GP builds: {e}"))
 }
@@ -182,7 +180,10 @@ fn line_search_trials(built: &SizingGp, opts: &SolverOptions) -> (usize, usize) 
     {
         let scope = trace.scope("gp_kernel", 0, 0);
         let _current = scope.enter();
-        built.gp.solve(opts).unwrap_or_else(|e| panic!("traced solve: {e}"));
+        built
+            .gp
+            .solve(opts)
+            .unwrap_or_else(|e| panic!("traced solve: {e}"));
     }
     let report = trace.collect();
     let sum = |field| {
@@ -207,7 +208,10 @@ fn bench_kernel(name: &'static str, built: &SizingGp, iters: usize) -> KernelRow
     let mut steps = 0usize;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let sol = built.gp.solve(&opts).unwrap_or_else(|e| panic!("sparse solve: {e}"));
+        let sol = built
+            .gp
+            .solve(&opts)
+            .unwrap_or_else(|e| panic!("sparse solve: {e}"));
         sparse_best = sparse_best.min(t0.elapsed());
         steps = sol.phase1_newton_steps + sol.phase2_newton_steps;
 
@@ -276,7 +280,10 @@ fn bench_chaining(request: &MacroSpec, load: f64, base_ps: f64, chain: bool) -> 
             initial_x: Some(initial),
             ..Default::default()
         };
-        let sol = built.gp.solve(&opts).unwrap_or_else(|e| panic!("retarget solve: {e}"));
+        let sol = built
+            .gp
+            .solve(&opts)
+            .unwrap_or_else(|e| panic!("retarget solve: {e}"));
         p1 += sol.phase1_newton_steps;
         p2 += sol.phase2_newton_steps;
         prev = Some(sol.x);
@@ -305,7 +312,13 @@ struct AuditRow {
 /// full system vs the audit+solve of the pruned one (best of `iters`).
 /// Sanity-checks in-process that pruning moved the optimum by at most a
 /// relative 1e-6 — the cheap echo of the exhaustive parity suite.
-fn bench_audit(name: &'static str, request: &MacroSpec, load: f64, ps: f64, iters: usize) -> AuditRow {
+fn bench_audit(
+    name: &'static str,
+    request: &MacroSpec,
+    load: f64,
+    ps: f64,
+    iters: usize,
+) -> AuditRow {
     let lib = ModelLibrary::reference();
     let opts = SizingOptions {
         corners: Some(CornerSet::slow_typical_fast(lib.process())),
@@ -334,12 +347,17 @@ fn bench_audit(name: &'static str, request: &MacroSpec, load: f64, ps: f64, iter
     let mut pruned_obj = f64::NAN;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let sol = built.gp.solve(&solver).unwrap_or_else(|e| panic!("full solve: {e}"));
+        let sol = built
+            .gp
+            .solve(&solver)
+            .unwrap_or_else(|e| panic!("full solve: {e}"));
         full_best = full_best.min(t0.elapsed());
         full_obj = sol.objective;
 
         let t0 = Instant::now();
-        let psol = pruned.solve(&solver).unwrap_or_else(|e| panic!("pruned solve: {e}"));
+        let psol = pruned
+            .solve(&solver)
+            .unwrap_or_else(|e| panic!("pruned solve: {e}"));
         pruned_best = pruned_best.min(t0.elapsed());
         pruned_obj = psol.objective;
     }
@@ -540,13 +558,37 @@ const KERNEL_CASES: [(&str, MacroSpec, f64, f64, bool); 8] = [
         900.0,
         false,
     ),
-    ("inc13", MacroSpec::Incrementor { width: 13 }, 20.0, 2600.0, false),
-    ("inc8_cla", MacroSpec::IncrementorCla { width: 8 }, 20.0, 1500.0, false),
+    (
+        "inc13",
+        MacroSpec::Incrementor { width: 13 },
+        20.0,
+        2600.0,
+        false,
+    ),
+    (
+        "inc8_cla",
+        MacroSpec::IncrementorCla { width: 8 },
+        20.0,
+        1500.0,
+        false,
+    ),
     ("cla8", MacroSpec::ClaAdder { width: 8 }, 12.0, 920.0, true),
-    ("cla32", MacroSpec::ClaAdder { width: 32 }, 12.0, 1283.0, true),
+    (
+        "cla32",
+        MacroSpec::ClaAdder { width: 32 },
+        12.0,
+        1283.0,
+        true,
+    ),
     // 73 variables, 1,026 constraints: the GP that dominates the adder64
     // workload.
-    ("cla64", MacroSpec::ClaAdder { width: 64 }, 12.0, 1469.0, false),
+    (
+        "cla64",
+        MacroSpec::ClaAdder { width: 64 },
+        12.0,
+        1469.0,
+        false,
+    ),
 ];
 
 /// Compares each kernel row's sweep and its deterministic solve counters
@@ -696,7 +738,11 @@ fn main() {
                 1800.0,
             ),
             ("inc13_stf", MacroSpec::Incrementor { width: 13 }, 5200.0),
-            ("inc8_cla_stf", MacroSpec::IncrementorCla { width: 8 }, 3000.0),
+            (
+                "inc8_cla_stf",
+                MacroSpec::IncrementorCla { width: 8 },
+                3000.0,
+            ),
         ]
     };
     println!(
@@ -731,7 +777,10 @@ fn main() {
     // The smoke entries include `cla64` (entry 25), the largest log form,
     // so CI pins its bytes as well as the small entries' counters.
     let build_specs: Vec<MacroSpec> = if smoke {
-        [0, 7, 12, 25].iter().map(|&i| database[i].clone()).collect()
+        [0, 7, 12, 25]
+            .iter()
+            .map(|&i| database[i].clone())
+            .collect()
     } else {
         database
     };
@@ -755,7 +804,11 @@ fn main() {
             sum(|c| c.log_form_bytes) as f64 / sum(|c| c.terms).max(1) as f64,
         );
     }
-    if let Some(path) = args.iter().position(|a| a == "--check").and_then(|i| args.get(i + 1)) {
+    if let Some(path) = args
+        .iter()
+        .position(|a| a == "--check")
+        .and_then(|i| args.get(i + 1))
+    {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
         let record = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
         let mut diffs = check_kernel(&kernel_rows, &record);
@@ -774,7 +827,11 @@ fn main() {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"schema\": \"gp_kernel/v1\",");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
+    let _ = writeln!(
+        json,
+        "  \"mode\": \"{}\",",
+        if smoke { "smoke" } else { "full" }
+    );
     let _ = writeln!(json, "  \"kernel\": [");
     for (i, r) in kernel_rows.iter().enumerate() {
         let _ = writeln!(
@@ -836,7 +893,10 @@ fn main() {
         audit_full_ms / audit_pruned_ms.max(1e-9)
     );
     let _ = writeln!(json, "  \"build\": {{");
-    let _ = writeln!(json, "    \"inputs\": \"12 fF on every output, uniform 1500 ps\",");
+    let _ = writeln!(
+        json,
+        "    \"inputs\": \"12 fF on every output, uniform 1500 ps\","
+    );
     let _ = writeln!(json, "    \"totals\": [");
     for (i, r) in build_rows.iter().enumerate() {
         let sum = |f: fn(&BuildCase) -> usize| r.cases.iter().map(f).sum::<usize>();
@@ -878,7 +938,6 @@ fn main() {
     let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, json)
-        .unwrap_or_else(|e| panic!("write BENCH_gp.json: {e}"));
+    std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("write BENCH_gp.json: {e}"));
     println!("\nwrote {out_path}");
 }

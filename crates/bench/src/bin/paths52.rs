@@ -9,7 +9,10 @@ fn main() {
     let lib = ModelLibrary::reference();
     let opts = SizingOptions::default();
     println!("# Section 5.2 — path compaction on the dynamic CLA adder");
-    println!("{:>6} {:>16} {:>10} {:>10}", "bits", "raw paths", "compacted", "ratio");
+    println!(
+        "{:>6} {:>16} {:>10} {:>10}",
+        "bits", "raw paths", "compacted", "ratio"
+    );
     for width in [8, 16, 32, 64] {
         let s = paths52(&lib, &opts, width);
         println!(

@@ -8,6 +8,13 @@
 //! through [`smart_core::FlowError::taxonomy`] and the per-row histogram
 //! is printed alongside the savings statistics, so a single infeasible
 //! corner shows up as data instead of killing the study.
+//!
+//! Three sections, the last two also written to `BENCH_robustness.json`
+//! (`--out` moves it, `--smoke` shrinks every sweep):
+//!
+//! 1. the §6.1 savings table across loads and corners;
+//! 2. multi-corner robust sizing and its variation yield;
+//! 3. chaos: survival and salvage under seeded fault injection.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -16,14 +23,12 @@ use std::sync::Arc;
 use smart_bench::protocol_61;
 use smart_chaos::FaultPlan;
 use smart_core::{
-    explore_parallel, explore_with_parallel, size_circuit, variation_sweep,
-    DelaySpec, ParallelOptions, SizingCache, SizingOptions, VariationOptions,
+    explore_with_parallel, size_circuit, variation_sweep, DelaySpec, ParallelOptions, SizingCache,
+    SizingOptions, VariationOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::{CornerSet, ModelLibrary, Process};
-use smart_netlist::{Circuit, ComponentKind, DeviceRole, NetKind, Network, Skew};
 use smart_sta::Boundary;
-use smart_trace::Trace;
 
 fn stats(mut xs: Vec<f64>) -> (f64, f64, f64) {
     xs.sort_by(|a, b| a.total_cmp(b));
@@ -133,110 +138,9 @@ fn main() {
          {total_failures} failed run(s); failures are classified, never fatal.)"
     );
 
-    parallel_section();
-    lint_section();
-    trace_section();
     let corner_rows = corner_yield_section(smoke);
     let chaos_rows = chaos_section(smoke);
-    let serve_rows = serve_section(smoke);
-    write_json(&out_path, smoke, &corner_rows, &chaos_rows, &serve_rows);
-}
-
-/// One serve configuration's replay of the scripted request mix.
-struct ServeRow {
-    label: &'static str,
-    workers: usize,
-    requests: usize,
-    elapsed_ms: f64,
-    hits: usize,
-    misses: usize,
-}
-
-/// Throughput of the resident advisor (`smart-serve`): the same scripted
-/// request mix is replayed against a cold daemon at 1 and 4 workers and
-/// against a warm daemon restarted from the cold one's cache snapshot.
-/// Responses must be byte-identical across all three — the warm restart
-/// buys latency only, never different bytes (DESIGN.md §16).
-fn serve_section(smoke: bool) -> Vec<ServeRow> {
-    use smart_serve::{run_script, Advisor, ServeOptions};
-
-    println!("\n# Serve throughput: resident advisor, cold vs warm restart\n");
-    let macros: &[&str] = if smoke {
-        &["mux4", "mux8:dom", "zd16:domino"]
-    } else {
-        &["mux4", "mux8:dom", "mux2:enc", "zd16:domino", "zd32", "inc8", "dec8", "penc4"]
-    };
-    let loads: &[f64] = if smoke { &[15.0] } else { &[10.0, 15.0, 25.0] };
-    let mut script = String::new();
-    let mut requests = 0usize;
-    for (i, m) in macros.iter().enumerate() {
-        for load in loads {
-            let _ = writeln!(
-                script,
-                "{{\"op\":\"size\",\"id\":\"s{requests}\",\"macro\":\"{m}\",\"load\":{load},\"delay\":520}}"
-            );
-            requests += 1;
-        }
-        // Every third macro also goes through a batch fan-out.
-        if i % 3 == 0 {
-            let rows = macros
-                .iter()
-                .map(|m| format!("{{\"macro\":\"{m}\",\"load\":{},\"delay\":520}}", loads[0]))
-                .collect::<Vec<_>>()
-                .join(",");
-            let _ = writeln!(script, "{{\"op\":\"batch\",\"id\":\"b{i}\",\"requests\":[{rows}]}}");
-            requests += 1;
-        }
-    }
-
-    let advisor = |workers: usize| {
-        Advisor::new(ServeOptions {
-            parallel: Some(ParallelOptions::with_workers(workers)),
-            ..ServeOptions::default()
-        })
-    };
-    let replay = |a: &Advisor| {
-        let mut out = Vec::new();
-        run_script(a, &script, &mut out).unwrap_or_else(|e| panic!("serve script io: {e}"));
-        String::from_utf8(out).unwrap_or_else(|e| panic!("serve replies must be utf-8: {e}"))
-    };
-    let timed = |label: &'static str, workers: usize, a: &Advisor| {
-        let t0 = std::time::Instant::now();
-        let replies = replay(a);
-        let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let (hits, misses) = a.cache().stats();
-        let row = ServeRow { label, workers, requests, elapsed_ms, hits, misses };
-        println!(
-            "{label:<14} {workers:>7} {requests:>9} {elapsed_ms:>10.1} {:>9.1} {hits:>6} {misses:>7}",
-            1e3 * requests as f64 / elapsed_ms
-        );
-        (row, replies)
-    };
-
-    println!(
-        "{:<14} {:>7} {:>9} {:>10} {:>9} {:>6} {:>7}",
-        "config", "workers", "requests", "ms", "req/s", "hits", "misses"
-    );
-    let serial = advisor(1);
-    let (row1, out1) = timed("cold-serial", 1, &serial);
-    let cold = advisor(4);
-    let (row4, out4) = timed("cold-pool", 4, &cold);
-    let warm = advisor(4);
-    let restored = warm
-        .cache()
-        .restore(&cold.cache().snapshot())
-        .unwrap_or_else(|| panic!("own snapshot must restore"));
-    assert!(restored > 0, "the cold run must have populated the cache");
-    let (roww, outw) = timed("warm-restart", 4, &warm);
-
-    assert_eq!(out1, out4, "serve replies must not depend on the worker count");
-    assert_eq!(out4, outw, "a warm restart must replay byte-identically");
-    println!(
-        "\n(replies byte-identical across 1/4 workers and across the\n\
-         snapshot/warm-restart; the warm daemon re-solves nothing it has\n\
-         cached — cache effects are latency-only; DESIGN.md \u{a7}16.)"
-    );
-    vec![row1, row4, roww]
+    write_json(&out_path, smoke, &corner_rows, &chaos_rows);
 }
 
 /// One macro's multi-corner solve plus its Monte-Carlo yield.
@@ -379,7 +283,10 @@ fn chaos_section(smoke: bool) -> Vec<ChaosRow> {
     for &w in widths {
         for t in MuxTopology::all() {
             if t.supports_width(w) {
-                specs.push(MacroSpec::Mux { topology: t, width: w });
+                specs.push(MacroSpec::Mux {
+                    topology: t,
+                    width: w,
+                });
             }
         }
     }
@@ -392,7 +299,11 @@ fn chaos_section(smoke: bool) -> Vec<ChaosRow> {
     }
     let delay = DelaySpec::uniform(450.0);
     let workers = ParallelOptions::with_workers(4);
-    let rates: &[f64] = if smoke { &[0.0, 0.5] } else { &[0.0, 0.1, 0.25, 0.5, 0.8] };
+    let rates: &[f64] = if smoke {
+        &[0.0, 0.5]
+    } else {
+        &[0.0, 0.1, 0.25, 0.5, 0.8]
+    };
 
     println!(
         "{:<6} {:>6} {:>9} {:>10} {:>9} {:>10}  taxonomy",
@@ -479,18 +390,16 @@ fn chaos_section(smoke: bool) -> Vec<ChaosRow> {
     rows
 }
 
-/// Machine-readable record of the corner/yield, chaos, and serve sweeps.
-fn write_json(
-    out_path: &str,
-    smoke: bool,
-    corner_rows: &[CornerYieldRow],
-    rows: &[ChaosRow],
-    serve_rows: &[ServeRow],
-) {
+/// Machine-readable record of the corner/yield and chaos sweeps.
+fn write_json(out_path: &str, smoke: bool, corner_rows: &[CornerYieldRow], rows: &[ChaosRow]) {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"robustness/v3\",");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
+    let _ = writeln!(json, "  \"schema\": \"robustness/v4\",");
+    let _ = writeln!(
+        json,
+        "  \"mode\": \"{}\",",
+        if smoke { "smoke" } else { "full" }
+    );
     let _ = writeln!(json, "  \"corner_yield\": [");
     for (i, r) in corner_rows.iter().enumerate() {
         let corners = r
@@ -535,246 +444,11 @@ fn write_json(
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"serve\": [");
-    for (i, r) in serve_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"config\": \"{}\", \"workers\": {}, \"requests\": {}, \
-             \"elapsed_ms\": {:.1}, \"throughput_rps\": {:.1}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"byte_identical\": true}}{}",
-            r.label,
-            r.workers,
-            r.requests,
-            r.elapsed_ms,
-            1e3 * r.requests as f64 / r.elapsed_ms,
-            r.hits,
-            r.misses,
-            if i + 1 < serve_rows.len() { "," } else { "" }
-        );
-    }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
     if let Some(dir) = std::path::Path::new(out_path).parent() {
         std::fs::create_dir_all(dir).ok();
     }
-    std::fs::write(out_path, json)
-        .unwrap_or_else(|e| panic!("write BENCH_robustness.json: {e}"));
+    std::fs::write(out_path, json).unwrap_or_else(|e| panic!("write BENCH_robustness.json: {e}"));
     println!("\nwrote {out_path}");
-}
-
-/// Robustness of the *parallel* exploration runtime: the serial table is
-/// the reference; worker counts and a shared memoization cache must not
-/// change a single row. Prints per-configuration agreement plus the
-/// cache hit rate a repeated sweep achieves.
-fn parallel_section() {
-    println!("\n# Parallel exploration determinism (Fig.-1 sweep, mux8 request)\n");
-    let lib = ModelLibrary::reference();
-    let request = MacroSpec::Mux {
-        topology: MuxTopology::StronglyMutexedPass,
-        width: 8,
-    };
-    let loads = [10.0, 25.0];
-    let spec = DelaySpec::uniform(450.0);
-
-    let sweep = |opts: &SizingOptions, workers: usize| -> Vec<String> {
-        let mut rows = Vec::new();
-        for &load in &loads {
-            let mut boundary = Boundary::default();
-            boundary.output_loads.insert("y".into(), load);
-            let table = explore_parallel(
-                &request,
-                &lib,
-                &boundary,
-                &spec,
-                opts,
-                &ParallelOptions::with_workers(workers),
-            );
-            for c in &table.candidates {
-                rows.push(match &c.result {
-                    Ok(m) => format!("{}@{load}:{:016x}", c.spec, m.outcome.total_width.to_bits()),
-                    Err(e) => format!("{}@{load}:{}", c.spec, e.taxonomy()),
-                });
-            }
-        }
-        rows
-    };
-
-    let opts = SizingOptions::default();
-    let reference = sweep(&opts, 1);
-    println!("{:<22} rows={:<3} status", "configuration", reference.len());
-    println!("{:<22} rows={:<3} reference", "serial", reference.len());
-    for workers in [2usize, 4, 8] {
-        let rows = sweep(&opts, workers);
-        println!(
-            "{:<22} rows={:<3} {}",
-            format!("{workers} workers"),
-            rows.len(),
-            if rows == reference { "identical" } else { "DIVERGED" }
-        );
-    }
-
-    let cache = Arc::new(SizingCache::new());
-    let cached = SizingOptions {
-        cache: Some(Arc::clone(&cache)),
-        ..Default::default()
-    };
-    let cold = sweep(&cached, 4);
-    let warm = sweep(&cached, 4);
-    let (hits, misses) = cache.stats();
-    println!(
-        "{:<22} rows={:<3} {}",
-        "4 workers + cache",
-        cold.len(),
-        if cold == reference && warm == reference {
-            "identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    println!(
-        "\n(cache over both cached sweeps: {hits} hits / {misses} misses; a row\n\
-         that ever diverges across these configurations is a determinism bug —\n\
-         see DESIGN.md \u{a7}9 for the contract.)"
-    );
-}
-
-/// Robustness of the observability layer itself: tracing a parallel
-/// sweep must not perturb its rows, and the *stable* export must come
-/// out byte-identical no matter how many workers ran the sweep — the
-/// per-scope `(scope, seq)` merge, not wall-clock order, decides the
-/// bytes.
-fn trace_section() {
-    println!("\n# Trace determinism (stable export across worker counts)\n");
-    let lib = ModelLibrary::reference();
-    let request = MacroSpec::Mux {
-        topology: MuxTopology::StronglyMutexedPass,
-        width: 4,
-    };
-    let mut boundary = Boundary::default();
-    boundary.output_loads.insert("y".into(), 15.0);
-    let spec = DelaySpec::uniform(450.0);
-
-    let export = |workers: usize| -> String {
-        let opts = SizingOptions {
-            trace: Trace::enabled(),
-            cache: Some(Arc::new(SizingCache::new())),
-            ..Default::default()
-        };
-        let table = explore_parallel(
-            &request,
-            &lib,
-            &boundary,
-            &spec,
-            &opts,
-            &ParallelOptions::with_workers(workers),
-        );
-        assert!(!table.candidates.is_empty());
-        opts.trace.collect().to_json()
-    };
-
-    let reference = export(1);
-    println!("{:<22} bytes={:<7} status", "configuration", reference.len());
-    println!("{:<22} bytes={:<7} reference", "serial", reference.len());
-    for workers in [2usize, 4, 8] {
-        let json = export(workers);
-        println!(
-            "{:<22} bytes={:<7} {}",
-            format!("{workers} workers"),
-            json.len(),
-            if json == reference { "byte-identical" } else { "DIVERGED" }
-        );
-    }
-    println!(
-        "\n(the stable export orders events by (scope, seq) and carries no\n\
-         timestamps or worker counts; scheduling-dependent telemetry is\n\
-         quarantined in unstable events — DESIGN.md \u{a7}11.)"
-    );
-}
-
-/// An electrically illegal candidate: D1 → inverter → *extra inverter* →
-/// D2, whose second-stage data input is monotone-falling during evaluate
-/// (rule SL101).
-fn broken_pipeline() -> Circuit {
-    let mut c = Circuit::new("broken");
-    let clk = c.add_net_kind("clk", NetKind::Clock).unwrap_or_else(|e| panic!("fresh net: {e}"));
-    let a = c.add_net("a").unwrap_or_else(|e| panic!("fresh net: {e}"));
-    let dyn1 = c.add_net_kind("dyn1", NetKind::Dynamic).unwrap_or_else(|e| panic!("fresh net: {e}"));
-    let q = c.add_net("q").unwrap_or_else(|e| panic!("fresh net: {e}"));
-    let qb = c.add_net("qb").unwrap_or_else(|e| panic!("fresh net: {e}"));
-    let dyn2 = c.add_net_kind("dyn2", NetKind::Dynamic).unwrap_or_else(|e| panic!("fresh net: {e}"));
-    let y = c.add_net("y").unwrap_or_else(|e| panic!("fresh net: {e}"));
-    let p = c.label("P1");
-    let n = c.label("N1");
-    for (path, a, y) in [("h1", dyn1, q), ("bad", q, qb), ("h2", dyn2, y)] {
-        c.add(
-            path,
-            ComponentKind::Inverter { skew: Skew::Balanced },
-            &[a, y],
-            &[(DeviceRole::PullUp, p), (DeviceRole::PullDown, n)],
-        )
-        .unwrap_or_else(|e| panic!("valid inverter: {e}"));
-    }
-    for (path, d, out) in [("d1", a, dyn1), ("d2", qb, dyn2)] {
-        c.add(
-            path,
-            ComponentKind::Domino { network: Network::Input(0), clocked_eval: true },
-            &[clk, d, out],
-            &[
-                (DeviceRole::Precharge, p),
-                (DeviceRole::DataN, n),
-                (DeviceRole::Evaluate, n),
-            ],
-        )
-        .unwrap_or_else(|e| panic!("valid domino: {e}"));
-    }
-    c.expose_input("clk", clk);
-    c.expose_input("a", a);
-    c.expose_output("y", y);
-    c.add_route_parasitics(0.5, 0.8);
-    c
-}
-
-/// Robustness of the exploration *lint gate*: a sweep containing an
-/// electrically illegal candidate keeps running, the bad row lands in
-/// the failures column as `lint×1`, and no sizing effort is spent on it.
-fn lint_section() {
-    println!("\n# Lint-gate robustness (poisoned candidate in a mux4 sweep)\n");
-    let lib = ModelLibrary::reference();
-    let poison = MacroSpec::Mux { topology: MuxTopology::Tristate, width: 4 };
-    let specs = vec![
-        MacroSpec::Mux { topology: MuxTopology::StronglyMutexedPass, width: 4 },
-        poison.clone(),
-        MacroSpec::Mux { topology: MuxTopology::UnsplitDomino, width: 4 },
-    ];
-    let mut boundary = Boundary::default();
-    boundary.output_loads.insert("y".into(), 15.0);
-    let cache = Arc::new(SizingCache::new());
-    let opts = SizingOptions {
-        cache: Some(Arc::clone(&cache)),
-        ..Default::default()
-    };
-    let table = explore_with_parallel(
-        specs,
-        |spec| if *spec == poison { broken_pipeline() } else { spec.generate() },
-        &lib,
-        &boundary,
-        &DelaySpec::uniform(450.0),
-        &opts,
-        &ParallelOptions::from_env(),
-    );
-    let failures: BTreeMap<&'static str, usize> = table.failure_taxonomy().into_iter().collect();
-    println!(
-        "{:<22} rows={:<3} feasible={:<3} failures={}",
-        "mux4 + poisoned row",
-        table.candidates.len(),
-        table.feasible_count(),
-        taxonomy_column(&failures)
-    );
-    let (hits, misses) = cache.stats();
-    println!(
-        "\n(the lint row is rejected before sizing: the shared cache saw\n\
-         {hits} hits / {misses} misses, all attributable to the clean rows;\n\
-         Error-severity findings gate, warnings ride along as data.)"
-    );
 }

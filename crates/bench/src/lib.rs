@@ -86,9 +86,7 @@ pub fn protocol_61(
     let circuit = spec.generate();
     let mut boundary = Boundary::default();
     for port in circuit.output_ports() {
-        boundary
-            .output_loads
-            .insert(port.name.clone(), output_load);
+        boundary.output_loads.insert(port.name.clone(), output_load);
     }
     let base = baseline_sizing(&circuit, lib, &boundary, &BaselineMargins::default());
     let delay = max_delay(&circuit, lib, &base, &boundary)?;
@@ -111,8 +109,7 @@ fn rows(
     cases
         .iter()
         .map(|(label, spec, load)| {
-            protocol_61(label, spec, *load, lib, opts)
-                .unwrap_or_else(|e| panic!("{label}: {e}"))
+            protocol_61(label, spec, *load, lib, opts).unwrap_or_else(|e| panic!("{label}: {e}"))
         })
         .collect()
 }
@@ -218,7 +215,10 @@ pub fn table1(lib: &ModelLibrary, opts: &SizingOptions) -> Vec<Table1Row> {
             if !topo.supports_width(width) {
                 continue;
             }
-            let spec = MacroSpec::Mux { topology: topo, width };
+            let spec = MacroSpec::Mux {
+                topology: topo,
+                width,
+            };
             let row = protocol_61(topo.name(), &spec, load, lib, opts)
                 .unwrap_or_else(|e| panic!("{}: {e}", topo.name()));
             w_sav.push(row.width_savings());
@@ -416,4 +416,3 @@ pub fn paths52(lib: &ModelLibrary, opts: &SizingOptions, width: usize) -> PathSt
         ratio: stats.ratio(),
     }
 }
-

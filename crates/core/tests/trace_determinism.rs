@@ -47,15 +47,20 @@ fn traced_sweep(workers: usize, cache: Option<Arc<SizingCache>>) -> (String, Exp
 
 #[test]
 fn stable_export_is_byte_identical_across_worker_counts() {
-    let (reference, ref_table) = traced_sweep(1, None);
-    assert!(ref_table.feasible_count() > 0, "sweep must do real work");
-    for workers in [2usize, 4] {
-        let (json, table) = traced_sweep(workers, None);
-        assert_eq!(
-            json, reference,
-            "stable export diverged at {workers} workers"
-        );
-        assert_eq!(table.feasible_count(), ref_table.feasible_count());
+    // Without a cache, and with a fresh one per sweep (its lookups are
+    // traced too).
+    for cached in [false, true] {
+        let cache = || cached.then(|| Arc::new(SizingCache::new()));
+        let (reference, ref_table) = traced_sweep(1, cache());
+        assert!(ref_table.feasible_count() > 0, "sweep must do real work");
+        for workers in [2usize, 4, 8] {
+            let (json, table) = traced_sweep(workers, cache());
+            assert_eq!(
+                json, reference,
+                "stable export diverged at {workers} workers (cache: {cached})"
+            );
+            assert_eq!(table.feasible_count(), ref_table.feasible_count());
+        }
     }
 }
 
